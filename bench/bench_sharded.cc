@@ -5,10 +5,12 @@
 // utility side of the tradeoff — shards cannot match across the partition
 // boundary, so matching size degrades as the shard count grows — and the
 // `reconciled` counter shows how much of that loss the post-merge
-// boundary-reconciliation pass wins back per router.
+// boundary-reconciliation pass wins back per router. The BM_ReconcilePass
+// rows time that pass alone, on the caller vs on a lent pool.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -122,6 +124,51 @@ void RunSharded(benchmark::State& state, const std::string& algorithm_name,
   state.counters["p99_ns"] = last.decision_latency_p99_ns;
 }
 
+/// The boundary-reconciliation pass alone, on the merged assignment of a
+/// 4-shard run: state.range(0) = 0 runs discovery on the caller only, N > 0
+/// lends it a pool of N threads (as a threaded ShardedSession::Finish
+/// does). The pass's output is the same for every pool.
+void RunReconcilePass(benchmark::State& state,
+                      const std::string& algorithm_name,
+                      ShardRouterKind router_kind, int64_t objects) {
+  const Workload workload = MakeWorkload(objects);
+  ShardedOptions sharded;
+  sharded.algorithm = algorithm_name;
+  sharded.num_shards = 4;
+  sharded.router = router_kind;
+  const auto dispatcher =
+      DieUnless(ShardedDispatcher::Create(sharded, workload.deps));
+  const Assignment merged =
+      DieUnless(dispatcher->Run(*workload.instance, false)).assignment;
+  const auto algorithm =
+      DieUnless(CreateAlgorithm(algorithm_name, workload.deps));
+  const std::unique_ptr<ShardRouter> router =
+      MakeShardRouter(router_kind, *workload.instance, sharded.num_shards);
+  std::unique_ptr<ThreadPool> pool;
+  ReconcileOptions options;
+  options.policy = algorithm->feasibility_policy();
+  options.guide = algorithm->guide();
+  if (state.range(0) > 0) {
+    pool = std::make_unique<ThreadPool>(static_cast<int>(state.range(0)));
+    options.pool = pool.get();
+  }
+  ReconcileStats last;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Assignment assignment = merged;
+    state.ResumeTiming();
+    last = DieUnless(ReconcileShardBoundary(*workload.instance, *router,
+                                            options, &assignment));
+  }
+  state.SetItemsProcessed(state.iterations() * last.boundary_workers);
+  state.counters["boundary_workers"] =
+      static_cast<double>(last.boundary_workers);
+  state.counters["recovered"] = static_cast<double>(last.recovered_pairs);
+  state.counters["examined_per_query"] =
+      static_cast<double>(last.retrieval.candidates_examined) /
+      static_cast<double>(std::max<int64_t>(1, last.retrieval.queries));
+}
+
 void BM_SingleSession(benchmark::State& state, const std::string& name,
                       int64_t objects) {
   RunSingleSession(state, name, objects);
@@ -169,6 +216,19 @@ void BM_ShardedLoadReconciled(benchmark::State& state,
              /*handoff_batch=*/0, /*reconcile=*/true);
 }
 
+void BM_ReconcilePassGrid(benchmark::State& state, const std::string& name,
+                          int64_t objects) {
+  RunReconcilePass(state, name, ShardRouterKind::kGrid, objects);
+}
+void BM_ReconcilePassHash(benchmark::State& state, const std::string& name,
+                          int64_t objects) {
+  RunReconcilePass(state, name, ShardRouterKind::kHash, objects);
+}
+void BM_ReconcilePassLoad(benchmark::State& state, const std::string& name,
+                          int64_t objects) {
+  RunReconcilePass(state, name, ShardRouterKind::kLoad, objects);
+}
+
 // Handoff-mode sweep: per-event vs batched on the latency-bound workload
 // (~100ns POLAR-OP decisions, where the per-event mutex dominated).
 BENCHMARK_CAPTURE(BM_SingleSession, polar_op_16k, "polar-op", 16000)
@@ -203,6 +263,21 @@ BENCHMARK_CAPTURE(BM_ShardedHashReconciled, polar_op_16k, "polar-op", 16000)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ShardedLoadReconciled, polar_op_16k, "polar-op", 16000)
     ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
+// The reconciliation pass of the three reconciled configurations above,
+// serial (0) vs a lent pool of 3 threads (the caller makes 4 participants).
+BENCHMARK_CAPTURE(BM_ReconcilePassGrid, polar_op_16k, "polar-op", 16000)
+    ->Arg(0)
+    ->Arg(3)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ReconcilePassHash, polar_op_16k, "polar-op", 16000)
+    ->Arg(0)
+    ->Arg(3)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ReconcilePassLoad, polar_op_16k, "polar-op", 16000)
+    ->Arg(0)
+    ->Arg(3)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_CAPTURE(BM_SingleSession, simple_greedy_4k, "simple-greedy", 4000)

@@ -150,6 +150,22 @@ class CandidateCursor {
                                            size_t k, double query_time,
                                            StartWindow window,
                                            FilterFn&& filter) {
+    return TopK(origin, max_distance, k, query_time, window,
+                [](CellId) { return true; }, std::forward<FilterFn>(filter));
+  }
+
+  /// TopK restricted to the cells `admit_cell` — any callable
+  /// `bool(CellId)` — accepts. A rejected cell is dropped before the radius
+  /// bound and the bucket scan, so it counts in neither cells_visited nor
+  /// candidates_examined. Exact whenever every entry of a rejected cell
+  /// would fail `filter` anyway (the boundary reconciler's own-shard
+  /// cells); the result then equals the unrestricted query's.
+  template <typename AdmitCellFn, typename FilterFn>
+  const std::vector<ScoredCandidate>& TopK(Point origin, double max_distance,
+                                           size_t k, double query_time,
+                                           StartWindow window,
+                                           AdmitCellFn&& admit_cell,
+                                           FilterFn&& filter) {
     topk_.clear();
     int64_t cells = 0;
     int64_t examined = 0;
@@ -182,6 +198,7 @@ class CandidateCursor {
     const auto scan_cell = [&](int cx, int cy) {
       if (!grid.ValidCell(cx, cy)) return;
       const CellId cell = grid.CellAt(cx, cy);
+      if (!admit_cell(cell)) return;
       // Radius lower bound: skip cells that cannot beat the current tail.
       if (grid.DistanceToCell(origin, cell) > bound()) return;
       const std::vector<RetrievalCandidate>& bucket = store_->bucket(cell);

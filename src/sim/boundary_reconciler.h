@@ -17,8 +17,15 @@
 //    guide.MatchedPairCountsByTypePair() pairs per (worker type, task
 //    type), mirroring how each shard realizes matches along Ĝf's edges.
 //  - The pass is a pure function of (instance, router, merged assignment):
-//    bit-identical across reruns and thread counts, and a no-op with one
+//    bit-identical across reruns, thread counts and lent pool sizes (the
+//    assignment and every ReconcileStats field), and a no-op with one
 //    shard (no border exists).
+//
+// Candidate discovery skips every grid cell whose boundary tasks all
+// belong to the querying worker's own shard (their entries would fail the
+// cross-shard check anyway) and, given a lent pool, fans out over
+// contiguous worker-id ranges; the matching and the commit stay serial in
+// worker id order.
 
 #ifndef FTOA_SIM_BOUNDARY_RECONCILER_H_
 #define FTOA_SIM_BOUNDARY_RECONCILER_H_
@@ -34,8 +41,14 @@
 
 namespace ftoa {
 
+class ThreadPool;
+
 /// Reconciliation pass configuration.
 struct ReconcileOptions {
+  /// Upper bound on max_candidates_per_worker: the pass preallocates
+  /// boundary workers x k candidate slots.
+  static constexpr int kMaxCandidatesPerWorker = 1024;
+
   /// Object-level deadline predicate every added pair must satisfy —
   /// the algorithm's own policy (OnlineAlgorithm::feasibility_policy).
   FeasibilityPolicy policy = FeasibilityPolicy::kDispatchAtWorkerStart;
@@ -47,8 +60,15 @@ struct ReconcileOptions {
 
   /// Candidate edges kept per boundary worker (nearest-first). Bounds the
   /// matcher's memory and the augmentation work; the recovered matching is
-  /// maximum over the kept edges.
+  /// maximum over the kept edges. Must lie in [1, kMaxCandidatesPerWorker].
   int max_candidates_per_worker = 8;
+
+  /// Borrowed pool that candidate discovery may fan out over; null runs
+  /// it on the caller only. Never changes the result. The caller always
+  /// takes part and waits only for work a helper has already claimed, so
+  /// the pass never waits for the pool's other tasks: a helper the pool
+  /// starts late finds no work left.
+  ThreadPool* pool = nullptr;
 };
 
 /// What one reconciliation pass did.

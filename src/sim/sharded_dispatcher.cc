@@ -282,6 +282,9 @@ Result<ShardedRunResult> ShardedSession::Finish() {
     ReconcileOptions reconcile_options;
     reconcile_options.policy = algorithm_->feasibility_policy();
     reconcile_options.guide = algorithm_->guide();
+    // Flush() quiesced every drain, so the shard pool is idle: lend it to
+    // candidate discovery (null in inline mode).
+    reconcile_options.pool = pool_;
     FTOA_ASSIGN_OR_RETURN(
         out.reconcile,
         ReconcileShardBoundary(*instance_, *router_, reconcile_options,

@@ -1,0 +1,29 @@
+// Reference boundary reconciler: the serial pass sim/boundary_reconciler
+// shipped before candidate discovery learned to skip own-shard cells and
+// fan out across a lent pool. One caller thread, one cursor, every cell of
+// the feasibility disk walked, the shard check applied per entry. The
+// production pass must reproduce its assignment and its boundary, recovery
+// and capacity counts exactly; only the retrieval counters may shrink
+// (skipped cells are neither visited nor examined).
+
+#ifndef FTOA_TESTS_ORACLES_SERIAL_BOUNDARY_RECONCILER_H_
+#define FTOA_TESTS_ORACLES_SERIAL_BOUNDARY_RECONCILER_H_
+
+#include "model/assignment.h"
+#include "model/instance.h"
+#include "sim/boundary_reconciler.h"
+#include "sim/shard_router.h"
+#include "util/result.h"
+
+namespace ftoa {
+namespace testing {
+
+/// Same contract as ReconcileShardBoundary; `options.pool` is ignored.
+Result<ReconcileStats> SerialReconcileShardBoundary(
+    const Instance& instance, const ShardRouter& router,
+    const ReconcileOptions& options, Assignment* assignment);
+
+}  // namespace testing
+}  // namespace ftoa
+
+#endif  // FTOA_TESTS_ORACLES_SERIAL_BOUNDARY_RECONCILER_H_

@@ -21,6 +21,7 @@
 namespace ftoa {
 namespace {
 
+using ftoa::testing::ExpectSameRetrievalStats;
 using ftoa::testing::StressIterations;
 
 GridSpec MakeGrid() { return GridSpec(100.0, 100.0, 10, 10); }
@@ -248,6 +249,95 @@ TEST(CandidateCursorTest, StatsCountOnlyVisitedCells) {
   EXPECT_EQ(stats.queries, 1);
   EXPECT_EQ(stats.candidates_examined, 0);
   EXPECT_EQ(stats.cells_visited, 0);
+}
+
+/// A random store over MakeGrid() for the cell-admission tests.
+CandidateStore MakeRandomStore(uint64_t seed, int64_t size) {
+  Rng rng(seed);
+  CandidateStore store(MakeGrid());
+  for (int64_t id = 0; id < size; ++id) {
+    const double start = rng.NextDouble(0.0, 10.0);
+    store.Insert(Entry(id, rng.NextDouble(0.0, 100.0),
+                       rng.NextDouble(0.0, 100.0), start,
+                       start + rng.NextDouble(0.0, 10.0)));
+  }
+  return store;
+}
+
+TEST(CandidateCursorTest, AlwaysTrueCellPredicateIsBitIdentical) {
+  const CandidateStore store = MakeRandomStore(31, 400);
+  RetrievalStats plain_stats;
+  RetrievalStats admitted_stats;
+  CandidateCursor plain(&store, &plain_stats);
+  CandidateCursor admitted(&store, &admitted_stats);
+  Rng rng(32);
+  for (int q = 0; q < 200; ++q) {
+    const Point origin{rng.NextDouble(-5.0, 105.0),
+                       rng.NextDouble(-5.0, 105.0)};
+    const double max_distance = rng.NextDouble(0.0, 80.0);
+    const size_t k = 1 + rng.NextBounded(10);
+    const double query_time = rng.NextDouble(0.0, 15.0);
+    const StartWindow window{rng.NextDouble(-2.0, 6.0),
+                             rng.NextDouble(6.0, 12.0)};
+    const auto odd = [](const RetrievalCandidate& e, double) {
+      return e.id % 2 == 1;
+    };
+    const std::vector<ScoredCandidate> want =
+        plain.TopK(origin, max_distance, k, query_time, window, odd);
+    const auto& got = admitted.TopK(origin, max_distance, k, query_time,
+                                    window, [](CellId) { return true; }, odd);
+    ExpectSameHits(got, want, "query " + std::to_string(q));
+  }
+  ExpectSameRetrievalStats(plain_stats, admitted_stats, "stats");
+}
+
+TEST(CandidateCursorTest, CellPredicateMatchesOracleWithoutThoseCells) {
+  const CandidateStore store = MakeRandomStore(41, 500);
+  const GridSpec& grid = store.grid();
+  CandidateCursor cursor(&store, nullptr);
+  Rng rng(42);
+  for (int q = 0; q < 200; ++q) {
+    std::vector<char> excluded(static_cast<size_t>(grid.num_cells()), 0);
+    for (char& cell : excluded) cell = rng.NextBool(0.4) ? 1 : 0;
+    const auto admit = [&excluded](CellId cell) {
+      return excluded[static_cast<size_t>(cell)] == 0;
+    };
+    const Point origin{rng.NextDouble(0.0, 100.0),
+                       rng.NextDouble(0.0, 100.0)};
+    const double max_distance = rng.NextDouble(5.0, 60.0);
+    const size_t k = 1 + rng.NextBounded(12);
+    const double query_time = rng.NextDouble(0.0, 15.0);
+    const auto& got = cursor.TopK(origin, max_distance, k, query_time,
+                                  StartWindow{}, admit, AcceptAll);
+    const auto want = OracleTopK(
+        store, origin, max_distance, k, query_time, StartWindow{},
+        [&](const RetrievalCandidate& e, double) {
+          return admit(grid.CellOf(e.location));
+        });
+    ExpectSameHits(got, want, "query " + std::to_string(q));
+  }
+}
+
+TEST(CandidateCursorTest, SkippedCellsCountAsNeitherVisitedNorExamined) {
+  // Three entries in the origin's cell, one in its neighbour: excluding the
+  // origin cell leaves one visited cell and one examined entry.
+  CandidateStore store(MakeGrid());
+  store.Insert(Entry(1, 5.0, 5.0, 0.0, 10.0));
+  store.Insert(Entry(2, 6.0, 5.0, 0.0, 10.0));
+  store.Insert(Entry(3, 5.0, 6.0, 0.0, 10.0));
+  store.Insert(Entry(4, 15.0, 5.0, 0.0, 10.0));
+  const CellId origin_cell = store.grid().CellOf({5.0, 5.0});
+  RetrievalStats stats;
+  CandidateCursor cursor(&store, &stats);
+  const auto& hits = cursor.TopK(
+      {5.0, 5.0}, 50.0, 4, 0.0, StartWindow{},
+      [origin_cell](CellId cell) { return cell != origin_cell; }, AcceptAll);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].candidate.id, 4);
+  EXPECT_EQ(stats.queries, 1);
+  EXPECT_EQ(stats.cells_visited, 1);
+  EXPECT_EQ(stats.candidates_examined, 1);
+  EXPECT_EQ(stats.max_cells_visited, 1);
 }
 
 TEST(CandidateCursorTest, ForEachInDiskMatchesOracleAsASet) {

@@ -4,25 +4,30 @@
 // pair joins previously-unmatched objects from different shards and
 // satisfies the algorithm's object-level deadline policy (guide-capacity-
 // aware for the POLAR family), the pass is bit-identical across thread
-// counts and reruns, and it degenerates to a no-op at one shard. The
-// *Stress* sweep crosses MakeFuzzInstance arrival patterns x routers x
-// handoff batch sizes (FTOA_STRESS_ITERS widens it).
+// counts, lent pool sizes and reruns, and it degenerates to a no-op at one
+// shard. The *Stress* sweep crosses MakeFuzzInstance arrival patterns x
+// routers x handoff batch sizes (FTOA_STRESS_ITERS widens it) and checks
+// the pass against the serial oracle in tests/oracles/.
 
 #include "sim/boundary_reconciler.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "core/algorithm_registry.h"
+#include "oracles/serial_boundary_reconciler.h"
 #include "sim/runner.h"
 #include "sim/sharded_dispatcher.h"
 #include "test_util.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace ftoa {
 namespace {
@@ -31,6 +36,8 @@ using ::ftoa::testing::AllArrivalPatterns;
 using ::ftoa::testing::ArrivalPattern;
 using ::ftoa::testing::ArrivalPatternName;
 using ::ftoa::testing::ExpectIdenticalRun;
+using ::ftoa::testing::ExpectSamePairs;
+using ::ftoa::testing::ExpectSameRetrievalStats;
 using ::ftoa::testing::FuzzUniverse;
 using ::ftoa::testing::MakeFuzzUniverse;
 using ::ftoa::testing::StressIterations;
@@ -125,6 +132,24 @@ void ExpectReconcileContract(const Universe& universe,
   }
 }
 
+/// Every ReconcileStats field except the retrieval counters.
+void ExpectSameOutcome(const ReconcileStats& want, const ReconcileStats& got,
+                       const std::string& label) {
+  EXPECT_EQ(want.boundary_workers, got.boundary_workers) << label;
+  EXPECT_EQ(want.boundary_tasks, got.boundary_tasks) << label;
+  EXPECT_EQ(want.recovered_pairs, got.recovered_pairs) << label;
+  EXPECT_EQ(want.capacity_dropped, got.capacity_dropped) << label;
+}
+
+/// Every ReconcileStats field, the retrieval counters and the cells
+/// histogram included.
+void ExpectIdenticalStats(const ReconcileStats& want,
+                          const ReconcileStats& got,
+                          const std::string& label) {
+  ExpectSameOutcome(want, got, label);
+  ExpectSameRetrievalStats(want.retrieval, got.retrieval, label);
+}
+
 class BoundaryReconcilerTest : public ::testing::TestWithParam<const char*> {
 };
 
@@ -195,8 +220,11 @@ TEST_P(BoundaryReconcilerTest, ThreadCountDoesNotChangeTheReconciledOutput) {
                     result->assignment, result->trace,
                     std::string(GetParam()) + " threads=" +
                         std::to_string(num_threads));
-    EXPECT_EQ(reference->reconcile.recovered_pairs,
-              result->reconcile.recovered_pairs);
+    // Threaded sessions lend their shard pool to the pass; the stats must
+    // still match the inline run's, retrieval counters included.
+    ExpectIdenticalStats(reference->reconcile, result->reconcile,
+                         std::string(GetParam()) + " threads=" +
+                             std::to_string(num_threads));
   }
 }
 
@@ -289,16 +317,161 @@ TEST(BoundaryReconcilerSuiteTest, DirectCallRejectsBadOptions) {
   Assignment assignment(universe.instance.num_workers(),
                         universe.instance.num_tasks());
   ReconcileOptions options;
-  options.max_candidates_per_worker = 0;
-  const auto stats = ReconcileShardBoundary(universe.instance, *router,
-                                            options, &assignment);
-  EXPECT_FALSE(stats.ok());
+  // Zero, and sizes whose boundary-workers x k slot array would throw
+  // instead of failing with a Status.
+  for (const int k : {0, -1, ReconcileOptions::kMaxCandidatesPerWorker + 1,
+                      std::numeric_limits<int>::max()}) {
+    options.max_candidates_per_worker = k;
+    const auto stats = ReconcileShardBoundary(universe.instance, *router,
+                                              options, &assignment);
+    ASSERT_FALSE(stats.ok()) << "k=" << k;
+    EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument)
+        << "k=" << k;
+  }
+  options.max_candidates_per_worker = ReconcileOptions::kMaxCandidatesPerWorker;
+  const auto at_cap = ReconcileShardBoundary(universe.instance, *router,
+                                             options, &assignment);
+  EXPECT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+}
+
+// ------------------------------------------------------------ lent pools --
+
+/// The merged, unreconciled assignment of a sharded run, plus what the
+/// reconciliation pass needs to run directly on it.
+struct BaseRun {
+  Assignment assignment{0, 0};
+  std::unique_ptr<ShardRouter> router;
+  ReconcileOptions options;
+};
+
+BaseRun MakeBaseRun(const Universe& universe, const std::string& algorithm,
+                    ShardedOptions sharded) {
+  sharded.algorithm = algorithm;
+  sharded.reconcile = false;
+  auto dispatcher = ShardedDispatcher::Create(sharded, universe.deps);
+  EXPECT_TRUE(dispatcher.ok()) << dispatcher.status().ToString();
+  auto base = (*dispatcher)->Run(universe.instance);
+  EXPECT_TRUE(base.ok()) << base.status().ToString();
+  auto created = CreateAlgorithm(algorithm, universe.deps);
+  EXPECT_TRUE(created.ok()) << created.status().ToString();
+  BaseRun run;
+  run.assignment = std::move(base->assignment);
+  run.router = MakeShardRouter(sharded.router, universe.instance,
+                               sharded.num_shards);
+  run.options.policy = (*created)->feasibility_policy();
+  // The guide is shared through deps, so it outlives the algorithm.
+  run.options.guide = (*created)->guide();
+  return run;
+}
+
+TEST(BoundaryReconcilerSuiteTest, LentPoolSizeDoesNotChangeThePass) {
+  // Big enough that every pool size splits discovery into many ranges.
+  const Universe universe =
+      MakeFuzzUniverse(913, ArrivalPattern::kBursty, 600, 600);
+  for (const char* algorithm : {"simple-greedy", "polar-op"}) {
+    for (const ShardRouterKind router_kind :
+         {ShardRouterKind::kGrid, ShardRouterKind::kLoad,
+          ShardRouterKind::kHash}) {
+      ShardedOptions sharded;
+      sharded.num_shards = 4;
+      sharded.router = router_kind;
+      BaseRun base = MakeBaseRun(universe, algorithm, sharded);
+      const std::string label = std::string(algorithm) + " " +
+                                ShardRouterKindName(router_kind);
+
+      Assignment reference = base.assignment;
+      const auto serial = ReconcileShardBoundary(
+          universe.instance, *base.router, base.options, &reference);
+      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+      ASSERT_GT(serial->boundary_workers, 36) << label;
+      EXPECT_GT(serial->recovered_pairs, 0) << label;
+      for (const int threads : {1, 2, 3, 8}) {
+        ThreadPool pool(threads);
+        ReconcileOptions options = base.options;
+        options.pool = &pool;
+        Assignment got = base.assignment;
+        const auto pooled = ReconcileShardBoundary(
+            universe.instance, *base.router, options, &got);
+        ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+        const std::string pool_label =
+            label + " pool=" + std::to_string(threads);
+        ExpectSamePairs(reference, got, pool_label);
+        ExpectIdenticalStats(*serial, *pooled, pool_label);
+      }
+    }
+  }
+}
+
+TEST(BoundaryReconcilerSuiteTest, ReturnsWhileTheLentPoolStaysBlocked) {
+  // The pool's only worker is held for the whole call, so every helper the
+  // pass submits queues behind it: the caller must do all of discovery
+  // itself and return, and a helper that starts afterwards must find
+  // nothing to do.
+  const Universe universe =
+      MakeFuzzUniverse(77, ArrivalPattern::kShuffledIds, 120, 120);
+  ShardedOptions sharded;
+  sharded.num_shards = 3;
+  BaseRun base = MakeBaseRun(universe, "polar-op", sharded);
+  Assignment reference = base.assignment;
+  const auto serial = ReconcileShardBoundary(
+      universe.instance, *base.router, base.options, &reference);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+
+  ThreadPool pool(1);
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::future<void> blocker = pool.Submit([&started, gate] {
+    started.set_value();
+    gate.wait();
+  });
+  started.get_future().wait();
+
+  ReconcileOptions options = base.options;
+  options.pool = &pool;
+  Assignment got = base.assignment;
+  const auto pooled = ReconcileShardBoundary(universe.instance, *base.router,
+                                             options, &got);
+  release.set_value();
+  blocker.get();
+  ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+  ExpectSamePairs(reference, got, "blocked pool");
+  ExpectIdenticalStats(*serial, *pooled, "blocked pool");
 }
 
 // ------------------------------------------------------------- stress suite --
 
+/// The production pass on a lent pool against the pre-change serial
+/// reconciler (tests/oracles/): same pairs and outcome counts, one query
+/// per boundary worker, and never more cells visited or entries examined.
+void ExpectMatchesSerialOracle(const Universe& universe,
+                               const std::string& algorithm,
+                               const ShardedOptions& sharded,
+                               ThreadPool* pool, const std::string& label) {
+  BaseRun base = MakeBaseRun(universe, algorithm, sharded);
+  Assignment want = base.assignment;
+  const auto oracle = ::ftoa::testing::SerialReconcileShardBoundary(
+      universe.instance, *base.router, base.options, &want);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  ReconcileOptions options = base.options;
+  options.pool = pool;
+  Assignment got = base.assignment;
+  const auto pass = ReconcileShardBoundary(universe.instance, *base.router,
+                                           options, &got);
+  ASSERT_TRUE(pass.ok()) << pass.status().ToString();
+  ExpectSamePairs(want, got, label + " vs serial oracle");
+  ExpectSameOutcome(*oracle, *pass, label + " vs serial oracle");
+  EXPECT_EQ(oracle->retrieval.queries, pass->retrieval.queries) << label;
+  EXPECT_LE(pass->retrieval.cells_visited, oracle->retrieval.cells_visited)
+      << label;
+  EXPECT_LE(pass->retrieval.candidates_examined,
+            oracle->retrieval.candidates_examined)
+      << label;
+}
+
 /// Randomized sweep of the full reconciliation contract: arrival pattern x
-/// router x handoff batch size x algorithm, plus rerun determinism.
+/// router x handoff batch size x algorithm, plus rerun determinism and
+/// equivalence with the serial oracle on a lent pool.
 TEST(BoundaryReconcilerStressTest, RandomizedReconcileSweep) {
   const int iterations = StressIterations(2);
   const std::vector<std::string> algorithms = AllAlgorithmNames();
@@ -306,6 +479,7 @@ TEST(BoundaryReconcilerStressTest, RandomizedReconcileSweep) {
   const std::vector<ShardRouterKind> routers = {ShardRouterKind::kGrid,
                                                 ShardRouterKind::kHash,
                                                 ShardRouterKind::kLoad};
+  ThreadPool pool(3);
   Rng rng(20260731);
   for (int iter = 0; iter < iterations; ++iter) {
     const ArrivalPattern pattern =
@@ -329,6 +503,7 @@ TEST(BoundaryReconcilerStressTest, RandomizedReconcileSweep) {
           " threads=" + std::to_string(options.num_threads) +
           " handoff=" + std::to_string(options.handoff_batch);
       ExpectReconcileContract(universe, name, options, label);
+      ExpectMatchesSerialOracle(universe, name, options, &pool, label);
 
       // Rerun determinism of the reconciled path.
       options.algorithm = name;

@@ -20,6 +20,7 @@
 #include "core/online_algorithm.h"
 #include "core/prediction_matrix.h"
 #include "model/instance.h"
+#include "retrieval/stats.h"
 #include "spatial/spacetime.h"
 #include "util/rng.h"
 
@@ -219,11 +220,10 @@ inline FuzzUniverse MakeFuzzUniverse(uint64_t seed, ArrivalPattern pattern,
   return universe;
 }
 
-/// Asserts that two runs produced bit-identical assignments and traces —
-/// the equality the batch/stream/sharded equivalence suites are built on.
-inline void ExpectIdenticalRun(const Assignment& a, const RunTrace& ta,
-                               const Assignment& b, const RunTrace& tb,
-                               const std::string& label) {
+/// Asserts that two assignments hold the same pairs (worker, task,
+/// decision time) in the same order.
+inline void ExpectSamePairs(const Assignment& a, const Assignment& b,
+                            const std::string& label) {
   ASSERT_EQ(a.size(), b.size()) << label;
   for (size_t i = 0; i < a.pairs().size(); ++i) {
     const MatchedPair& pa = a.pairs()[i];
@@ -232,6 +232,28 @@ inline void ExpectIdenticalRun(const Assignment& a, const RunTrace& ta,
     EXPECT_EQ(pa.task, pb.task) << label << " pair " << i;
     EXPECT_EQ(pa.time, pb.time) << label << " pair " << i;
   }
+}
+
+/// Asserts that two RetrievalStats agree in every field, the cells-visited
+/// histogram included.
+inline void ExpectSameRetrievalStats(const RetrievalStats& a,
+                                     const RetrievalStats& b,
+                                     const std::string& label) {
+  EXPECT_EQ(a.queries, b.queries) << label;
+  EXPECT_EQ(a.cells_visited, b.cells_visited) << label;
+  EXPECT_EQ(a.candidates_examined, b.candidates_examined) << label;
+  EXPECT_EQ(a.candidates_pruned, b.candidates_pruned) << label;
+  EXPECT_EQ(a.max_cells_visited, b.max_cells_visited) << label;
+  EXPECT_EQ(a.cells_visited_hist, b.cells_visited_hist) << label;
+}
+
+/// Asserts that two runs produced bit-identical assignments and traces —
+/// the equality the batch/stream/sharded equivalence suites are built on.
+inline void ExpectIdenticalRun(const Assignment& a, const RunTrace& ta,
+                               const Assignment& b, const RunTrace& tb,
+                               const std::string& label) {
+  ExpectSamePairs(a, b, label);
+  if (::testing::Test::HasFatalFailure()) return;
   ASSERT_EQ(ta.dispatches.size(), tb.dispatches.size()) << label;
   for (size_t i = 0; i < ta.dispatches.size(); ++i) {
     EXPECT_EQ(ta.dispatches[i].worker, tb.dispatches[i].worker)

@@ -50,6 +50,7 @@ echo "== bench_streaming (session vs batch throughput, decision latency)"
 echo "== bench_sharded (sharded dispatcher vs single session)"
 "$BUILD/bench_sharded" \
     --benchmark_min_time=0.05 \
+    --benchmark_context=nproc="$(nproc)",build_type=Release \
     --benchmark_out="$ROOT/BENCH_sharded.json" \
     --benchmark_out_format=json
 
