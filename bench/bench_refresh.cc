@@ -7,11 +7,13 @@
 //       at most two). Warm reuses the clean components' flows, cold is the
 //       full re-solve — the headline is the real_time ratio (>= 2x is the
 //       PR's acceptance bar).
-//   BM_Rotation/{rebuild,incremental}/W — per-window serving cost as the
-//       object store grows (eviction off, 1-window segments = 6 rotations
-//       per day). Rebuild re-scans and re-sorts the store at every rotation
-//       (O(store)); incremental maintains the sorted spine (O(carryover +
-//       new)), so its cost stays flat as W (and the store) grows.
+//   BM_Rotation/incremental/W — per-window serving cost over W windows
+//       (1-window segments = 6 rotations per day). The sorted spine makes
+//       each rotation O(carryover + new). Eviction is on, the serving
+//       default, so the store holds only the live tail and does not grow
+//       with W; the per-window cost stays flat. (Before the rebuild
+//       reference moved to tests/oracles, this row ran with eviction off
+//       and the store grew with W.)
 //   BM_Interference/{dedicated,shared_slice} — the soak topology (sharded
 //       threaded sessions + background refresh) with the PR 6 dedicated
 //       refresher thread vs the shared pool + analytical PoolSlice layout.
@@ -163,7 +165,7 @@ void BM_GuideRefresh(benchmark::State& state, GuideRefreshMode mode) {
 }
 
 // ---------------------------------------------------------------------------
-// Family 2: incremental vs rebuild segment rotation as the store grows.
+// Family 2: segment rotation cost as the served window count grows.
 // ---------------------------------------------------------------------------
 
 CityProfile RotationCity() {
@@ -182,13 +184,11 @@ CityProfile RotationCity() {
   return profile;
 }
 
-void BM_Rotation(benchmark::State& state, bool incremental) {
+void BM_Rotation(benchmark::State& state) {
   const int64_t windows = state.range(0);
   ServiceOptions options;
   options.algorithm = "simple-greedy";  // Cheap decisions: rotation shows.
   options.windows_per_segment = 1;      // Six rotations per day.
-  options.evict_expired = false;        // The store keeps the history.
-  options.incremental_rotation = incremental;
   int64_t processed = 0;
   ServiceTotals last;
   int64_t last_store = 0;
@@ -268,12 +268,10 @@ BENCHMARK_CAPTURE(BM_GuideRefresh, warm, GuideRefreshMode::kWarm)
     ->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
-BENCHMARK_CAPTURE(BM_Rotation, rebuild, false)
-    ->Arg(96)
-    ->Arg(288)
-    ->Arg(864)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Rotation, incremental, true)
+// Named as before the rebuild row left, so BENCH_refresh.json stays
+// comparable row for row.
+BENCHMARK(BM_Rotation)
+    ->Name("BM_Rotation/incremental")
     ->Arg(96)
     ->Arg(288)
     ->Arg(864)

@@ -1,11 +1,10 @@
 // Serving-loop benchmark: windows-per-second and per-window cost of the
-// ServiceHarness across its robustness features — eviction on/off (the
-// memory/throughput tradeoff of the rolling store), segment length (session
+// ServiceHarness across its robustness features — segment length (session
 // rebuild amortization), sharding, inline vs background guide refresh, and
 // a faulted run (flash crowd + slow shard + forced refresh failures) versus
 // the clean baseline. Counters expose the service-side outcomes: matched
 // pairs, evictions, shed load, and the final store size (the memory story —
-// with eviction off the store holds the whole admitted history).
+// the evicting store holds only the live tail).
 
 #include <benchmark/benchmark.h>
 
@@ -79,14 +78,6 @@ void BM_ServeBaseline(benchmark::State& state) {
   RunService(state, options, state.range(0));
 }
 
-/// The unbounded reference the eviction property tests diff against: same
-/// decisions, store grows with the admitted history.
-void BM_ServeNoEvict(benchmark::State& state) {
-  ServiceOptions options;
-  options.evict_expired = false;
-  RunService(state, options, state.range(0));
-}
-
 /// Segment-length sweep: shorter segments rotate (and rebuild) sessions
 /// more often but bound carryover replay; range(1) is windows_per_segment.
 void BM_ServeSegment(benchmark::State& state) {
@@ -123,7 +114,6 @@ void BM_ServeFaulted(benchmark::State& state) {
 }
 
 BENCHMARK(BM_ServeBaseline)->Arg(12)->Arg(24)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ServeNoEvict)->Arg(24)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ServeSegment)
     ->Args({24, 1})
     ->Args({24, 2})

@@ -4,6 +4,14 @@
 // maximum-cardinality matching among all currently-alive unmatched workers
 // and tasks (wait-in-place semantics). Matched pairs are committed; the
 // rest carry over to later windows until their deadlines pass.
+//
+// One incremental matcher is carried across windows: each window only
+// inserts the new arrivals' nodes/edges and re-augments for them, instead
+// of re-enumerating every pooled worker's candidates and rebuilding a
+// Hopcroft-Karp instance per window. Sound because matched pairs leave the
+// pool at once: leftovers are pairwise infeasible, so every edge of the
+// next window's graph touches a new arrival. The rebuild-per-window
+// matcher survives as a test oracle (tests/oracles/rebuild_gr_batch).
 
 #ifndef FTOA_BASELINES_GR_BATCH_H_
 #define FTOA_BASELINES_GR_BATCH_H_
@@ -24,16 +32,6 @@ struct GrBatchOptions {
   /// decided. kDispatchAtWorkerStart applies Definition 4's formula
   /// verbatim instead (ablation knob).
   FeasibilityPolicy policy = FeasibilityPolicy::kDispatchAtAssignmentTime;
-
-  /// Default: carry one incremental matcher across windows — each window
-  /// only inserts the new arrivals' nodes/edges and re-augments for them,
-  /// instead of re-enumerating every pooled worker's candidates and
-  /// rebuilding a Hopcroft-Karp instance per window. Sound because matched
-  /// pairs leave the pool at once: leftovers are pairwise infeasible, so
-  /// every edge of the next window's graph touches a new arrival. Disable
-  /// for the rebuild-per-window reference used by the equivalence tests;
-  /// RunTrace::matcher_rebuilds tells the two apart.
-  bool incremental_matching = true;
 };
 
 /// The GR batched-matching baseline.

@@ -9,16 +9,13 @@ namespace ftoa {
 
 namespace {
 
-/// Pool-backed variant: candidate search through a waiting-pool backend
-/// (GridWaitingPool = historical grid-index ring expansion;
-/// EngineWaitingPool = the shared retrieval engine with deadline/window
-/// pruning and per-query stats). Nearest answers are canonical
-/// (distance, id) under both backends, so the assignment is bit-identical
-/// to the linear reference either way.
-template <typename Pool>
-class PooledGreedySession final : public AssignmentSessionBase {
+/// Engine-backed variant: candidate search through the shared retrieval
+/// engine, with deadline/window pruning and per-query stats. Nearest
+/// answers are canonical (distance, id), so the assignment is bit-identical
+/// to the linear scan.
+class EngineGreedySession final : public AssignmentSessionBase {
  public:
-  PooledGreedySession(const Instance& instance, SimpleGreedyOptions options)
+  EngineGreedySession(const Instance& instance, SimpleGreedyOptions options)
       : AssignmentSessionBase(instance),
         options_(options),
         waiting_workers_(instance.spacetime().grid(), &trace_.retrieval),
@@ -71,8 +68,8 @@ class PooledGreedySession final : public AssignmentSessionBase {
 
  private:
   SimpleGreedyOptions options_;
-  Pool waiting_workers_;
-  Pool waiting_tasks_;
+  EngineWaitingPool waiting_workers_;
+  EngineWaitingPool waiting_tasks_;
   double max_radius_;
   double max_task_duration_;
   double max_worker_duration_;
@@ -165,12 +162,7 @@ SimpleGreedy::SimpleGreedy(SimpleGreedyOptions options) : options_(options) {}
 std::unique_ptr<AssignmentSession> SimpleGreedy::StartSession(
     const Instance& instance) {
   if (options_.retrieval == RetrievalMode::kEngine) {
-    return std::make_unique<PooledGreedySession<EngineWaitingPool>>(
-        instance, options_);
-  }
-  if (options_.use_spatial_index) {
-    return std::make_unique<PooledGreedySession<GridWaitingPool>>(instance,
-                                                                  options_);
+    return std::make_unique<EngineGreedySession>(instance, options_);
   }
   return std::make_unique<LinearGreedySession>(instance, options_);
 }

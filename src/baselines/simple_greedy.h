@@ -6,9 +6,9 @@
 // Faithful to the paper's cost model, the default implementation linearly
 // scans all waiting counterparts per arrival ("it has to retrieve all the
 // objects when starting to process a new object", Section 6.2) — this is
-// what makes SimpleGreedy the slowest online baseline in Figures 4-6. An
-// indexed variant using the grid index is provided as an engineering
-// ablation (same output, different running time).
+// what makes SimpleGreedy the slowest online baseline in Figures 4-6. The
+// indexed variant runs on the shared retrieval engine (RetrievalMode::
+// kEngine; same output, different running time).
 
 #ifndef FTOA_BASELINES_SIMPLE_GREEDY_H_
 #define FTOA_BASELINES_SIMPLE_GREEDY_H_
@@ -20,15 +20,10 @@ namespace ftoa {
 
 /// Options for SimpleGreedy.
 struct SimpleGreedyOptions {
-  /// When true, candidate search uses the grid index (ring expansion)
-  /// instead of the paper's linear scan. Output is identical; only the
-  /// running time differs.
-  bool use_spatial_index = false;
-
   /// kEngine routes candidate search through the shared retrieval engine
   /// (retrieval/candidate_engine.h: deadline/time-window pruning plus
-  /// per-query stats in the RunTrace), overriding use_spatial_index.
-  /// Output is identical across all three paths — only running time and
+  /// per-query stats in the RunTrace) instead of the paper's linear scan.
+  /// Output is identical on both paths — only running time and
   /// instrumentation differ.
   RetrievalMode retrieval = RetrievalMode::kLinear;
 
@@ -45,10 +40,8 @@ class SimpleGreedy : public OnlineAlgorithm {
   explicit SimpleGreedy(SimpleGreedyOptions options = {});
 
   std::string name() const override {
-    if (options_.retrieval == RetrievalMode::kEngine) {
-      return "SimpleGreedy-Eng";
-    }
-    return options_.use_spatial_index ? "SimpleGreedy-Idx" : "SimpleGreedy";
+    return options_.retrieval == RetrievalMode::kEngine ? "SimpleGreedy-Eng"
+                                                        : "SimpleGreedy";
   }
   FeasibilityPolicy feasibility_policy() const override {
     return options_.policy;

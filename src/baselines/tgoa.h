@@ -8,8 +8,12 @@
 //
 // Implemented here as an *extension* baseline (the paper compares against
 // SimpleGreedy and GR only): it contextualizes the POLAR family against its
-// direct predecessor, including the predecessor's main practical weakness —
-// recomputing a maximum matching per arrival in the second phase.
+// direct predecessor. The predecessor's main practical weakness —
+// recomputing a maximum matching per arrival in the second phase — is
+// removed: one incremental matcher is carried across the whole run, so each
+// second-phase arrival costs one augmenting-path search. The historical
+// rebuild-per-arrival trial survives as a test oracle
+// (tests/oracles/rebuild_tgoa).
 
 #ifndef FTOA_BASELINES_TGOA_H_
 #define FTOA_BASELINES_TGOA_H_
@@ -27,15 +31,6 @@ struct TgoaOptions {
   /// Pair feasibility; wait-in-place semantics by default, matching the
   /// model of [26] (workers do not relocate).
   FeasibilityPolicy policy = FeasibilityPolicy::kDispatchAtAssignmentTime;
-
-  /// Default: carry one incremental matcher across the whole run — each
-  /// second-phase arrival costs one augmenting-path search over the waiting
-  /// pool instead of a from-scratch Hopcroft-Karp per arrival (the [26]
-  /// weakness this baseline previously reproduced *too* faithfully).
-  /// Disable to get the historical rebuild-per-arrival reference, used by
-  /// the incremental-equivalence tests; RunTrace::matcher_rebuilds tells
-  /// the two apart.
-  bool incremental_matching = true;
 
   /// kEngine backs both waiting pools with the shared retrieval engine
   /// (deadline/time-window pruning, per-query stats in the RunTrace)

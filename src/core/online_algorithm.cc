@@ -13,7 +13,6 @@ void RunTrace::Absorb(RunTrace&& other) {
   }
   ignored_workers += other.ignored_workers;
   ignored_tasks += other.ignored_tasks;
-  matcher_rebuilds += other.matcher_rebuilds;
   matcher_augment_searches += other.matcher_augment_searches;
   retrieval.Absorb(other.retrieval);
 }

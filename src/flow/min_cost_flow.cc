@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <future>
 #include <limits>
 #include <vector>
@@ -849,78 +848,6 @@ MinCostFlowGraph::Outcome MinCostFlowGraph::SolveCostScaling(int32_t s,
   // cost contribution is the network-wide delta (equal to the full routed
   // cost on a fresh instance).
   outcome.cost = TotalRoutedCost() - cost_before;
-  return outcome;
-}
-
-MinCostFlowGraph::Outcome MinCostFlowGraph::SolveSpfa(int32_t s, int32_t t) {
-  Outcome outcome;
-  const size_t n = head_.size();
-  std::vector<int64_t> dist(n);
-  std::vector<int32_t> in_edge(n);
-  std::vector<bool> in_queue(n);
-
-  while (true) {
-    // SPFA shortest path by cost in the residual network (handles the
-    // negative residual costs of reversed edges).
-    ++path_searches_;
-    std::fill(dist.begin(), dist.end(), kInf);
-    std::fill(in_edge.begin(), in_edge.end(), -1);
-    std::fill(in_queue.begin(), in_queue.end(), false);
-    std::deque<int32_t> queue;
-    dist[static_cast<size_t>(s)] = 0;
-    queue.push_back(s);
-    in_queue[static_cast<size_t>(s)] = true;
-    while (!queue.empty()) {
-      const int32_t u = queue.front();
-      queue.pop_front();
-      in_queue[static_cast<size_t>(u)] = false;
-      for (int32_t e = head_[static_cast<size_t>(u)]; e != -1;
-           e = next_[static_cast<size_t>(e)]) {
-        if (cap_[static_cast<size_t>(e)] <= 0) continue;
-        const int32_t v = to_[static_cast<size_t>(e)];
-        // Saturating: a kInf-seeded dist plus a near-limit cost pins at
-        // kInf (and fails the `< dist` test) instead of wrapping negative
-        // and corrupting the search.
-        const int64_t candidate =
-            SatAdd(dist[static_cast<size_t>(u)], cost_[static_cast<size_t>(e)]);
-        if (candidate < dist[static_cast<size_t>(v)]) {
-          dist[static_cast<size_t>(v)] = candidate;
-          in_edge[static_cast<size_t>(v)] = e;
-          if (!in_queue[static_cast<size_t>(v)]) {
-            in_queue[static_cast<size_t>(v)] = true;
-            // SLF heuristic: push closer nodes to the front.
-            if (!queue.empty() &&
-                dist[static_cast<size_t>(v)] <
-                    dist[static_cast<size_t>(queue.front())]) {
-              queue.push_front(v);
-            } else {
-              queue.push_back(v);
-            }
-          }
-        }
-      }
-    }
-    if (dist[static_cast<size_t>(t)] >= kInf) break;
-
-    // Find the bottleneck along the shortest path, then augment.
-    int64_t bottleneck = kInf;
-    for (int32_t v = t; v != s;) {
-      const int32_t e = in_edge[static_cast<size_t>(v)];
-      bottleneck = std::min(bottleneck, cap_[static_cast<size_t>(e)]);
-      v = to_[static_cast<size_t>(e ^ 1)];
-    }
-    for (int32_t v = t; v != s;) {
-      const int32_t e = in_edge[static_cast<size_t>(v)];
-      cap_[static_cast<size_t>(e)] -= bottleneck;
-      cap_[static_cast<size_t>(e ^ 1)] += bottleneck;
-      v = to_[static_cast<size_t>(e ^ 1)];
-    }
-    outcome.flow += bottleneck;
-    outcome.cost += bottleneck * dist[static_cast<size_t>(t)];
-  }
-  // SPFA does not maintain potentials; a subsequent Solve() must rebuild
-  // them before trusting Dijkstra.
-  needs_repair_ = true;
   return outcome;
 }
 

@@ -65,14 +65,14 @@
 // `AddEdge` and call `Solve` again; only the *additional* flow is computed.
 // Any operation that can break the potentials invariant (injected flow
 // whose reverse arc goes reduced-cost-negative, an appended edge that is
-// cheaper than the current potential gap, a `SolveSpfa` run, or a
-// kCostScaling solve, neither of which maintains potentials) flags the
-// instance; the next potential-based Solve then first cancels any negative
-// residual cycles — re-routing the already-carried flow so it is again
-// min-cost for its value, which is what successive shortest paths require —
-// and rebuilds the potentials with one label-correcting pass before
-// resuming Dijkstra. The final state is therefore a true min-cost maximum
-// flow no matter how the warm start was produced. Because cancellation (and
+// cheaper than the current potential gap, or a kCostScaling solve, which
+// does not maintain potentials) flags the instance; the next
+// potential-based Solve then first cancels any negative residual cycles —
+// re-routing the already-carried flow so it is again min-cost for its
+// value, which is what successive shortest paths require — and rebuilds
+// the potentials with one label-correcting pass before resuming Dijkstra.
+// The final state is therefore a true min-cost maximum flow no matter how
+// the warm start was produced. Because cancellation (and
 // a kCostScaling refine) can silently cheapen flow routed by *earlier*
 // calls, a resumed call's Outcome counts only its own contribution; use
 // `TotalRoutedCost()` for whole-network cost claims.
@@ -86,8 +86,9 @@
 // be one whose workers are currently executing this Solve (tasks block on
 // futures; see core/guide_generator for the safe wiring).
 //
-// `SolveSpfa` preserves the original SPFA implementation verbatim as a
-// test oracle and as the baseline leg of bench_micro_flow.
+// The original SPFA-per-path solver survives as a test oracle
+// (tests/oracles/spfa_min_cost_flow); every engine must match its
+// (flow, cost) outcome.
 
 #ifndef FTOA_FLOW_MIN_COST_FLOW_H_
 #define FTOA_FLOW_MIN_COST_FLOW_H_
@@ -137,12 +138,6 @@ class MinCostFlowGraph {
   /// Same contract, with an explicit solver core. kAuto resolves through
   /// ChooseFlowEngine(ComputeShape(s)) before solving.
   Outcome Solve(int32_t s, int32_t t, FlowEngine engine);
-
-  /// Reference implementation: SPFA (Bellman-Ford queue variant) per
-  /// augmenting path. Kept as the correctness oracle for randomized tests
-  /// and as the baseline in bench_micro_flow. Does not maintain potentials;
-  /// a later Solve() on the same instance first repairs them.
-  Outcome SolveSpfa(int32_t s, int32_t t);
 
   /// The kAuto selection inputs, measured from the current residual
   /// network: node/edge counts, residual supply out of `s`, and the
@@ -253,7 +248,7 @@ class MinCostFlowGraph {
     }
   };
   std::vector<HeapEntry> heap_;
-  // SPFA scratch (oracle path + potential repair).
+  // Label-correcting scratch (potential repair).
   std::vector<uint8_t> in_queue_;
   std::vector<int32_t> queue_;
   // Blocking/Dinic scratch: BFS levels, per-node arc cursors, DFS path.

@@ -1,7 +1,8 @@
 // Waiting-pool backends for the ported per-arrival algorithms. A session
-// template (greedy / TGOA / POLAR fallback) is instantiated once per
-// backend, so the *only* difference between `--retrieval=linear` and
-// `--retrieval=engine` is the candidate search itself:
+// template (TGOA / POLAR fallback) is instantiated once per backend, so
+// the *only* difference between `--retrieval=linear` and
+// `--retrieval=engine` is the candidate search itself (simple-greedy's
+// linear mode is the paper's linear scan instead of a grid pool):
 //
 //  * GridWaitingPool — the historical direct GridIndex scans. Queries
 //    ignore the time attributes; the caller's feasibility filter is the

@@ -1,6 +1,8 @@
 #include "serve/fault_injector.h"
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 namespace ftoa {
@@ -29,10 +31,30 @@ Status ParseNumber(const std::string& entry, const std::string& text,
                    double* out) {
   char* end = nullptr;
   *out = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0' || text.empty()) {
+  // NaN fails every range check downstream, so it is rejected here with
+  // the infinities.
+  if (end == nullptr || *end != '\0' || text.empty() ||
+      !std::isfinite(*out)) {
     return Status::InvalidArgument("fault spec '" + entry +
                                    "': malformed number '" + text + "'");
   }
+  return Status::OK();
+}
+
+/// Range-checks `value` into [lo, max of Int] before the float-to-integer
+/// cast (an out-of-range cast is undefined behavior).
+template <typename Int>
+Status ToInteger(const std::string& entry, const std::string& key,
+                 double value, Int lo, Int* out) {
+  // 2^digits is exact in a double and one past the largest Int.
+  if (value < static_cast<double>(lo) ||
+      value >= std::ldexp(1.0, std::numeric_limits<Int>::digits)) {
+    return Status::InvalidArgument(
+        "fault spec '" + entry + "': " + key + " must be in [" +
+        std::to_string(lo) + ", " +
+        std::to_string(std::numeric_limits<Int>::max()) + "]");
+  }
+  *out = static_cast<Int>(value);
   return Status::OK();
 }
 
@@ -43,7 +65,7 @@ Status ApplyParam(const std::string& entry, FaultSpec* fault,
   const bool is_flash = fault->name == "flash";
   const bool is_drop = fault->name == "drop-batch";
   if (key == "shard" && (is_slow || is_drop)) {
-    fault->shard = static_cast<int>(value);
+    return ToInteger(entry, key, value, -1, &fault->shard);
   } else if (key == "stall-ms" && is_slow) {
     if (value < 0) {
       return Status::InvalidArgument("fault spec '" + entry +
@@ -51,11 +73,7 @@ Status ApplyParam(const std::string& entry, FaultSpec* fault,
     }
     fault->stall_ms = value;
   } else if (key == "count" && is_fail) {
-    if (value < 1) {
-      return Status::InvalidArgument("fault spec '" + entry +
-                                     "': count must be >= 1");
-    }
-    fault->count = static_cast<int64_t>(value);
+    return ToInteger<int64_t>(entry, key, value, 1, &fault->count);
   } else if (key == "factor" && is_flash) {
     if (value < 1.0) {
       return Status::InvalidArgument("fault spec '" + entry +
@@ -106,9 +124,11 @@ Result<FaultSpec> ParseEntry(const std::string& entry) {
   double end = 0.0;
   FTOA_RETURN_NOT_OK(ParseNumber(entry, fields[0].substr(0, dash), &begin));
   FTOA_RETURN_NOT_OK(ParseNumber(entry, fields[0].substr(dash + 1), &end));
-  fault.begin_window = static_cast<int64_t>(begin);
-  fault.end_window = static_cast<int64_t>(end);
-  if (fault.begin_window < 0 || fault.end_window < fault.begin_window) {
+  FTOA_RETURN_NOT_OK(
+      ToInteger<int64_t>(entry, "window begin", begin, 0, &fault.begin_window));
+  FTOA_RETURN_NOT_OK(
+      ToInteger<int64_t>(entry, "window end", end, 0, &fault.end_window));
+  if (fault.end_window < fault.begin_window) {
     return Status::InvalidArgument(
         "fault spec '" + entry +
         "': window range must satisfy 0 <= begin <= end");

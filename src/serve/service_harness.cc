@@ -195,24 +195,16 @@ void ServiceHarness::ExpireUpTo(double time, WindowMetrics* metrics) {
     deadline_heap_.pop();
     auto it = store_.find(stream_id);
     if (it == store_.end()) continue;  // Freed at match time.
-    if (!it->second.matched) {
-      --live_;
-      ++totals_.evictions;
-      if (metrics != nullptr) ++metrics->evicted;
-      // The safety invariant the property tests pin: a record freed here
-      // is never live (its deadline has passed).
-      if (it->second.Deadline() > time) ++totals_.evicted_live;
-    }
+    --live_;
+    ++totals_.evictions;
+    if (metrics != nullptr) ++metrics->evicted;
+    // The safety invariant the property tests pin: a record freed here
+    // is never live (its deadline has passed).
+    if (it->second.Deadline() > time) ++totals_.evicted_live;
     // The open segment's universe still references the record (an object
     // expiring mid-segment can legitimately match during the replay — it
-    // was live at its arrival); free it at rotation instead.
-    if (options_.evict_expired) {
-      if (segment_.open) {
-        deferred_free_.push_back(stream_id);
-      } else {
-        store_.erase(it);
-      }
-    }
+    // was live at its arrival); free it at rotation.
+    deferred_free_.push_back(stream_id);
   }
 }
 
@@ -311,55 +303,39 @@ void ServiceHarness::StartSegment(int64_t window) {
       window - segment_.start_guide.published_window >
           options_.max_guide_age_windows;
   segment_.degraded = needs_guide && (no_guide || too_stale);
-
-  if (options_.incremental_rotation) {
-    // Incremental mode: the carryover lives in the persistent spine;
-    // compact it in place instead of rescanning the store.
-    CompactSpine(window, segment_.day);
-    return;
-  }
-
-  // Rebuild reference: every still-live unmatched object from earlier
-  // segments, re-offered in stream-id order (deterministic regardless of
-  // the store's hash order or eviction mode).
-  const double now = static_cast<double>(window);
-  // ftoa-lint: ok(no-unordered-iteration): hash order never escapes — the collected ids are sorted below before any consumer sees them
-  for (const auto& entry : store_) {
-    if (!entry.second.matched && entry.second.Deadline() > now) {
-      segment_.carryover.push_back(entry.first);
-    }
-  }
-  std::sort(segment_.carryover.begin(), segment_.carryover.end());
+  // The carryover lives in the persistent spine; compact it in place
+  // instead of rescanning the store.
+  CompactSpine(window, segment_.day);
 }
 
 void ServiceHarness::CompactSpine(int64_t window, int64_t day) {
-  // Equivalence with the rebuild reference (pinned by the rotation tests):
-  // the spine holds exactly the previous segment's universe members whose
-  // records survived unmatched (ReplaySegment's rebuild step), and every
-  // live unmatched record is in some previous segment's universe (admitted
-  // objects enter a segment; unmatched survivors chain through carryover).
-  // Dropping matched/freed/expired entries here therefore leaves the same
-  // object set the store scan + deadline filter would produce — in
+  // Equivalence with a store scan (pinned against
+  // tests/oracles/reference_serve_loop): the spine holds exactly the
+  // previous segment's universe members whose records survived unmatched
+  // (ReplaySegment's fold), and every live unmatched record is in some
+  // previous segment's universe (admitted objects enter a segment;
+  // unmatched survivors chain through the carryover). Dropping the entries
+  // expired by now therefore leaves the object set a scan of every
+  // admitted object with a deadline filter would produce — in
   // O(carryover), never O(store).
   const double now = static_cast<double>(window);
   const double day_start = static_cast<double>(day) * source_.day_horizon();
   const bool retime = day != spine_day_;
   size_t kept = 0;
   for (const SpineEntry& entry : spine_) {
-    const auto it = store_.find(entry.stream_id);
-    if (it == store_.end() || it->second.matched ||
-        it->second.Deadline() <= now) {
-      continue;
-    }
+    // The fold keeps only entries whose record survived, and nothing is
+    // freed between the fold and the next segment start.
+    const ObjectRecord& record = store_.at(entry.stream_id);
+    if (record.Deadline() <= now) continue;
     SpineEntry survivor = entry;
     if (retime) {
       // Recomputed from the record's absolute times — idempotent, so
-      // surviving several day boundaries gives the same values the
-      // rebuild path derives fresh each segment.
-      double rel_start = it->second.abs_start - day_start;
-      double duration = it->second.duration;
+      // surviving several day boundaries gives the same values a fresh
+      // derivation from the record would.
+      double rel_start = record.abs_start - day_start;
+      double duration = record.duration;
       if (rel_start < 0.0) {
-        duration = it->second.Deadline() - day_start;
+        duration = record.Deadline() - day_start;
         rel_start = 0.0;
       }
       if (duration <= 0.0) continue;
@@ -466,7 +442,7 @@ void ServiceHarness::AdmitWindow(int64_t window) {
     const int64_t stream_id = next_stream_id_++;
     store_.emplace(stream_id,
                    ObjectRecord{arrival.kind, arrival.location, arrival.time,
-                                arrival.duration, false});
+                                arrival.duration});
     deadline_heap_.emplace(arrival.Deadline(), stream_id);
     ++live_;
     admitted.push_back(stream_id);
@@ -541,38 +517,13 @@ Status ServiceHarness::ReplaySegment() {
           segment.begin + static_cast<int64_t>(offset)});
     }
   }
-  std::vector<SpineEntry> objects;
-  if (options_.incremental_rotation) {
-    // Incremental rotation: the spine is the compacted, sorted carryover
-    // (CompactSpine ran at StartSegment); stamp its latency-attribution
-    // window and merge with the sorted admissions — O(carryover + new),
-    // replacing the rebuild's full re-sort.
-    for (SpineEntry& entry : spine_) entry.window = segment.begin;
-    objects.resize(spine_.size() + fresh.size());
-    std::merge(spine_.begin(), spine_.end(), fresh.begin(), fresh.end(),
-               objects.begin(), arrival_order);
-  } else {
-    // Rebuild reference: derive the carryover from the store records and
-    // sort the whole universe.
-    objects.reserve(segment.carryover.size() + fresh.size());
-    for (const int64_t stream_id : segment.carryover) {
-      const ObjectRecord& record = store_.at(stream_id);
-      // A previous-day survivor re-enters at the day boundary with its
-      // remaining patience; same-day carryover keeps its true start.
-      double rel_start = record.abs_start - day_start;
-      double duration = record.duration;
-      if (rel_start < 0.0) {
-        duration = (record.Deadline() - day_start);
-        rel_start = 0.0;
-      }
-      if (duration <= 0.0) continue;
-      objects.push_back(SpineEntry{stream_id, record.kind, rel_start,
-                                   duration, record.location,
-                                   segment.begin});
-    }
-    objects.insert(objects.end(), fresh.begin(), fresh.end());
-    std::sort(objects.begin(), objects.end(), arrival_order);
-  }
+  // The spine is the compacted, sorted carryover (CompactSpine ran at
+  // StartSegment); stamp its latency-attribution window and merge with the
+  // sorted admissions — O(carryover + new), never a full re-sort.
+  for (SpineEntry& entry : spine_) entry.window = segment.begin;
+  std::vector<SpineEntry> objects(spine_.size() + fresh.size());
+  std::merge(spine_.begin(), spine_.end(), fresh.begin(), fresh.end(),
+             objects.begin(), arrival_order);
 
   std::vector<Worker> workers;
   std::vector<Task> tasks;
@@ -674,7 +625,7 @@ Status ServiceHarness::ReplaySegment() {
   totals_.guide_swaps += result.metrics.guide_swaps;
 
   // Fold the segment's outcome back: committed pairs to stream ids, the
-  // store's matched flags (with live accounting against the expiry
+  // matched records freed (with live accounting against the expiry
   // horizon), and the per-window latency report.
   const int64_t rotation_window = segment.end - 1;
   for (const MatchedPair& pair : result.assignment.pairs()) {
@@ -683,10 +634,9 @@ Status ServiceHarness::ReplaySegment() {
     matched_pairs_.emplace_back(worker_id, task_id);
     for (const int64_t stream_id : {worker_id, task_id}) {
       auto it = store_.find(stream_id);
-      if (it == store_.end() || it->second.matched) continue;
-      it->second.matched = true;
+      if (it == store_.end()) continue;
       if (it->second.Deadline() > expired_up_to_) --live_;
-      if (options_.evict_expired) store_.erase(it);
+      store_.erase(it);
     }
   }
   totals_.matched += static_cast<int64_t>(result.assignment.size());
@@ -720,26 +670,18 @@ Status ServiceHarness::ReplaySegment() {
 
   // Rotation is the eviction point: free the records that expired during
   // the segment (those the fold matched are already gone).
-  if (options_.evict_expired) {
-    for (const int64_t stream_id : deferred_free_) store_.erase(stream_id);
-  }
+  for (const int64_t stream_id : deferred_free_) store_.erase(stream_id);
   deferred_free_.clear();
 
-  if (options_.incremental_rotation) {
-    // The next spine: this segment's universe members whose records
-    // survived unmatched, in the order they already hold (filtering a
-    // sorted list preserves its order). O(carryover + new) — the store is
-    // never scanned. Entries whose deadline has passed but whose record
-    // survives (evict off) ride along and are dropped by the next
-    // CompactSpine, exactly like the rebuild's deadline filter would.
-    spine_.clear();
-    for (const SpineEntry& object : objects) {
-      const auto it = store_.find(object.stream_id);
-      if (it == store_.end() || it->second.matched) continue;
-      spine_.push_back(object);
-    }
-    spine_day_ = segment.day;
+  // The next spine: this segment's universe members whose records survived
+  // (neither matched nor expired), in the order they already hold
+  // (filtering a sorted list preserves its order). O(carryover + new) —
+  // the store is never scanned.
+  spine_.clear();
+  for (const SpineEntry& object : objects) {
+    if (store_.count(object.stream_id) > 0) spine_.push_back(object);
   }
+  spine_day_ = segment.day;
   return Status::OK();
 }
 

@@ -33,12 +33,12 @@
 //
 // Memory model: every admitted object lives in an id-keyed store plus a
 // deadline-ordered min-heap. At each window boundary objects whose
-// deadline has passed are popped; with evict_expired on (the serving
-// default) their records are freed — the store never holds more than the
-// live set plus the current segment. Eviction is *observationally
-// inert by construction*: the heap, the live counter, and the carryover
-// filter run identically with eviction on or off, so the committed
-// assignments are bit-identical (the eviction property tests pin this).
+// deadline has passed are popped; their records are freed at the next
+// rotation (the open segment may still match them), and matched records at
+// the fold. The store never holds more than the live set plus the current
+// segment. Eviction is *observationally inert*: the committed assignments
+// equal those of a loop that keeps every record (pinned against
+// tests/oracles/reference_serve_loop).
 //
 // Admission control: per window the harness sheds deterministically,
 // oldest deadline first, whenever the offered batch exceeds
@@ -108,15 +108,6 @@ struct ServiceOptions {
   /// realized-counts source. Unknown names fail Create.
   std::string refresh_predictor;
 
-  /// Segment rotation strategy. True (the serving default) maintains a
-  /// persistent sorted arrival spine across segments: carryover survivors
-  /// are compacted/re-timed in place and newly admitted objects are
-  /// merge-inserted, so rotation costs O(carryover + new) instead of
-  /// O(store) + a full re-sort. False runs the PR 6 rebuild reference
-  /// (scan the store, sort everything); committed assignments are
-  /// bit-identical either way (pinned by the rotation equivalence tests).
-  bool incremental_rotation = true;
-
   /// Analytical pool isolation: > 0 shares one thread pool between the
   /// shard actors and the background refresher, with the refresher capped
   /// to this many concurrent tasks via a PoolSlice (util/thread_pool.h) so
@@ -143,10 +134,6 @@ struct ServiceOptions {
   /// Guide staleness (windows since publish) beyond which a segment runs
   /// guide-free greedy instead; 0 = never degrade on age alone.
   int64_t max_guide_age_windows = 0;
-
-  /// Free expired-object records (the serving default). Off = the
-  /// unbounded reference the eviction property tests compare against.
-  bool evict_expired = true;
 
   /// Fault plan (serve/fault_injector spec grammar; empty = none) and its
   /// RNG seed.
@@ -261,25 +248,25 @@ class ServiceHarness {
   }
 
   int64_t live_objects() const { return live_; }
-  /// Records currently held (== admitted-ever with eviction off).
+  /// Records currently held (the live tail plus the open segment).
   int64_t store_size() const { return static_cast<int64_t>(store_.size()); }
   int64_t guide_epoch() const { return slot_.epoch(); }
 
   /// Every committed pair as (worker stream id, task stream id), in
-  /// segment rotation order — deterministic, and independent of
-  /// evict_expired (the bit-identity contract).
+  /// segment rotation order — deterministic across thread counts and
+  /// pool layouts (the bit-identity contract).
   const std::vector<std::pair<int64_t, int64_t>>& matched_pairs() const {
     return matched_pairs_;
   }
 
  private:
-  /// One admitted (or carried-over) object, keyed by its stream id.
+  /// One admitted (or carried-over) unmatched object, keyed by its stream
+  /// id.
   struct ObjectRecord {
     ObjectKind kind = ObjectKind::kWorker;
     Point location;
     double abs_start = 0.0;
     double duration = 0.0;
-    bool matched = false;
 
     double Deadline() const { return abs_start + duration; }
   };
@@ -292,7 +279,6 @@ class ServiceHarness {
     int64_t day = 0;
     GuideSlot::Snapshot start_guide;
     bool degraded = false;
-    std::vector<int64_t> carryover;  ///< Stream ids, sorted ascending.
     std::vector<std::vector<int64_t>> admitted;  ///< Per window, in order.
     /// Publishes that landed mid-segment: applied at their window's
     /// AdvanceTo boundary during replay.
@@ -301,10 +287,9 @@ class ServiceHarness {
   };
 
   /// One object of a segment's replay universe, on the day-relative axis.
-  /// Also the element of the persistent rotation spine (incremental mode):
-  /// the spine holds the previous segments' still-live unmatched objects
-  /// sorted by (rel_time, kind, stream_id), rel_time relative to
-  /// spine_day_.
+  /// Also the element of the persistent rotation spine: the spine holds the
+  /// previous segments' unmatched objects sorted by (rel_time, kind,
+  /// stream_id), rel_time relative to spine_day_.
   struct SpineEntry {
     int64_t stream_id = 0;
     ObjectKind kind = ObjectKind::kWorker;
@@ -326,10 +311,10 @@ class ServiceHarness {
   /// dataset and fits fresh predictor instances on it.
   Status RefitPredictors(int64_t day);
   void StartSegment(int64_t window);
-  /// Incremental-rotation carryover maintenance: drops dead spine entries
-  /// (matched / freed / expired), re-times survivors when the segment's
-  /// day differs from spine_day_, and restores the spine's sort order.
-  /// O(carryover) (+ O(c log c) on a day change), never O(store).
+  /// Carryover maintenance: drops spine entries expired by `window`,
+  /// re-times survivors when the segment's day differs from spine_day_,
+  /// and restores the spine's sort order. O(carryover) (+ O(c log c) on a
+  /// day change), never O(store).
   void CompactSpine(int64_t window, int64_t day);
   void AdmitWindow(int64_t window);
   Status ReplaySegment();
@@ -374,7 +359,7 @@ class ServiceHarness {
       deadline_heap_;
   int64_t live_ = 0;
   /// Expired records awaiting their free at rotation (the open segment's
-  /// replay may still match them; evict_expired mode only).
+  /// replay may still match them).
   std::vector<int64_t> deferred_free_;
   /// Deadline bound of the last ExpireUpTo — "already popped" horizon the
   /// match-marking live accounting keys off.
@@ -383,8 +368,8 @@ class ServiceHarness {
   Segment segment_;
   double last_known_p99_ms_ = 0.0;  ///< From the last replayed window.
 
-  /// Incremental rotation spine (see SpineEntry) and the day its rel_times
-  /// are relative to (-1 before the first rotation).
+  /// Rotation spine (see SpineEntry) and the day its rel_times are
+  /// relative to (-1 before the first rotation).
   std::vector<SpineEntry> spine_;
   int64_t spine_day_ = -1;
 

@@ -4,6 +4,7 @@
 
 #include "baselines/simple_greedy.h"
 #include "gen/synthetic.h"
+#include "oracles/rebuild_gr_batch.h"
 #include "test_util.h"
 
 namespace ftoa {
@@ -102,22 +103,16 @@ TEST(GrBatchTest, TasksCarryAcrossWindows) {
 
 TEST(GrBatchTest, IncrementalMatchesRebuildOnExample1) {
   const Instance instance = MakeExample1Instance();
-  GrBatch incremental(GrBatchOptions{});
-  GrBatch rebuild(GrBatchOptions{.incremental_matching = false});
-  RunTrace inc_trace;
-  RunTrace reb_trace;
-  const Assignment a = incremental.Run(instance, &inc_trace);
-  const Assignment b = rebuild.Run(instance, &reb_trace);
-  EXPECT_EQ(a.size(), b.size());
-  EXPECT_EQ(inc_trace.matcher_rebuilds, 0);
+  GrBatch incremental;
+  testing::RebuildGrBatch rebuild;
+  EXPECT_EQ(incremental.Run(instance).size(), rebuild.Run(instance).size());
 }
 
 TEST(GrBatchTest, IncrementalMatchesRebuildOnRandomWorkloads) {
   // Carrying the matcher across windows (inserting only the new arrivals'
   // nodes/edges and re-augmenting for them) must deliver the same total
-  // utility as rebuilding a Hopcroft-Karp instance per window, while never
-  // reconstructing the matcher (matcher_rebuilds == 0 vs one per matched
-  // window).
+  // utility as the oracle that rebuilds a Hopcroft-Karp instance per
+  // window.
   SyntheticConfig config;
   config.num_workers = 300;
   config.num_tasks = 300;
@@ -128,17 +123,13 @@ TEST(GrBatchTest, IncrementalMatchesRebuildOnRandomWorkloads) {
     config.seed = seed;
     const auto instance = GenerateSyntheticInstance(config);
     ASSERT_TRUE(instance.ok());
-    GrBatch incremental(GrBatchOptions{});
-    GrBatch rebuild(GrBatchOptions{.incremental_matching = false});
-    RunTrace inc_trace;
-    RunTrace reb_trace;
-    const Assignment a = incremental.Run(*instance, &inc_trace);
-    const Assignment b = rebuild.Run(*instance, &reb_trace);
+    GrBatch incremental;
+    testing::RebuildGrBatch rebuild;
+    const Assignment a = incremental.Run(*instance);
+    const Assignment b = rebuild.Run(*instance);
     EXPECT_EQ(a.size(), b.size()) << "seed " << seed;
-    EXPECT_EQ(inc_trace.matcher_rebuilds, 0) << "seed " << seed;
-    EXPECT_GT(reb_trace.matcher_rebuilds, 0) << "seed " << seed;
-    // Every committed pair must satisfy the boundary-departure rule in
-    // both modes (mirrors AssignmentsFeasibleFromBoundary).
+    // Every committed pair must satisfy the boundary-departure rule
+    // (mirrors AssignmentsFeasibleFromBoundary).
     for (const MatchedPair& pair : a.pairs()) {
       const Worker& w = instance->worker(pair.worker);
       const Task& r = instance->task(pair.task);

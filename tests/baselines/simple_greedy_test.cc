@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "gen/synthetic.h"
 #include "test_util.h"
 
@@ -30,7 +32,6 @@ TEST(SimpleGreedyTest, Definition4PolicyMatchesMore) {
   // can serve the slot-1 tasks from the earlier top-right workers.
   const Instance instance = MakeExample1Instance();
   SimpleGreedy greedy(SimpleGreedyOptions{
-      .use_spatial_index = false,
       .policy = FeasibilityPolicy::kDispatchAtWorkerStart});
   const Assignment assignment = greedy.Run(instance);
   EXPECT_GT(assignment.size(), 1u);
@@ -80,12 +81,14 @@ TEST(SimpleGreedyTest, WorkerArrivingAfterTaskCanMatch) {
 TEST(SimpleGreedyTest, NamesReflectVariant) {
   EXPECT_EQ(SimpleGreedy().name(), "SimpleGreedy");
   EXPECT_EQ(
-      SimpleGreedy(SimpleGreedyOptions{.use_spatial_index = true}).name(),
-      "SimpleGreedy-Idx");
+      SimpleGreedy(SimpleGreedyOptions{.retrieval = RetrievalMode::kEngine})
+          .name(),
+      "SimpleGreedy-Eng");
 }
 
-// Property: the linear-scan and grid-index variants produce identical
-// matching sizes (they implement the same rule).
+// Property: the paper's linear scan and the indexed variant (the shared
+// retrieval engine) produce identical assignments (they implement the same
+// rule with the same (distance, id) tie-break).
 class SimpleGreedyEquivalenceTest
     : public ::testing::TestWithParam<uint64_t> {};
 
@@ -100,10 +103,11 @@ TEST_P(SimpleGreedyEquivalenceTest, IndexedVariantMatchesLinearScan) {
   const auto instance = GenerateSyntheticInstance(config);
   ASSERT_TRUE(instance.ok());
   SimpleGreedy linear;
-  SimpleGreedy indexed(SimpleGreedyOptions{.use_spatial_index = true});
+  SimpleGreedy indexed(
+      SimpleGreedyOptions{.retrieval = RetrievalMode::kEngine});
   const Assignment a = linear.Run(*instance);
   const Assignment b = indexed.Run(*instance);
-  EXPECT_EQ(a.size(), b.size());
+  testing::ExpectSamePairs(a, b, "seed " + std::to_string(GetParam()));
   EXPECT_TRUE(a.Validate(*instance,
                          FeasibilityPolicy::kDispatchAtAssignmentTime)
                   .ok());

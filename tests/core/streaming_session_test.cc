@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/algorithm_registry.h"
@@ -16,6 +17,8 @@
 #include "core/prediction_matrix.h"
 #include "gen/synthetic.h"
 #include "model/arrival_stream.h"
+#include "oracles/rebuild_gr_batch.h"
+#include "oracles/rebuild_tgoa.h"
 #include "test_util.h"
 
 namespace ftoa {
@@ -214,23 +217,31 @@ TEST(SessionEquivalenceTest, ParameterListCoversTheWholeRegistry) {
 }
 
 TEST(SessionEquivalenceTest, RebuildModesStreamIdentically) {
-  // The reference (non-incremental) modes of TGOA and GR go through the
-  // same session machinery; cover them too.
+  // The rebuild-per-batch oracles of TGOA and GR go through the same
+  // session machinery; their streamed runs must equal their batch runs.
+  // Production TGOA commits the oracle's pairs; production GR may pick
+  // other equally large matchings per window, so only its size is pinned.
   const Universe universe = MakeUniverse(47);
-  AlgorithmDeps deps = universe.deps;
-  deps.tgoa_options.incremental_matching = false;
-  deps.gr_options.incremental_matching = false;
-  for (const char* name : {"tgoa", "gr"}) {
-    auto algorithm = CreateAlgorithm(name, deps);
-    ASSERT_TRUE(algorithm.ok());
+  testing::RebuildTgoa rebuild_tgoa(universe.deps.tgoa_options);
+  testing::RebuildGrBatch rebuild_gr(universe.deps.gr_options);
+  const std::pair<const char*, OnlineAlgorithm*> cases[] = {
+      {"tgoa", &rebuild_tgoa}, {"gr", &rebuild_gr}};
+  for (const auto& [name, oracle] : cases) {
     RunTrace batch_trace;
-    const Assignment batch =
-        (*algorithm)->Run(universe.instance, &batch_trace);
-    EXPECT_GT(batch_trace.matcher_rebuilds, 0) << name;
+    const Assignment batch = oracle->Run(universe.instance, &batch_trace);
     const SessionResult streamed =
-        DriveByHand(algorithm->get(), universe.instance, /*advance=*/true);
+        DriveByHand(oracle, universe.instance, /*advance=*/true);
     ExpectIdenticalRun(batch, batch_trace, streamed.assignment, streamed.trace,
-                    std::string(name) + " rebuild mode");
+                       std::string(name) + " rebuild mode");
+    auto production = CreateAlgorithm(name, universe.deps);
+    ASSERT_TRUE(production.ok());
+    const Assignment produced = (*production)->Run(universe.instance);
+    if (std::string(name) == "tgoa") {
+      testing::ExpectSamePairs(produced, batch,
+                               std::string(name) + " production vs oracle");
+    } else {
+      EXPECT_EQ(produced.size(), batch.size()) << name;
+    }
   }
 }
 
@@ -280,10 +291,10 @@ TEST(AlgorithmRegistryTest, GuideRequirementIsEnforced) {
 
 TEST(AlgorithmRegistryTest, DepsOptionsReachTheAlgorithms) {
   AlgorithmDeps deps;
-  deps.simple_greedy_options.use_spatial_index = true;
+  deps.simple_greedy_options.retrieval = RetrievalMode::kEngine;
   auto greedy = CreateAlgorithm("simple-greedy", deps);
   ASSERT_TRUE(greedy.ok());
-  EXPECT_EQ((*greedy)->name(), "SimpleGreedy-Idx");
+  EXPECT_EQ((*greedy)->name(), "SimpleGreedy-Eng");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "flow/dinic.h"
 #include "flow/graph.h"
+#include "oracles/spfa_min_cost_flow.h"
 #include "util/rng.h"
 
 namespace ftoa {
@@ -147,16 +148,16 @@ TEST(MinCostFlowTest, WarmStartFromInjectedFlow) {
   }
 }
 
-TEST(MinCostFlowTest, SolveAfterSpfaRepairsPotentials) {
-  // A SolveSpfa run leaves no potentials behind; a subsequent Dijkstra
-  // Solve on the grown graph must still deliver the exact min-cost max
-  // flow (here via cycle cancellation: the appended route undercuts the
-  // one SPFA used).
+TEST(MinCostFlowTest, SolveAfterCostScalingRepairsPotentials) {
+  // A kCostScaling solve leaves prices, not potentials, behind; a
+  // subsequent Dijkstra Solve on the grown graph must still deliver the
+  // exact min-cost max flow (here via cycle cancellation: the appended
+  // route undercuts the one the first solve used).
   MinCostFlowGraph g(5);
   g.AddEdge(0, 1, 2, 3);
   g.AddEdge(1, 4, 1, 3);
-  const auto spfa = g.SolveSpfa(0, 4);
-  EXPECT_EQ(spfa.flow, 1);
+  const auto scaled = g.Solve(0, 4, FlowEngine::kCostScaling);
+  EXPECT_EQ(scaled.flow, 1);
   g.AddEdge(1, 2, 1, 0);
   g.AddEdge(2, 4, 1, 1);
   const auto rest = g.Solve(0, 4);
@@ -213,7 +214,7 @@ TEST_P(DijkstraVsSpfaTest, RandomDigraphMatchesOracle) {
   Rng rng(GetParam() * 7919 + 13);
   const int n = 6 + static_cast<int>(rng.NextBounded(10));
   MinCostFlowGraph dijkstra(n);
-  MinCostFlowGraph spfa(n);
+  testing::SpfaMinCostFlow spfa(n);
   for (int u = 0; u < n; ++u) {
     for (int v = 0; v < n; ++v) {
       if (u != v && rng.NextBool(0.35)) {
@@ -225,7 +226,7 @@ TEST_P(DijkstraVsSpfaTest, RandomDigraphMatchesOracle) {
     }
   }
   const auto fast = dijkstra.Solve(0, n - 1);
-  const auto oracle = spfa.SolveSpfa(0, n - 1);
+  const auto oracle = spfa.Solve(0, n - 1);
   EXPECT_EQ(fast.flow, oracle.flow);
   EXPECT_EQ(fast.cost, oracle.cost);
   // Per-edge flows may differ between equally cheap solutions, but both
@@ -238,7 +239,7 @@ TEST_P(DijkstraVsSpfaTest, RandomBipartiteMatchesOracle) {
   const int32_t source = 0;
   const int32_t sink = 1 + 2 * side;
   MinCostFlowGraph dijkstra(sink + 1);
-  MinCostFlowGraph spfa(sink + 1);
+  testing::SpfaMinCostFlow spfa(sink + 1);
   auto both = [&](int32_t u, int32_t v, int64_t cap, int64_t cost) {
     dijkstra.AddEdge(u, v, cap, cost);
     spfa.AddEdge(u, v, cap, cost);
@@ -254,7 +255,7 @@ TEST_P(DijkstraVsSpfaTest, RandomBipartiteMatchesOracle) {
     }
   }
   const auto fast = dijkstra.Solve(source, sink);
-  const auto oracle = spfa.SolveSpfa(source, sink);
+  const auto oracle = spfa.Solve(source, sink);
   EXPECT_EQ(fast.flow, oracle.flow);
   EXPECT_EQ(fast.cost, oracle.cost);
 }

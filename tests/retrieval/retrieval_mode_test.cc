@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/algorithm_registry.h"
+#include "oracles/rebuild_tgoa.h"
 #include "sim/sharded_dispatcher.h"
 #include "test_util.h"
 
@@ -131,15 +132,27 @@ INSTANTIATE_TEST_SUITE_P(PortedAlgorithms, RetrievalEquivalenceTest,
                          ::testing::ValuesIn(kPortedAlgorithms));
 
 TEST(RetrievalModeTest, TgoaRebuildModeIsAlsoBitIdentical) {
-  // The rebuild-per-arrival trial enumerates its waiting sets through the
-  // pool too; the canonical id-sorted enumeration must hold there as well.
+  // The rebuild-per-arrival oracle enumerates its waiting sets through the
+  // pool too; the canonical id-sorted enumeration must hold there as well,
+  // and its utility must equal the production session's in both modes.
   for (const uint64_t seed : {5u, 6u}) {
-    FuzzUniverse universe =
+    const FuzzUniverse universe =
         MakeFuzzUniverse(seed, ArrivalPattern::kBursty);
-    universe.deps.tgoa_options.incremental_matching = false;
-    ExpectEngineMatchesLinear(
-        "tgoa", universe.deps, universe.instance,
-        "tgoa-rebuild seed " + std::to_string(seed));
+    const std::string label = "tgoa-rebuild seed " + std::to_string(seed);
+    TgoaOptions linear_options = universe.deps.tgoa_options;
+    linear_options.retrieval = RetrievalMode::kLinear;
+    TgoaOptions engine_options = linear_options;
+    engine_options.retrieval = RetrievalMode::kEngine;
+    testing::RebuildTgoa linear(linear_options);
+    testing::RebuildTgoa engine(engine_options);
+    RunTrace linear_trace;
+    RunTrace engine_trace;
+    const Assignment a = linear.Run(universe.instance, &linear_trace);
+    const Assignment b = engine.Run(universe.instance, &engine_trace);
+    ExpectIdenticalRun(a, linear_trace, b, engine_trace, label);
+    EXPECT_GT(engine_trace.retrieval.queries, 0) << label;
+    testing::ExpectSamePairs(Tgoa(engine_options).Run(universe.instance), b,
+                             label + " production vs oracle");
   }
 }
 

@@ -129,6 +129,17 @@ TEST(FaultInjectorTest, MalformedSpecsAreRejected) {
                   .IsInvalidArgument());
   EXPECT_TRUE(
       FaultInjector::Parse("flash@0-1,").status().IsInvalidArgument());
+  // Non-finite numbers fail every range check silently, and out-of-range
+  // integer fields would go through an undefined float-to-int cast.
+  for (const char* spec :
+       {"drop-batch@0-1:prob=nan", "slow-shard@0-1:stall-ms=nan",
+        "flash@0-1:factor=inf", "flash@0-1:factor=nan",
+        "guide-fail@0-1:count=nan", "guide-fail@0-1:count=1e300",
+        "drop-batch@0-1:shard=1e20", "slow-shard@0-1:shard=-2",
+        "flash@0-1e300", "flash@nan-1", "flash@0-inf"}) {
+    EXPECT_TRUE(FaultInjector::Parse(spec).status().IsInvalidArgument())
+        << spec;
+  }
 }
 
 }  // namespace

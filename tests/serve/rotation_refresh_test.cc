@@ -1,10 +1,11 @@
-// PR tentpole equivalences at the harness level.
+// Serving equivalences at the harness level.
 //
-// Rotation: the incremental spine (ServiceOptions::incremental_rotation)
-// must commit exactly the pairs of the PR 6 rebuild reference on the same
-// stream — across algorithms, shard counts, segment lengths, eviction
-// settings, fault plans, and day boundaries. The spine is an optimization
-// of *how* the carryover universe is assembled, never of what it contains.
+// Rotation: the harness's persistent spine, with eviction, must commit
+// exactly the pairs of tests/oracles/reference_serve_loop — which never
+// evicts and rebuilds every carryover by scanning all admitted objects —
+// across algorithms, shard counts, segment lengths, fault plans, and day
+// boundaries. The spine is an optimization of *how* the carryover universe
+// is assembled, never of what it contains.
 //
 // Refresh: a harness serving with GuideRefreshMode::kWarm must match the
 // cold-serving harness bit for bit, including mid-segment hot-swap
@@ -22,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "oracles/reference_serve_loop.h"
 #include "serve/service_harness.h"
 #include "util/rng.h"
 
@@ -61,32 +63,38 @@ void ExpectSamePairs(const ServiceHarness& a, const ServiceHarness& b,
   }
 }
 
+/// The harness's pairs must equal the reference loop's on the same
+/// stream, publish schedule and ladder rungs.
+void ExpectMatchesReference(const ServiceHarness& harness,
+                            const std::string& context) {
+  const auto reference = testing::ReferenceServeLoop(
+      SmallCity(), LoopedTraceSource::Options{}, harness.options(),
+      harness.windows());
+  ASSERT_TRUE(reference.ok()) << reference.status() << " " << context;
+  ASSERT_EQ(harness.matched_pairs().size(), reference->size()) << context;
+  for (size_t i = 0; i < reference->size(); ++i) {
+    ASSERT_EQ(harness.matched_pairs()[i], (*reference)[i])
+        << context << " pair " << i;
+  }
+}
+
 TEST(RotationEquivalenceTest, SpineMatchesRebuildAcrossAlgorithmsAndShards) {
   for (const char* algorithm : {"simple-greedy", "tgoa", "polar-op"}) {
     for (const int shards : {1, 3}) {
       for (const int wps : {2, 6}) {
-        for (const bool evict : {true, false}) {
-          ServiceOptions incremental;
-          incremental.algorithm = algorithm;
-          incremental.num_shards = shards;
-          incremental.windows_per_segment = wps;
-          incremental.evict_expired = evict;
-          incremental.incremental_rotation = true;
-          ServiceOptions rebuild = incremental;
-          rebuild.incremental_rotation = false;
-
-          auto a = MakeHarness(incremental);
-          auto b = MakeHarness(rebuild);
-          // 20 windows = 3+ days: multiple day-boundary re-timings.
-          ASSERT_TRUE(a->RunWindows(20).ok());
-          ASSERT_TRUE(b->RunWindows(20).ok());
-          ExpectSamePairs(
-              *a, *b,
-              std::string(algorithm) + " shards=" + std::to_string(shards) +
-                  " wps=" + std::to_string(wps) +
-                  (evict ? " evict" : " no-evict"));
-          EXPECT_GT(a->totals().matched, 0);
-        }
+        ServiceOptions options;
+        options.algorithm = algorithm;
+        options.num_shards = shards;
+        options.windows_per_segment = wps;
+        auto harness = MakeHarness(options);
+        // 20 windows = 3+ days: multiple day-boundary re-timings.
+        ASSERT_TRUE(harness->RunWindows(20).ok());
+        ExpectMatchesReference(
+            *harness, std::string(algorithm) + " shards=" +
+                          std::to_string(shards) +
+                          " wps=" + std::to_string(wps));
+        EXPECT_GT(harness->totals().matched, 0);
+        EXPECT_GT(harness->totals().evictions, 0);
       }
     }
   }
@@ -96,21 +104,51 @@ TEST(RotationEquivalenceTest, SpineMatchesRebuildUnderFaults) {
   // Dropped handoffs leave objects for redelivery, flash crowds force
   // shedding, and a failed refresh degrades a segment — all paths that
   // exercise the spine's carryover filter differently from a clean run.
-  ServiceOptions incremental;
-  incremental.windows_per_segment = 4;  // Shrinks to 2 at day boundaries.
-  incremental.max_queue_depth = 80;
-  incremental.faults =
-      "drop-batch@3-4,flash@7-8:factor=6,guide-fail@6-6:count=1";
-  ServiceOptions rebuild = incremental;
-  rebuild.incremental_rotation = false;
+  ServiceOptions options;
+  options.windows_per_segment = 4;  // Shrinks to 2 at day boundaries.
+  options.max_queue_depth = 80;
+  options.faults = "drop-batch@3-4,flash@7-8:factor=6,guide-fail@6-6:count=1";
+  auto harness = MakeHarness(options);
+  ASSERT_TRUE(harness->RunWindows(18).ok());
+  ExpectMatchesReference(*harness, "faulted");
+  EXPECT_GT(harness->totals().dropped_arrivals, 0);
+  EXPECT_GT(harness->totals().shed, 0);
+  EXPECT_GT(harness->refresher_stats().failed_cycles, 0);
+}
 
-  auto a = MakeHarness(incremental);
-  auto b = MakeHarness(rebuild);
-  ASSERT_TRUE(a->RunWindows(18).ok());
-  ASSERT_TRUE(b->RunWindows(18).ok());
-  ExpectSamePairs(*a, *b, "faulted");
-  EXPECT_GT(a->totals().dropped_arrivals, 0);
-  EXPECT_GT(a->totals().shed, 0);
+TEST(RotationEquivalenceTest, SpineMatchesRebuildWithEngineAndReconcile) {
+  // The serving benchmark's sharded configuration, with inline refresh:
+  // retrieval engine, reconciled shards on a shared pool, and guides
+  // hot-swapped mid-segment.
+  ServiceOptions options;
+  options.algorithm = "polar-op";
+  options.num_shards = 3;
+  options.shard_threads = 2;
+  options.reconcile = true;
+  options.retrieval = RetrievalMode::kEngine;
+  options.windows_per_segment = 2;
+  options.refresh_period_windows = 3;
+  options.analytical_slice = 1;
+  auto harness = MakeHarness(options);
+  ASSERT_TRUE(harness->RunWindows(20).ok());
+  ExpectMatchesReference(*harness, "engine + reconcile");
+  EXPECT_GT(harness->totals().guide_swaps, 0);
+}
+
+TEST(RotationEquivalenceTest, ReferenceRejectsWhatItDoesNotModel) {
+  auto harness = MakeHarness(ServiceOptions{});
+  ASSERT_TRUE(harness->RunWindows(2).ok());
+  ServiceOptions slo = harness->options();
+  slo.slo_p99_ms = 1.0;
+  ServiceOptions capped = harness->options();
+  capped.max_live_objects = 10;
+  for (const ServiceOptions& options : {slo, capped}) {
+    const auto reference = testing::ReferenceServeLoop(
+        SmallCity(), LoopedTraceSource::Options{}, options,
+        harness->windows());
+    ASSERT_FALSE(reference.ok());
+    EXPECT_TRUE(reference.status().IsInvalidArgument());
+  }
 }
 
 TEST(WarmRefreshServeTest, WarmServeMatchesColdIncludingHotSwaps) {
@@ -277,9 +315,9 @@ TEST(FaultLaneTest, ShardTargetedDropsFollowTheRouterNotStreamIds) {
 }
 
 TEST(RotationRefreshStressTest, FuzzedInterleavingsStayEquivalent) {
-  // Randomized option interleavings: every draw must keep the incremental
-  // spine equivalent to the rebuild reference, warm equivalent to cold —
-  // both at once, against the (rebuild, cold) baseline.
+  // Randomized option interleavings: every draw must keep the warm
+  // harness equivalent to the cold one, and both to the reference loop
+  // (no eviction, rebuilt carryover, guides re-solved cold).
   Rng draw(20260808ULL);
   for (int trial = 0; trial < 12; ++trial) {
     ServiceOptions base;
@@ -289,26 +327,24 @@ TEST(RotationRefreshStressTest, FuzzedInterleavingsStayEquivalent) {
     base.num_shards = static_cast<int>(draw.NextInt(1, 3));
     base.windows_per_segment = static_cast<int>(draw.NextInt(1, 6));
     base.refresh_period_windows = static_cast<int>(draw.NextInt(1, 6));
-    base.evict_expired = draw.NextBool();
     base.guide.engine = GuideOptions::Engine::kCompressed;
     if (draw.NextBool(0.4)) {
       base.faults = "drop-batch@2-5:prob=0.5,flash@6-7:factor=3";
       base.max_queue_depth = 100;
     }
-    base.incremental_rotation = false;
     base.guide.refresh_mode = GuideRefreshMode::kCold;
 
-    ServiceOptions tentpole = base;
-    tentpole.incremental_rotation = true;
-    tentpole.guide.refresh_mode = GuideRefreshMode::kWarm;
+    ServiceOptions warm = base;
+    warm.guide.refresh_mode = GuideRefreshMode::kWarm;
 
-    auto reference = MakeHarness(base);
-    auto subject = MakeHarness(tentpole);
+    auto cold_harness = MakeHarness(base);
+    auto subject = MakeHarness(warm);
     const int64_t windows = draw.NextInt(7, 20);
-    ASSERT_TRUE(reference->RunWindows(windows).ok());
+    ASSERT_TRUE(cold_harness->RunWindows(windows).ok());
     ASSERT_TRUE(subject->RunWindows(windows).ok());
-    ExpectSamePairs(*subject, *reference,
-                    "trial " + std::to_string(trial));
+    const std::string context = "trial " + std::to_string(trial);
+    ExpectSamePairs(*subject, *cold_harness, context);
+    ExpectMatchesReference(*subject, context);
   }
 }
 

@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "oracles/reference_serve_loop.h"
+
 namespace ftoa {
 namespace {
 
@@ -56,9 +58,7 @@ TEST(ServiceHarnessTest, EveryWindowReportsMetrics) {
 }
 
 TEST(ServiceHarnessTest, EvictionKeepsMemoryBoundedAndNeverFreesLive) {
-  ServiceOptions options;
-  options.evict_expired = true;
-  auto harness = MakeHarness(options);
+  auto harness = MakeHarness(ServiceOptions{});
   // Step window by window so the live/evicted invariants are checked at
   // every boundary, not just at the end.
   for (int i = 0; i < 24; ++i) {
@@ -74,27 +74,25 @@ TEST(ServiceHarnessTest, EvictionKeepsMemoryBoundedAndNeverFreesLive) {
 
 TEST(ServiceHarnessTest, EvictionIsAssignmentInert) {
   // The bit-identity property: the evicting harness commits exactly the
-  // pairs of the unbounded-memory reference on the same finite stream.
-  ServiceOptions evicting;
-  evicting.evict_expired = true;
-  ServiceOptions unbounded;
-  unbounded.evict_expired = false;
-
-  auto a = MakeHarness(evicting);
-  auto b = MakeHarness(unbounded);
-  ASSERT_TRUE(a->RunWindows(18).ok());
-  ASSERT_TRUE(b->RunWindows(18).ok());
-
-  EXPECT_EQ(a->totals().matched, b->totals().matched);
-  EXPECT_EQ(a->totals().admitted, b->totals().admitted);
-  EXPECT_EQ(a->totals().evictions, b->totals().evictions);
-  ASSERT_EQ(a->matched_pairs().size(), b->matched_pairs().size());
-  for (size_t i = 0; i < a->matched_pairs().size(); ++i) {
-    EXPECT_EQ(a->matched_pairs()[i], b->matched_pairs()[i]) << "pair " << i;
+  // pairs of the never-evicting reference loop on the same finite stream
+  // (tests/oracles/reference_serve_loop keeps every admitted record). One
+  // window per segment puts an expiry-driven free between every pair of
+  // rotations.
+  ServiceOptions options;
+  options.windows_per_segment = 1;
+  auto harness = MakeHarness(options);
+  ASSERT_TRUE(harness->RunWindows(18).ok());
+  const auto reference = testing::ReferenceServeLoop(
+      SmallCity(), LoopedTraceSource::Options{}, harness->options(),
+      harness->windows());
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_EQ(harness->matched_pairs().size(), reference->size());
+  for (size_t i = 0; i < reference->size(); ++i) {
+    EXPECT_EQ(harness->matched_pairs()[i], (*reference)[i]) << "pair " << i;
   }
-  // Only the memory footprint differs: the reference keeps every record.
-  EXPECT_EQ(b->store_size(), b->totals().admitted);
-  EXPECT_LT(a->store_size(), b->store_size());
+  // Only the memory footprint differs: the harness freed what expired.
+  EXPECT_GT(harness->totals().evictions, 0);
+  EXPECT_LT(harness->store_size(), harness->totals().admitted);
 }
 
 TEST(ServiceHarnessTest, ShedsOnlyUnderInjectedOverload) {

@@ -265,7 +265,6 @@ inline void ExpectIdenticalRun(const Assignment& a, const RunTrace& ta,
   }
   EXPECT_EQ(ta.ignored_workers, tb.ignored_workers) << label;
   EXPECT_EQ(ta.ignored_tasks, tb.ignored_tasks) << label;
-  EXPECT_EQ(ta.matcher_rebuilds, tb.matcher_rebuilds) << label;
   EXPECT_EQ(ta.matcher_augment_searches, tb.matcher_augment_searches)
       << label;
 }

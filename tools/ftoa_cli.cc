@@ -36,6 +36,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -102,6 +103,17 @@ class ArgMap {
     }
     return *parsed;
   }
+  /// GetInt for int-typed settings: a value outside int's range is a usage
+  /// error, never a silent wrap.
+  int GetInt32(const std::string& key, int fallback) const {
+    const int64_t value = GetInt(key, fallback);
+    if (value < std::numeric_limits<int>::min() ||
+        value > std::numeric_limits<int>::max()) {
+      std::fprintf(stderr, "invalid integer for --%s\n", key.c_str());
+      std::exit(2);
+    }
+    return static_cast<int>(value);
+  }
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
 
   std::vector<std::string> Keys() const {
@@ -135,10 +147,10 @@ int Usage() {
       "       [--background-refresh] [--slo-p99-ms=F]\n"
       "       [--max-queue-depth=N] [--max-live-objects=N]\n"
       "       [--max-guide-age=N] [--faults=SPEC] [--fault-seed=N]\n"
-      "       [--loop-days=N] [--no-evict] [--reconcile]\n"
+      "       [--loop-days=N] [--reconcile]\n"
       "       [--retrieval=%s (default: auto by workload)]\n"
       "       [--refresh-mode=%s] [--refresh-predictor=%s]\n"
-      "       [--rotation=incremental|rebuild] [--analytical-slice=N]\n"
+      "       [--analytical-slice=N]\n"
       "  ftoa algos\n"
       "  ftoa inspect --instance=FILE\n",
       Join(AllShardRouterNames(), "|").c_str(),
@@ -164,11 +176,11 @@ int CmdGenerate(int argc, char** argv) {
   Result<Instance> instance = Status::Unimplemented("unknown kind");
   if (kind == "synthetic") {
     SyntheticConfig config;
-    config.num_workers = static_cast<int>(args.GetInt("workers", 20000));
-    config.num_tasks = static_cast<int>(args.GetInt("tasks", 20000));
-    config.grid_x = static_cast<int>(args.GetInt("grid", 50));
+    config.num_workers = args.GetInt32("workers", 20000);
+    config.num_tasks = args.GetInt32("tasks", 20000);
+    config.grid_x = args.GetInt32("grid", 50);
     config.grid_y = config.grid_x;
-    config.num_slots = static_cast<int>(args.GetInt("slots", 48));
+    config.num_slots = args.GetInt32("slots", 48);
     config.task_duration = args.GetDouble("dr", 2.0);
     config.worker_duration = args.GetDouble("dw", 3.0);
     config.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
@@ -182,7 +194,7 @@ int CmdGenerate(int argc, char** argv) {
     profile.tasks_per_day *= scale;
     const CityTraceGenerator generator(profile);
     instance = generator.GenerateInstanceForDay(
-        static_cast<int>(args.GetInt("day", profile.history_days - 3)));
+        args.GetInt32("day", profile.history_days - 3));
   } else {
     return Usage();
   }
@@ -296,12 +308,11 @@ int CmdRun(int argc, char** argv) {
   RunnerOptions options;
   options.strict_verification = args.Has("strict");
   options.streaming = args.Has("stream");
-  options.num_shards = static_cast<int>(args.GetInt("shards", 0));
+  options.num_shards = args.GetInt32("shards", 0);
   // Resolve 0 = auto exactly like the dispatcher will, so the summary
   // below reports the thread count actually used.
   options.shard_threads = ShardedDispatcher::ResolveNumThreads(
-      static_cast<int>(args.GetInt("shard-threads", 0)),
-      options.num_shards);
+      args.GetInt32("shard-threads", 0), options.num_shards);
   const std::string router = args.Get("router", "grid");
   const auto router_kind = ParseShardRouterKind(router);
   if (!router_kind.ok()) {
@@ -311,8 +322,7 @@ int CmdRun(int argc, char** argv) {
     return 2;
   }
   options.shard_router = *router_kind;
-  options.shard_handoff_batch =
-      static_cast<int>(args.GetInt("handoff-batch", 0));
+  options.shard_handoff_batch = args.GetInt32("handoff-batch", 0);
   options.shard_reconcile = args.Has("reconcile");
   const auto metrics = RunAlgorithm(algorithm->get(), *instance, options);
   if (!metrics.ok()) {
@@ -370,9 +380,8 @@ int CmdServe(int argc, char** argv) {
       "shard-threads", "windows-per-segment", "refresh-period",
       "background-refresh", "slo-p99-ms", "max-queue-depth",
       "max-live-objects", "max-guide-age", "faults",
-      "fault-seed", "no-evict",       "reconcile",
-      "retrieval",  "refresh-mode",   "refresh-predictor",
-      "rotation",   "analytical-slice"};
+      "fault-seed", "reconcile",      "retrieval",
+      "refresh-mode", "refresh-predictor", "analytical-slice"};
   for (const std::string& key : args.Keys()) {
     if (std::find(kServeFlags.begin(), kServeFlags.end(), key) ==
         kServeFlags.end()) {
@@ -392,17 +401,14 @@ int CmdServe(int argc, char** argv) {
                             : BeijingProfile();
   LoopedTraceSource::Options trace;
   trace.scale = args.GetDouble("scale", 0.05);
-  trace.loop_days = static_cast<int>(args.GetInt("loop-days", 0));
+  trace.loop_days = args.GetInt32("loop-days", 0);
 
   ServiceOptions options;
   options.algorithm = args.Get("algorithm", "polar-op");
-  options.num_shards = static_cast<int>(args.GetInt("shards", 1));
-  options.shard_threads =
-      static_cast<int>(args.GetInt("shard-threads", 1));
-  options.windows_per_segment =
-      static_cast<int>(args.GetInt("windows-per-segment", 0));
-  options.refresh_period_windows =
-      static_cast<int>(args.GetInt("refresh-period", 0));
+  options.num_shards = args.GetInt32("shards", 1);
+  options.shard_threads = args.GetInt32("shard-threads", 1);
+  options.windows_per_segment = args.GetInt32("windows-per-segment", 0);
+  options.refresh_period_windows = args.GetInt32("refresh-period", 0);
   options.background_refresh = args.Has("background-refresh");
   options.slo_p99_ms = args.GetDouble("slo-p99-ms", 0.0);
   options.max_queue_depth = args.GetInt("max-queue-depth", 0);
@@ -410,7 +416,6 @@ int CmdServe(int argc, char** argv) {
   options.max_guide_age_windows = args.GetInt("max-guide-age", 0);
   options.faults = args.Get("faults");
   options.fault_seed = static_cast<uint64_t>(args.GetInt("fault-seed", 1));
-  options.evict_expired = !args.Has("no-evict");
   options.reconcile = args.Has("reconcile");
   {
     const auto mode =
@@ -422,19 +427,7 @@ int CmdServe(int argc, char** argv) {
     options.guide.refresh_mode = *mode;
   }
   options.refresh_predictor = args.Get("refresh-predictor");
-  {
-    const std::string rotation = args.Get("rotation", "incremental");
-    if (rotation != "incremental" && rotation != "rebuild") {
-      std::fprintf(stderr,
-                   "serve: unknown --rotation=%s (valid: incremental, "
-                   "rebuild)\n",
-                   rotation.c_str());
-      return 2;
-    }
-    options.incremental_rotation = rotation == "incremental";
-  }
-  options.analytical_slice =
-      static_cast<int>(args.GetInt("analytical-slice", 0));
+  options.analytical_slice = args.GetInt32("analytical-slice", 0);
   std::string retrieval_note;
   if (args.Has("retrieval")) {
     const auto retrieval = ParseRetrievalMode(args.Get("retrieval"));

@@ -22,7 +22,7 @@ cmake --build "$BUILD" \
                bench_streaming bench_sharded bench_retrieval bench_refresh \
       -j "$(nproc)"
 
-echo "== bench_micro_flow (Dijkstra+potentials vs SPFA, arenas, matcher)"
+echo "== bench_micro_flow (Dijkstra+potentials, engine sweep, arenas, matcher)"
 "$BUILD/bench_micro_flow" \
     --benchmark_min_time=0.05 \
     --benchmark_out="$ROOT/BENCH_flow.json" \
@@ -32,6 +32,7 @@ echo "== bench_micro_perobject (per-arrival cost of the online algorithms)"
 "$BUILD/bench_micro_perobject" \
     --benchmark_min_time=0.05 \
     --benchmark_filter='.*/1000$|.*/4000$' \
+    --benchmark_context=nproc="$(nproc)",build_type=Release \
     --benchmark_out="$ROOT/BENCH_perobject.json" \
     --benchmark_out_format=json
 
@@ -63,19 +64,18 @@ echo "== bench_retrieval (engine vs linear candidate scan, approx guides)"
 echo "== bench_refresh (warm guide refresh, incremental rotation, slice)"
 "$BUILD/bench_refresh" \
     --benchmark_min_time=0.05 \
+    --benchmark_context=nproc="$(nproc)",build_type=Release \
     --benchmark_out="$ROOT/BENCH_refresh.json" \
     --benchmark_out_format=json
 
-# Headline number: min-cost flow speedup on the dense 2048x2048 instance.
+# Headline number: min-cost flow on the dense 2048x2048 instance.
 python3 - "$ROOT/BENCH_flow.json" <<'EOF'
 import json, sys
 runs = {b["name"]: b["real_time"]
         for b in json.load(open(sys.argv[1]))["benchmarks"]}
 dij = runs.get("BM_MinCostFlowDijkstra/2048/48")
-spfa = runs.get("BM_MinCostFlowSpfa/2048/48")
-if dij and spfa:
-    print(f"min-cost flow 2048x2048: dijkstra {dij:.0f}ms, "
-          f"spfa {spfa:.0f}ms, speedup {spfa / dij:.2f}x")
+if dij:
+    print(f"min-cost flow 2048x2048: dijkstra {dij:.0f}ms")
 EOF
 
 # The FlowEngine crossover table: per shape, each engine's time, the
@@ -211,9 +211,9 @@ EOF
 
 # Headline numbers: the serving steady state — warm-refresh speedup on the
 # sparse-delta sequence (the >= 2x acceptance bar), per-window rotation
-# cost growth as the store grows (incremental must stay flat while the
-# rebuild reference degrades), and shard p99 under background refresh for
-# the dedicated vs shared-slice pool layouts.
+# cost as the served window count grows (must stay flat: eviction keeps the
+# store at the live tail), and shard p99 under background refresh for the
+# dedicated vs shared-slice pool layouts.
 python3 - "$ROOT/BENCH_refresh.json" <<'EOF'
 import json, sys
 benches = json.load(open(sys.argv[1]))["benchmarks"]
@@ -228,14 +228,13 @@ for clusters in (16, 64):
               f"(speedup {cold['real_time'] / warm['real_time']:.2f}x, "
               f"{warm['reused']:.0f}/{warm['components']:.0f} components "
               f"reused)")
-for mode in ("rebuild", "incremental"):
-    points = [runs.get(f"BM_Rotation/{mode}/{w}") for w in (96, 864)]
-    if all(points):
-        wps = [p["items_per_second"] for p in points]
-        print(f"rotation {mode:11s}: {wps[0]:.0f} -> {wps[1]:.0f} windows/s "
-              f"as the store grows {points[0]['store']:.0f} -> "
-              f"{points[-1]['store']:.0f} objects "
-              f"({wps[0] / wps[1]:.2f}x slowdown)")
+points = [runs.get(f"BM_Rotation/incremental/{w}") for w in (96, 864)]
+if all(points):
+    wps = [p["items_per_second"] for p in points]
+    print(f"rotation: {wps[0]:.0f} -> {wps[1]:.0f} windows/s from 96 to "
+          f"864 windows, final store {points[0]['store']:.0f} -> "
+          f"{points[-1]['store']:.0f} objects "
+          f"({wps[0] / wps[1]:.2f}x slowdown)")
 for layout in ("dedicated", "shared_slice"):
     run = runs.get(f"BM_Interference/{layout}/24")
     if run:
