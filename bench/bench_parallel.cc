@@ -11,6 +11,9 @@
 //  * BM_GuideOneComponent — the adversarial shape: a dense prediction that
 //    union-finds into one giant component, where sharding cannot help and
 //    the parallel path must cost no more than a pool dispatch.
+//  * BM_GuideCity — the serving loop's guide solve: a Beijing x0.5 day
+//    prediction under kAuto, one ~176k-pair component on the compressed
+//    max-flow network (the refresh-heavy serve workload's hot spot).
 //  * BM_CompetitiveTrials — EstimateCompetitiveRatio throughput over
 //    num_threads; trials fork independent RNG streams, so this scales with
 //    cores regardless of the guide's component structure.
@@ -21,9 +24,12 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/guide_generator.h"
 #include "core/polar_op.h"
+#include "gen/config.h"
+#include "gen/looped_trace.h"
 #include "gen/synthetic.h"
 #include "sim/competitive.h"
 #include "util/thread_pool.h"
@@ -108,6 +114,40 @@ BENCHMARK(BM_GuideOneComponent)
     ->Arg(1)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
+
+void BM_GuideCity(benchmark::State& state) {
+  const CityProfile profile = BeijingProfile();
+  LoopedTraceSource::Options trace;
+  trace.scale = 0.5;
+  const LoopedTraceSource source(profile, trace);
+  const std::vector<int> workers =
+      source.generator().SampleDayCounts(DemandSide::kWorkers, 0);
+  const std::vector<int> tasks =
+      source.generator().SampleDayCounts(DemandSide::kTasks, 0);
+  PredictionMatrix prediction(source.DaySpacetime());
+  for (TypeId type = 0; type < prediction.spacetime().num_types(); ++type) {
+    prediction.set_workers_at(type, workers[static_cast<size_t>(type)]);
+    prediction.set_tasks_at(type, tasks[static_cast<size_t>(type)]);
+  }
+  GuideOptions options;
+  options.engine = GuideOptions::Engine::kAuto;
+  options.worker_duration = profile.worker_duration;
+  options.task_duration = profile.task_duration;
+  options.num_threads = static_cast<int>(state.range(0));
+  const GuideGenerator generator(profile.velocity, options);
+  int64_t matched = 0;
+  for (auto _ : state) {
+    const auto guide = generator.Generate(prediction);
+    matched = guide.ok() ? guide->matched_pairs() : -1;
+    benchmark::DoNotOptimize(matched);
+  }
+  state.counters["components"] =
+      static_cast<double>(generator.last_num_components());
+  state.counters["pairs"] =
+      static_cast<double>(generator.last_refresh_stats().pairs_total);
+  state.counters["matched"] = static_cast<double>(matched);
+}
+BENCHMARK(BM_GuideCity)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_CompetitiveTrials(benchmark::State& state) {
   SyntheticConfig config;

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -80,9 +82,11 @@ void GuideGenerator::InvalidateWarmCache() const {
   warm_cache_ = WarmCache{};
 }
 
-void GuideGenerator::ForEachFeasibleTypePair(
-    const PredictionMatrix& prediction,
-    const std::function<void(TypeId, TypeId)>& fn) const {
+const std::vector<TypePairEdge>& GuideGenerator::FeasibleTypePairs(
+    const PredictionMatrix& prediction) const {
+  ++pair_enumerations_;
+  std::vector<TypePairEdge>& pairs = feasible_pairs_;
+  pairs.clear();
   const SpacetimeSpec& st = prediction.spacetime();
   const GridSpec& grid = st.grid();
   const SlotSpec& slots = st.slots();
@@ -154,7 +158,9 @@ void GuideGenerator::ForEachFeasibleTypePair(
           const TypeId ttype = st.TypeAt(tslot, tcell);
           if (prediction.tasks_at(ttype) <= 0) return;
           const double d = Distance(wloc, grid.CellCenter(tcell));
-          if (d / velocity_ <= slack) fn(wtype, ttype);
+          if (d / velocity_ <= slack) {
+            pairs.push_back(TypePairEdge{wtype, ttype});
+          }
         };
 
         if (box_cells <= static_cast<int64_t>(sparse.size())) {
@@ -169,19 +175,21 @@ void GuideGenerator::ForEachFeasibleTypePair(
       }
     }
   }
-}
-
-int64_t GuideGenerator::EstimateNodeLevelEdges(
-    const PredictionMatrix& prediction) const {
-  int64_t edges = 0;
-  ForEachFeasibleTypePair(prediction, [&](TypeId wt, TypeId tt) {
-    edges += static_cast<int64_t>(prediction.workers_at(wt)) *
-             prediction.tasks_at(tt);
-  });
-  return edges;
+  return pairs;
 }
 
 namespace {
+
+/// Edges of the node-level network: sum over `pairs` of a_wt * b_tt.
+int64_t NodeLevelEdges(const PredictionMatrix& prediction,
+                       const std::vector<TypePairEdge>& pairs) {
+  int64_t edges = 0;
+  for (const TypePairEdge& pair : pairs) {
+    edges += static_cast<int64_t>(prediction.workers_at(pair.worker_type)) *
+             prediction.tasks_at(pair.task_type);
+  }
+  return edges;
+}
 
 /// Instantiates all predicted nodes into `guide`; returns the first guide
 /// node id per type so callers can translate (type, ordinal) -> node id.
@@ -213,17 +221,28 @@ InstantiatedNodes InstantiateNodes(const PredictionMatrix& prediction,
 
 }  // namespace
 
+int64_t GuideGenerator::EstimateNodeLevelEdges(
+    const PredictionMatrix& prediction) const {
+  return NodeLevelEdges(prediction, FeasibleTypePairs(prediction));
+}
+
 Result<OfflineGuide> GuideGenerator::GenerateNodeLevel(
-    const PredictionMatrix& prediction, bool use_dinic) const {
+    const PredictionMatrix& prediction,
+    const std::vector<TypePairEdge>& pairs, bool use_dinic) const {
   // The node-level network has no component decomposition to diff, so it
   // always runs cold (docs/flow_engines.md documents the fallback).
   last_refresh_stats_ = GuideRefreshStats{};
   const int64_t m = prediction.TotalWorkers();
   const int64_t n = prediction.TotalTasks();
-  const int64_t node_edges = EstimateNodeLevelEdges(prediction);
-  if (m + n + 2 > (1LL << 30) || node_edges > (1LL << 28)) {
+  const int64_t node_edges = NodeLevelEdges(prediction, pairs);
+  // Every edge is two int32-indexed arcs; the source, sink and pair arcs
+  // together must fit, and the check runs before any node exists.
+  const int64_t arcs = 2 * (m + n + node_edges);
+  if (node_edges > (1LL << 28) ||
+      arcs > std::numeric_limits<EdgeId>::max()) {
     return Status::InvalidArgument(
-        "GuideGenerator: node-level network too large; use kCompressed");
+        "GuideGenerator: node-level network too large (" +
+        std::to_string(arcs) + " arcs); use kCompressed");
   }
 
   OfflineGuide guide(prediction.spacetime(), velocity_,
@@ -251,7 +270,7 @@ Result<OfflineGuide> GuideGenerator::GenerateNodeLevel(
   // a type are contiguous in the guide, so we expand per feasible type pair.
   std::vector<EdgeId> pair_edges;
   std::vector<std::pair<GuideNodeId, GuideNodeId>> pair_nodes;
-  ForEachFeasibleTypePair(prediction, [&](TypeId wt, TypeId tt) {
+  for (const auto& [wt, tt] : pairs) {
     const GuideNodeId w0 = nodes.first_worker_node[static_cast<size_t>(wt)];
     const GuideNodeId r0 = nodes.first_task_node[static_cast<size_t>(tt)];
     const int32_t wc = prediction.workers_at(wt);
@@ -265,7 +284,7 @@ Result<OfflineGuide> GuideGenerator::GenerateNodeLevel(
         pair_nodes.emplace_back(w0 + wi, r0 + ti);
       }
     }
-  });
+  }
 
   // Line 10: max flow.
   if (use_dinic) {
@@ -284,7 +303,8 @@ Result<OfflineGuide> GuideGenerator::GenerateNodeLevel(
 }
 
 Result<OfflineGuide> GuideGenerator::GenerateCompressed(
-    const PredictionMatrix& prediction, bool minimize_cost) const {
+    const PredictionMatrix& prediction,
+    const std::vector<TypePairEdge>& feasible, bool minimize_cost) const {
   const SpacetimeSpec& st = prediction.spacetime();
   const int num_types = st.num_types();
 
@@ -292,29 +312,27 @@ Result<OfflineGuide> GuideGenerator::GenerateCompressed(
   // the approximate-mode Bernoulli sample *before* component decomposition
   // — the sampled pair list is what defines the components, so the
   // thread-count invariance of the solve below is untouched by sampling.
-  struct TypePairEdge {
-    TypeId worker_type;
-    TypeId task_type;
-  };
-  std::vector<TypePairEdge> pairs;
   ApproxGuideReport report;
-  {
-    const double rate = options_.approx_sample_rate;
+  report.feasible_pairs = static_cast<int64_t>(feasible.size());
+  const double rate = options_.approx_sample_rate;
+  if (rate < 1.0) {
     Rng sampler(options_.approx_seed);
-    ForEachFeasibleTypePair(prediction, [&](TypeId wt, TypeId tt) {
-      ++report.feasible_pairs;
-      if (rate < 1.0 && !sampler.NextBool(rate)) {
-        // A dropped pair can carry at most min(supply, demand) flow — the
-        // per-pair capacity of the exact network.
-        report.utility_loss_bound +=
-            std::min<int64_t>(prediction.workers_at(wt),
-                              prediction.tasks_at(tt));
-        return;
+    sampled_pairs_.clear();
+    for (const TypePairEdge& pair : feasible) {
+      if (sampler.NextBool(rate)) {
+        sampled_pairs_.push_back(pair);
+        continue;
       }
-      ++report.sampled_pairs;
-      pairs.push_back(TypePairEdge{wt, tt});
-    });
+      // A dropped pair can carry at most min(supply, demand) flow — the
+      // per-pair capacity of the exact network.
+      report.utility_loss_bound +=
+          std::min<int64_t>(prediction.workers_at(pair.worker_type),
+                            prediction.tasks_at(pair.task_type));
+    }
   }
+  const std::vector<TypePairEdge>& pairs =
+      rate < 1.0 ? sampled_pairs_ : feasible;
+  report.sampled_pairs = static_cast<int64_t>(pairs.size());
   last_approx_report_ = report;
 
   // Dense type id -> compact network node id, assigned on first use over
@@ -754,6 +772,8 @@ Result<OfflineGuide> GuideGenerator::Generate(
         "GuideOptions::approx_sample_rate must be in (0, 1]");
   }
   const bool approx = rate < 1.0;
+  // The one enumeration of this call; every route below consumes it.
+  const std::vector<TypePairEdge>& pairs = FeasibleTypePairs(prediction);
   switch (options_.engine) {
     case GuideOptions::Engine::kFordFulkerson:
     case GuideOptions::Engine::kDinic:
@@ -763,23 +783,19 @@ Result<OfflineGuide> GuideGenerator::Generate(
             "engine (kCompressed, kCompressedMinCost, or kAuto)");
       }
       return GenerateNodeLevel(
-          prediction,
+          prediction, pairs,
           /*use_dinic=*/options_.engine == GuideOptions::Engine::kDinic);
     case GuideOptions::Engine::kCompressed:
-      return GenerateCompressed(prediction, /*minimize_cost=*/false);
+      return GenerateCompressed(prediction, pairs, /*minimize_cost=*/false);
     case GuideOptions::Engine::kCompressedMinCost:
-      return GenerateCompressed(prediction, /*minimize_cost=*/true);
-    case GuideOptions::Engine::kAuto: {
-      if (approx) {
-        // The sampled network is the compressed engines' pair list.
-        return GenerateCompressed(prediction, /*minimize_cost=*/false);
+      return GenerateCompressed(prediction, pairs, /*minimize_cost=*/true);
+    case GuideOptions::Engine::kAuto:
+      // The sampled network is the compressed engines' pair list.
+      if (!approx && NodeLevelEdges(prediction, pairs) <=
+                         options_.node_level_edge_limit) {
+        return GenerateNodeLevel(prediction, pairs, /*use_dinic=*/true);
       }
-      const int64_t edges = EstimateNodeLevelEdges(prediction);
-      if (edges <= options_.node_level_edge_limit) {
-        return GenerateNodeLevel(prediction, /*use_dinic=*/true);
-      }
-      return GenerateCompressed(prediction, /*minimize_cost=*/false);
-    }
+      return GenerateCompressed(prediction, pairs, /*minimize_cost=*/false);
   }
   return Status::Internal("GuideGenerator: unknown engine");
 }

@@ -30,12 +30,17 @@
 // in that order after the join, so the resulting guide is bit-identical no
 // matter how many threads solved it (the serial path runs the exact same
 // decomposition with one chunk).
+//
+// Every Generate call enumerates the feasible type pairs exactly once, into
+// a buffer the generator reuses across calls like its flow arenas. kAuto's
+// node-level edge estimate, the node-level network, the compressed network
+// and the approximate-mode sample all consume that one list, in its
+// deterministic order.
 
 #ifndef FTOA_CORE_GUIDE_GENERATOR_H_
 #define FTOA_CORE_GUIDE_GENERATOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -169,6 +174,12 @@ struct GuideRefreshStats {
   int64_t pairs_reused = 0;         ///< Pairs whose flow came from the cache.
 };
 
+/// One feasible (worker type, task type) pair of the type-level network.
+struct TypePairEdge {
+  TypeId worker_type = -1;
+  TypeId task_type = -1;
+};
+
 /// Builds OfflineGuide instances from prediction matrices.
 ///
 /// The generator owns reusable solver arenas (flow network edge arenas and
@@ -191,12 +202,17 @@ class GuideGenerator {
   /// sum over feasible type pairs of a_wt * b_tt. Drives kAuto.
   int64_t EstimateNodeLevelEdges(const PredictionMatrix& prediction) const;
 
-  /// Invokes `fn(worker_type, task_type)` for every type pair whose
-  /// representatives satisfy the deadline constraint and whose predicted
-  /// counts are both nonzero. Exposed for tests and benches.
-  void ForEachFeasibleTypePair(
-      const PredictionMatrix& prediction,
-      const std::function<void(TypeId, TypeId)>& fn) const;
+  /// Every type pair whose representatives satisfy the deadline constraint
+  /// and whose predicted counts are both nonzero, in the deterministic
+  /// order all engines consume. The list lives in a buffer the generator
+  /// reuses: it stays valid until the next FeasibleTypePairs, Generate or
+  /// EstimateNodeLevelEdges call on this generator.
+  const std::vector<TypePairEdge>& FeasibleTypePairs(
+      const PredictionMatrix& prediction) const;
+
+  /// How many times this generator has enumerated the feasible type pairs
+  /// (one per Generate call on every engine). Instrumentation for tests.
+  int64_t pair_enumerations() const { return pair_enumerations_; }
 
   /// Connected components the last compressed Generate decomposed into
   /// (instrumentation for tests and benches; 0 before any compressed run).
@@ -228,10 +244,13 @@ class GuideGenerator {
     DinicSolver dinic;
   };
 
-  Result<OfflineGuide> GenerateNodeLevel(const PredictionMatrix& prediction,
-                                         bool use_dinic) const;
-  Result<OfflineGuide> GenerateCompressed(const PredictionMatrix& prediction,
-                                          bool minimize_cost) const;
+  /// Both take the pair list FeasibleTypePairs returned for `prediction`.
+  Result<OfflineGuide> GenerateNodeLevel(
+      const PredictionMatrix& prediction,
+      const std::vector<TypePairEdge>& pairs, bool use_dinic) const;
+  Result<OfflineGuide> GenerateCompressed(
+      const PredictionMatrix& prediction,
+      const std::vector<TypePairEdge>& feasible, bool minimize_cost) const;
 
   /// The warm cache: the previous compressed call's per-component networks
   /// and solved flows, keyed by a content hash of each component's pair
@@ -279,6 +298,9 @@ class GuideGenerator {
   // Reusable solver arenas (see class comment). Mutable: reusing scratch
   // does not change the observable result of the logically-const Generate.
   mutable std::vector<std::unique_ptr<ShardArena>> shards_;
+  mutable std::vector<TypePairEdge> feasible_pairs_;  // FeasibleTypePairs.
+  mutable std::vector<TypePairEdge> sampled_pairs_;   // Approximate mode.
+  mutable int64_t pair_enumerations_ = 0;
   mutable std::unique_ptr<ThreadPool> pool_;
   mutable int32_t last_num_components_ = 0;
   mutable ApproxGuideReport last_approx_report_;

@@ -13,11 +13,16 @@ bool DinicSolver::Bfs(const FlowGraph& g, NodeId source, NodeId sink) {
   level_[static_cast<size_t>(source)] = 0;
   for (size_t qi = 0; qi < queue_.size(); ++qi) {
     const NodeId u = queue_[qi];
-    for (EdgeId e = g.head()[static_cast<size_t>(u)]; e != -1;
-         e = g.next()[static_cast<size_t>(e)]) {
+    const int32_t u_level = level_[static_cast<size_t>(u)];
+    const int32_t sink_level = level_[static_cast<size_t>(sink)];
+    // From the sink's level on, no node lies on a level-increasing path.
+    if (sink_level >= 0 && u_level >= sink_level) break;
+    for (EdgeId i = g.start()[static_cast<size_t>(u)];
+         i < g.start()[static_cast<size_t>(u) + 1]; ++i) {
+      const EdgeId e = g.adj()[static_cast<size_t>(i)];
       const NodeId v = g.To(e);
       if (g.Capacity(e) > 0 && level_[static_cast<size_t>(v)] < 0) {
-        level_[static_cast<size_t>(v)] = level_[static_cast<size_t>(u)] + 1;
+        level_[static_cast<size_t>(v)] = u_level + 1;
         queue_.push_back(v);
       }
     }
@@ -35,9 +40,10 @@ int64_t DinicSolver::BlockingPath(FlowGraph& g, NodeId source, NodeId sink,
     Frame& frame = stack_.back();
     const NodeId u = frame.node;
     EdgeId& it = iter_[static_cast<size_t>(u)];
+    const EdgeId end = g.start()[static_cast<size_t>(u) + 1];
     bool advanced = false;
-    while (it != -1) {
-      const EdgeId e = it;
+    while (it < end) {
+      const EdgeId e = g.adj()[static_cast<size_t>(it)];
       const NodeId v = g.To(e);
       if (g.Capacity(e) > 0 &&
           level_[static_cast<size_t>(v)] ==
@@ -58,16 +64,14 @@ int64_t DinicSolver::BlockingPath(FlowGraph& g, NodeId source, NodeId sink,
         advanced = true;
         break;
       }
-      it = g.next()[static_cast<size_t>(e)];
+      ++it;
     }
     if (!advanced) {
       // Dead end: remove u from the level graph and backtrack.
       level_[static_cast<size_t>(u)] = -1;
       stack_.pop_back();
       if (!stack_.empty()) {
-        const NodeId parent = stack_.back().node;
-        EdgeId& parent_it = iter_[static_cast<size_t>(parent)];
-        parent_it = g.next()[static_cast<size_t>(parent_it)];
+        ++iter_[static_cast<size_t>(stack_.back().node)];
       }
     }
   }
@@ -76,6 +80,7 @@ int64_t DinicSolver::BlockingPath(FlowGraph& g, NodeId source, NodeId sink,
 
 int64_t DinicSolver::Solve(FlowGraph* graph, NodeId source, NodeId sink) {
   FlowGraph& g = *graph;
+  g.BuildAdjacency();
   const size_t n = static_cast<size_t>(g.num_nodes());
   if (level_.size() < n) {
     level_.resize(n);
@@ -83,7 +88,7 @@ int64_t DinicSolver::Solve(FlowGraph* graph, NodeId source, NodeId sink) {
   }
   int64_t total = 0;
   while (Bfs(g, source, sink)) {
-    std::copy(g.head().begin(), g.head().end(), iter_.begin());
+    std::copy(g.start().begin(), g.start().end() - 1, iter_.begin());
     while (true) {
       const int64_t pushed =
           BlockingPath(g, source, sink, std::numeric_limits<int64_t>::max());
@@ -106,8 +111,9 @@ std::vector<bool> ResidualReachable(const FlowGraph& graph, NodeId source) {
   reachable[static_cast<size_t>(source)] = true;
   for (size_t qi = 0; qi < queue.size(); ++qi) {
     const NodeId u = queue[qi];
-    for (EdgeId e = graph.head()[static_cast<size_t>(u)]; e != -1;
-         e = graph.next()[static_cast<size_t>(e)]) {
+    for (EdgeId i = graph.start()[static_cast<size_t>(u)];
+         i < graph.start()[static_cast<size_t>(u) + 1]; ++i) {
+      const EdgeId e = graph.adj()[static_cast<size_t>(i)];
       const NodeId v = graph.To(e);
       if (graph.Capacity(e) > 0 && !reachable[static_cast<size_t>(v)]) {
         reachable[static_cast<size_t>(v)] = true;

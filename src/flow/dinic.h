@@ -7,6 +7,9 @@
 // DFS stack) and reuses them across calls, so a long-lived solver performs
 // zero heap allocations per Solve once warmed up. The `DinicMaxFlow` free
 // function remains as a one-shot convenience wrapper.
+// Both phases scan FlowGraph's CSR blocks (a current-arc cursor is a block
+// position), and the BFS stops at the sink's level, which leaves every
+// per-edge flow unchanged (docs/flow_engines.md, "Max-flow graph layout").
 
 #ifndef FTOA_FLOW_DINIC_H_
 #define FTOA_FLOW_DINIC_H_
@@ -49,7 +52,8 @@ int64_t DinicMaxFlow(FlowGraph* graph, NodeId source, NodeId sink);
 /// Computes the minimum s-t cut reachability after a max flow: returns a
 /// boolean vector marking the nodes reachable from `source` in the residual
 /// network. This is the "canonical reachability" cut used in the proof of
-/// Lemma 2 and by tests validating max-flow = min-cut.
+/// Lemma 2 and by tests validating max-flow = min-cut. The graph's CSR
+/// must be current: call it after a solve or FlowGraph::BuildAdjacency.
 std::vector<bool> ResidualReachable(const FlowGraph& graph, NodeId source);
 
 }  // namespace ftoa

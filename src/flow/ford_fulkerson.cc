@@ -14,20 +14,20 @@ int64_t Augment(FlowGraph& g, NodeId source, NodeId sink,
                 std::vector<EdgeId>& path_edges,
                 std::vector<EdgeId>& dfs_stack,
                 std::vector<NodeId>& node_stack) {
-  // dfs_stack holds the edge iterator per depth; path_edges the chosen edge.
+  // dfs_stack holds the CSR position per depth; path_edges the chosen edge.
   path_edges.clear();
   dfs_stack.clear();
   node_stack.clear();
   node_stack.push_back(source);
-  dfs_stack.push_back(g.head()[static_cast<size_t>(source)]);
+  dfs_stack.push_back(g.start()[static_cast<size_t>(source)]);
   visit_mark[static_cast<size_t>(source)] = epoch;
 
   while (!node_stack.empty()) {
     EdgeId& it = dfs_stack.back();
+    const EdgeId end = g.start()[static_cast<size_t>(node_stack.back()) + 1];
     bool advanced = false;
-    while (it != -1) {
-      const EdgeId e = it;
-      it = g.next()[static_cast<size_t>(e)];
+    while (it < end) {
+      const EdgeId e = g.adj()[static_cast<size_t>(it++)];
       const NodeId v = g.To(e);
       if (g.Capacity(e) <= 0) continue;
       if (visit_mark[static_cast<size_t>(v)] == epoch) continue;
@@ -46,7 +46,7 @@ int64_t Augment(FlowGraph& g, NodeId source, NodeId sink,
         return bottleneck;
       }
       node_stack.push_back(v);
-      dfs_stack.push_back(g.head()[static_cast<size_t>(v)]);
+      dfs_stack.push_back(g.start()[static_cast<size_t>(v)]);
       advanced = true;
       break;
     }
@@ -63,6 +63,7 @@ int64_t Augment(FlowGraph& g, NodeId source, NodeId sink,
 
 int64_t FordFulkersonMaxFlow(FlowGraph* graph, NodeId source, NodeId sink) {
   FlowGraph& g = *graph;
+  g.BuildAdjacency();
   std::vector<int32_t> visit_mark(static_cast<size_t>(g.num_nodes()), 0);
   std::vector<EdgeId> path_edges;
   std::vector<EdgeId> dfs_stack;

@@ -1,7 +1,8 @@
 // Residual flow network shared by the max-flow algorithms (Ford-Fulkerson,
-// Dinic) and the min-cost variant. Edges are stored in a flat arena with
-// paired residual edges at (e ^ 1), the classical competitive-programming
-// layout, which keeps augmentation cache-friendly.
+// Dinic): a flat arc arena in insertion order, residual partner at (e ^ 1),
+// with a CSR adjacency whose per-node blocks list arcs newest first, the
+// order that keeps flows bit-identical (docs/flow_engines.md, "Max-flow
+// graph layout").
 
 #ifndef FTOA_FLOW_GRAPH_H_
 #define FTOA_FLOW_GRAPH_H_
@@ -30,12 +31,16 @@ class FlowGraph {
 
   /// Adds edge u -> v with capacity `cap` (and the residual v -> u with 0).
   /// Returns the id of the forward edge. Capacities must be non-negative.
+  /// Aborts when the arc count would overflow int32 arc ids.
   EdgeId AddEdge(NodeId u, NodeId v, int64_t cap);
 
   /// Optionally reserve space for `num_edges` forward edges up front.
   void ReserveEdges(size_t num_edges);
 
-  NodeId num_nodes() const { return static_cast<NodeId>(head_.size()); }
+  /// Builds the CSR if an edge was added since; the solvers call it first.
+  void BuildAdjacency();
+
+  NodeId num_nodes() const { return static_cast<NodeId>(start_.size() - 1); }
   size_t num_edges() const { return to_.size() / 2; }
 
   /// Flow currently carried by forward edge `e` (its residual partner's
@@ -48,16 +53,17 @@ class FlowGraph {
   /// Head (target node) of edge `e`.
   NodeId To(EdgeId e) const { return to_[static_cast<size_t>(e)]; }
 
-  // Internal arrays exposed to the algorithms in this module.
-  const std::vector<EdgeId>& head() const { return head_; }
-  const std::vector<EdgeId>& next() const { return next_; }
+  // Internal arrays exposed to the algorithms in this module. start() and
+  // adj() are the CSR and are valid only after BuildAdjacency.
+  const std::vector<EdgeId>& start() const { return start_; }
+  const std::vector<EdgeId>& adj() const { return adj_; }
   std::vector<int64_t>& cap() { return cap_; }
   const std::vector<int64_t>& cap() const { return cap_; }
   const std::vector<NodeId>& to() const { return to_; }
 
  private:
-  std::vector<EdgeId> head_;   // First edge per node, -1 when none.
-  std::vector<EdgeId> next_;   // Next edge in the node's list.
+  std::vector<EdgeId> start_;  // CSR offsets, num_nodes + 1 entries.
+  std::vector<EdgeId> adj_;    // Arc ids grouped by tail node.
   std::vector<NodeId> to_;     // Edge targets.
   std::vector<int64_t> cap_;   // Residual capacities.
 };

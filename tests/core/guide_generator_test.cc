@@ -54,17 +54,15 @@ TEST(GuideGeneratorTest, FeasibleTypePairsRespectDeadlines) {
       instance.velocity(),
       Example1Options(GuideOptions::Engine::kDinic));
   const SpacetimeSpec& st = instance.spacetime();
-  int pairs = 0;
-  generator.ForEachFeasibleTypePair(
-      prediction, [&](TypeId wt, TypeId tt) {
-        ++pairs;
-        EXPECT_TRUE(CanServeAttrs(
-            st.RepresentativeLocation(wt), st.RepresentativeTime(wt), 30.0,
-            st.RepresentativeLocation(tt), st.RepresentativeTime(tt), 2.0,
-            instance.velocity(),
-            FeasibilityPolicy::kDispatchAtWorkerStart));
-      });
-  EXPECT_GT(pairs, 0);
+  const std::vector<TypePairEdge>& pairs =
+      generator.FeasibleTypePairs(prediction);
+  for (const auto& [wt, tt] : pairs) {
+    EXPECT_TRUE(CanServeAttrs(
+        st.RepresentativeLocation(wt), st.RepresentativeTime(wt), 30.0,
+        st.RepresentativeLocation(tt), st.RepresentativeTime(tt), 2.0,
+        instance.velocity(), FeasibilityPolicy::kDispatchAtWorkerStart));
+  }
+  EXPECT_FALSE(pairs.empty());
 }
 
 TEST(GuideGeneratorTest, EstimateCountsNodeLevelEdges) {
@@ -75,10 +73,10 @@ TEST(GuideGeneratorTest, EstimateCountsNodeLevelEdges) {
       instance.velocity(),
       Example1Options(GuideOptions::Engine::kDinic));
   int64_t expected = 0;
-  generator.ForEachFeasibleTypePair(prediction, [&](TypeId wt, TypeId tt) {
+  for (const auto& [wt, tt] : generator.FeasibleTypePairs(prediction)) {
     expected += static_cast<int64_t>(prediction.workers_at(wt)) *
                 prediction.tasks_at(tt);
-  });
+  }
   EXPECT_EQ(generator.EstimateNodeLevelEdges(prediction), expected);
 }
 
@@ -115,8 +113,9 @@ TEST(GuideGeneratorTest, FeasibilityBoxIsExactForWorkersNearOrigin) {
   const GuideGenerator generator(velocity, options);
 
   std::set<std::pair<TypeId, TypeId>> reported;
-  generator.ForEachFeasibleTypePair(
-      prediction, [&](TypeId wt, TypeId tt) { reported.insert({wt, tt}); });
+  for (const auto& [wt, tt] : generator.FeasibleTypePairs(prediction)) {
+    reported.insert({wt, tt});
+  }
 
   // Brute force over all type pairs with the generator's own midpoint
   // predicate: sr < sw + dw, slack = dr - (sw - sr) >= 0, and travel time
@@ -685,6 +684,68 @@ TEST(GuideGeneratorTest, ApproxAutoEngineRoutesToCompressed) {
   EXPECT_GT(generator.last_approx_report().feasible_pairs, 0);
   EXPECT_LT(generator.last_approx_report().sampled_pairs,
             generator.last_approx_report().feasible_pairs);
+}
+
+TEST(GuideGeneratorTest, NodeLevelRejectsNetworksOverflowingInt32Arcs) {
+  // A 2^14 x 2^14 feasible pair (2^28 node-level edges, at the pair-edge
+  // cap) plus infeasible filler workers bringing m + n to 2^30 - 2^14. The
+  // node ids fit int32, but the 2 * (m + n + edges) arcs do not. The guard
+  // must reject the network before instantiating a billion guide nodes.
+  const SpacetimeSpec st(SlotSpec(4.0, 4), GridSpec(2.0, 2.0, 2, 2));
+  PredictionMatrix prediction(st);
+  constexpr int32_t kSide = 1 << 14;
+  prediction.set_workers_at(st.TypeAt(0, 0), kSide);
+  prediction.set_tasks_at(st.TypeAt(0, 0), kSide);
+  // Last-slot workers: every task lies three slots in their past.
+  prediction.set_workers_at(st.TypeAt(3, 0), (1 << 30) - 3 * kSide);
+  ASSERT_EQ(prediction.TotalWorkers() + prediction.TotalTasks(),
+            (int64_t{1} << 30) - kSide);
+
+  GuideOptions options;
+  options.engine = GuideOptions::Engine::kDinic;
+  options.worker_duration = 1.0;
+  options.task_duration = 1.0;
+  const GuideGenerator generator(1.0, options);
+  ASSERT_EQ(generator.FeasibleTypePairs(prediction).size(), 1u);
+  ASSERT_EQ(generator.EstimateNodeLevelEdges(prediction), int64_t{1} << 28);
+  const auto guide = generator.Generate(prediction);
+  ASSERT_FALSE(guide.ok());
+  EXPECT_EQ(guide.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(guide.status().message().find("too large"), std::string::npos);
+}
+
+TEST(GuideGeneratorTest, EveryGenerateEnumeratesTypePairsOnce) {
+  // kAuto's edge estimate and the network it then builds share one
+  // enumeration, on both routes; so do every fixed engine and approximate
+  // sampling.
+  const PredictionMatrix prediction = ApproxTestPrediction();
+  struct Case {
+    GuideOptions::Engine engine;
+    int64_t edge_limit;
+    double rate;
+  };
+  const int64_t kNever = 0;
+  const int64_t kAlways = int64_t{1} << 40;
+  for (const Case& c : {Case{GuideOptions::Engine::kAuto, kNever, 1.0},
+                        Case{GuideOptions::Engine::kAuto, kAlways, 1.0},
+                        Case{GuideOptions::Engine::kAuto, kAlways, 0.5},
+                        Case{GuideOptions::Engine::kDinic, kAlways, 1.0},
+                        Case{GuideOptions::Engine::kFordFulkerson, kAlways,
+                             1.0},
+                        Case{GuideOptions::Engine::kCompressed, kAlways, 1.0},
+                        Case{GuideOptions::Engine::kCompressedMinCost,
+                             kAlways, 1.0}}) {
+    GuideOptions options = ApproxTestOptions(c.rate);
+    options.engine = c.engine;
+    options.node_level_edge_limit = c.edge_limit;
+    const GuideGenerator generator(2.0, options);
+    for (int call = 1; call <= 3; ++call) {
+      ASSERT_TRUE(generator.Generate(prediction).ok());
+      EXPECT_EQ(generator.pair_enumerations(), call)
+          << "engine " << static_cast<int>(c.engine) << " limit "
+          << c.edge_limit << " rate " << c.rate;
+    }
+  }
 }
 
 }  // namespace

@@ -28,8 +28,9 @@ Checks (see docs/static_analysis.md for the full catalog):
                            destruction (the exact TSan bug PR 6 fixed in
                            the shard drain path).
   no-std-function-hot-path `std::function` in src/flow, src/spatial,
-                           and src/retrieval — per-candidate/per-edge
-                           callbacks there must be templated parameters (a
+                           src/retrieval, and src/core/guide_generator —
+                           per-candidate/per-edge/per-type-pair callbacks
+                           there must be templated parameters (a
                            type-erased call per inner-loop item is a
                            measured regression).
   include-hygiene          Headers must carry the canonical
@@ -59,7 +60,8 @@ import sys
 # Check catalog and path scopes (relative, '/'-separated).
 
 DETERMINISM_PATHS = ("src/core/", "src/sim/", "src/serve/", "src/flow/")
-HOT_PATHS = ("src/flow/", "src/spatial/", "src/retrieval/")
+HOT_PATHS = ("src/flow/", "src/spatial/", "src/retrieval/",
+             "src/core/guide_generator.")
 RNG_SCOPE = ("src/", "tools/")
 RNG_EXEMPT = ("src/util/", "tools/lint/")
 

@@ -25,6 +25,7 @@ cmake --build "$BUILD" \
 echo "== bench_micro_flow (Dijkstra+potentials, engine sweep, arenas, matcher)"
 "$BUILD/bench_micro_flow" \
     --benchmark_min_time=0.05 \
+    --benchmark_context=nproc="$(nproc)",build_type=Release \
     --benchmark_out="$ROOT/BENCH_flow.json" \
     --benchmark_out_format=json
 
@@ -39,6 +40,7 @@ echo "== bench_micro_perobject (per-arrival cost of the online algorithms)"
 echo "== bench_parallel (sharded guide solve + parallel MC trials)"
 "$BUILD/bench_parallel" \
     --benchmark_min_time=0.05 \
+    --benchmark_context=nproc="$(nproc)",build_type=Release \
     --benchmark_out="$ROOT/BENCH_parallel.json" \
     --benchmark_out_format=json
 
@@ -115,6 +117,11 @@ for base, label in [("BM_GuideCompressed", "guide (sharded)"),
     if serial and parallel:
         print(f"{label}: serial {serial:.1f}ms, 4 threads "
               f"{parallel:.1f}ms, speedup {serial / parallel:.2f}x")
+for base, label in [("BM_GuideCity", "guide beijing x0.5 (kAuto)"),
+                    ("BM_GuideOneComponent", "guide one component")]:
+    serial = runs.get(f"{base}/1")
+    if serial:
+        print(f"{label}: {serial:.1f}ms per solve")
 EOF
 
 # Headline numbers: streaming-session overhead vs batch replay, and the
