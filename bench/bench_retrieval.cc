@@ -94,13 +94,19 @@ void BM_RetrievalLinear(benchmark::State& state, const std::string& name) {
   RunDecisionThroughput(state, name, RetrievalMode::kLinear);
 }
 
+// 1000 and 4000 bracket the engine-vs-linear crossover that `ftoa serve`'s
+// retrieval auto-pick is fitted from (tools/ftoa_cli.cc).
 BENCHMARK_CAPTURE(BM_RetrievalEngine, simple_greedy, "simple-greedy")
+    ->Arg(1000)
     ->Arg(2000)
+    ->Arg(4000)
     ->Arg(8000)
     ->Arg(32000)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_RetrievalLinear, simple_greedy, "simple-greedy")
+    ->Arg(1000)
     ->Arg(2000)
+    ->Arg(4000)
     ->Arg(8000)
     ->Arg(32000)
     ->Unit(benchmark::kMillisecond);

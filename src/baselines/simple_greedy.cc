@@ -20,21 +20,19 @@ class EngineGreedySession final : public AssignmentSessionBase {
         options_(options),
         waiting_workers_(instance.spacetime().grid(), &trace_.retrieval),
         waiting_tasks_(instance.spacetime().grid(), &trace_.retrieval),
-        max_radius_(MaxFeasibleDistance(instance.MaxTaskDuration(),
-                                        instance.MaxWorkerDuration(),
-                                        instance.velocity())),
-        max_task_duration_(instance.MaxTaskDuration()),
-        max_worker_duration_(instance.MaxWorkerDuration()) {}
+        limits_{instance.MaxTaskDuration(), instance.MaxWorkerDuration(),
+                instance.velocity()} {}
 
   void OnWorker(WorkerId worker, double time) override {
     const double velocity = instance().velocity();
     const Worker& w = instance().worker(worker);
     // Feasible tasks must have started within MaxTaskDuration of now
-    // (their deadline constraint cannot reach further back); a superset
-    // window — CanServe stays the authority.
+    // (their deadline constraint cannot reach further back) and lie within
+    // the deadline predicate's reach; a superset — CanServe stays the
+    // authority.
     const int64_t hit = waiting_tasks_.Nearest(
-        w.location, max_radius_, time,
-        StartWindow{time - max_task_duration_, time},
+        w.location, FeasibleReach(w, time, limits_, options_.policy), time,
+        StartWindow{time - limits_.max_task_duration, time},
         [&](int64_t id, double) {
           const Task& r = instance().task(static_cast<TaskId>(id));
           return CanServe(w, r, velocity, options_.policy);
@@ -51,9 +49,10 @@ class EngineGreedySession final : public AssignmentSessionBase {
     const double velocity = instance().velocity();
     const Task& r = instance().task(task);
     // Sr < Sw + Dw forces Sw > Sr - Dw >= Sr - MaxWorkerDuration.
+    const double earliest = time - limits_.max_worker_duration;
     const int64_t hit = waiting_workers_.Nearest(
-        r.location, max_radius_, time,
-        StartWindow{time - max_worker_duration_, time},
+        r.location, FeasibleReach(r, earliest, limits_, options_.policy),
+        time, StartWindow{earliest, time},
         [&](int64_t id, double) {
           const Worker& w = instance().worker(static_cast<WorkerId>(id));
           return CanServe(w, r, velocity, options_.policy);
@@ -70,9 +69,7 @@ class EngineGreedySession final : public AssignmentSessionBase {
   SimpleGreedyOptions options_;
   EngineWaitingPool waiting_workers_;
   EngineWaitingPool waiting_tasks_;
-  double max_radius_;
-  double max_task_duration_;
-  double max_worker_duration_;
+  ReachLimits limits_;
 };
 
 /// Faithful variant: linear scan over all waiting counterparts. Expired or

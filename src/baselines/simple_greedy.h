@@ -8,7 +8,11 @@
 // objects when starting to process a new object", Section 6.2) — this is
 // what makes SimpleGreedy the slowest online baseline in Figures 4-6. The
 // indexed variant runs on the shared retrieval engine (RetrievalMode::
-// kEngine; same output, different running time).
+// kEngine; same output, different running time). Its queries walk the
+// FeasibleReach radius (model/feasibility.h): v * Dr under the default
+// wait-in-place policy, a third of the global MaxFeasibleDistance on the
+// city profiles. A query that finds nothing walks its whole disk, so the
+// radius sets its cost.
 
 #ifndef FTOA_BASELINES_SIMPLE_GREEDY_H_
 #define FTOA_BASELINES_SIMPLE_GREEDY_H_

@@ -37,11 +37,8 @@ class TgoaSession final : public AssignmentSessionBase {
             options.greedy_fraction)),
         waiting_workers_(inst.spacetime().grid(), &trace_.retrieval),
         waiting_tasks_(inst.spacetime().grid(), &trace_.retrieval),
-        max_radius_(MaxFeasibleDistance(inst.MaxTaskDuration(),
-                                        inst.MaxWorkerDuration(),
-                                        inst.velocity())),
-        max_task_duration_(inst.MaxTaskDuration()),
-        max_worker_duration_(inst.MaxWorkerDuration()),
+        limits_{inst.MaxTaskDuration(), inst.MaxWorkerDuration(),
+                inst.velocity()},
         worker_slot_(static_cast<size_t>(inst.num_workers()), -1),
         task_slot_(static_cast<size_t>(inst.num_tasks()), -1) {
     matcher_.ReserveNodes(static_cast<size_t>(inst.num_workers()),
@@ -57,8 +54,9 @@ class TgoaSession final : public AssignmentSessionBase {
   void OnWorker(WorkerId worker, double time) override {
     const Worker& w = instance().worker(worker);
     if (InGreedyPhase()) {
+      const StartWindow window = TaskWindow(time);
       const int64_t hit = waiting_tasks_.Nearest(
-          w.location, max_radius_, time, TaskWindow(time),
+          w.location, Reach(w, window), time, window,
           [&](int64_t id, double) {
             const Task& r = instance().task(static_cast<TaskId>(id));
             return GreedyFeasible(w, r) && r.Deadline() >= time;
@@ -89,8 +87,9 @@ class TgoaSession final : public AssignmentSessionBase {
   void OnTask(TaskId task, double time) override {
     const Task& r = instance().task(task);
     if (InGreedyPhase()) {
+      const StartWindow window = WorkerWindow(time);
       const int64_t hit = waiting_workers_.Nearest(
-          r.location, max_radius_, time, WorkerWindow(time),
+          r.location, Reach(r, window), time, window,
           [&](int64_t id, double) {
             const Worker& w = instance().worker(static_cast<WorkerId>(id));
             return GreedyFeasible(w, r) && w.Deadline() >= time;
@@ -135,10 +134,17 @@ class TgoaSession final : public AssignmentSessionBase {
   /// Superset arrival-time window of any task feasible for a query at
   /// `time` (CanServe stays the authority; see simple_greedy.cc).
   StartWindow TaskWindow(double time) const {
-    return StartWindow{time - max_task_duration_, time};
+    return StartWindow{time - limits_.max_task_duration, time};
   }
   StartWindow WorkerWindow(double time) const {
-    return StartWindow{time - max_worker_duration_, time};
+    return StartWindow{time - limits_.max_worker_duration, time};
+  }
+  /// Query radius of an arrival whose counterparts start in `window`.
+  double Reach(const Worker& w, StartWindow window) const {
+    return FeasibleReach(w, window.hi, limits_, options_.policy);
+  }
+  double Reach(const Task& r, StartWindow window) const {
+    return FeasibleReach(r, window.lo, limits_, options_.policy);
   }
 
   /// Joins the waiting pool: node slot plus candidate edges against the
@@ -150,8 +156,9 @@ class TgoaSession final : public AssignmentSessionBase {
     worker_slot_[static_cast<size_t>(w.id)] = lslot;
     slot_worker_.push_back(w.id);
     scratch_ids_.clear();
+    const StartWindow window = TaskWindow(w.start);
     waiting_tasks_.ForEachInDisk(
-        w.location, max_radius_, w.start, TaskWindow(w.start),
+        w.location, Reach(w, window), w.start, window,
         [&](int64_t id, double) {
           const Task& r = instance().task(static_cast<TaskId>(id));
           if (GreedyFeasible(w, r)) scratch_ids_.push_back(id);
@@ -167,8 +174,9 @@ class TgoaSession final : public AssignmentSessionBase {
     task_slot_[static_cast<size_t>(r.id)] = rslot;
     slot_task_.push_back(r.id);
     scratch_ids_.clear();
+    const StartWindow window = WorkerWindow(r.start);
     waiting_workers_.ForEachInDisk(
-        r.location, max_radius_, r.start, WorkerWindow(r.start),
+        r.location, Reach(r, window), r.start, window,
         [&](int64_t id, double) {
           const Worker& w = instance().worker(static_cast<WorkerId>(id));
           if (GreedyFeasible(w, r)) scratch_ids_.push_back(id);
@@ -224,9 +232,7 @@ class TgoaSession final : public AssignmentSessionBase {
   size_t event_index_ = 0;
   Pool waiting_workers_;
   Pool waiting_tasks_;
-  double max_radius_;
-  double max_task_duration_;
-  double max_worker_duration_;
+  ReachLimits limits_;
   std::vector<int64_t> scratch_ids_;
 
   DynamicBipartiteMatcher matcher_;  // Left = workers, right = tasks.

@@ -47,11 +47,8 @@ class HybridPolarOpSession final : public AssignmentSessionBase {
         // predicate (and pruned up front by the engine backend).
         waiting_workers_(guide_->spacetime().grid(), &trace_.retrieval),
         waiting_tasks_(guide_->spacetime().grid(), &trace_.retrieval),
-        max_radius_(MaxFeasibleDistance(instance.MaxTaskDuration(),
-                                        instance.MaxWorkerDuration(),
-                                        instance.velocity())),
-        max_task_duration_(instance.MaxTaskDuration()),
-        max_worker_duration_(instance.MaxWorkerDuration()) {}
+        limits_{instance.MaxTaskDuration(), instance.MaxWorkerDuration(),
+                instance.velocity()} {}
 
   void OnWorker(WorkerId worker, double time) override {
     const OfflineGuide& guide = *guide_;
@@ -91,12 +88,15 @@ class HybridPolarOpSession final : public AssignmentSessionBase {
     }
 
     // --- Fallback: nearest waiting feasible task. Feasible tasks started
-    // within MaxTaskDuration of now (superset window; CanServe stays the
-    // authority, as in simple_greedy.cc). ---
+    // within MaxTaskDuration of now and lie within the wait-in-place reach
+    // (superset window and radius; CanServe stays the authority, as in
+    // simple_greedy.cc). ---
     if (!matched) {
       const int64_t candidate = waiting_tasks_.Nearest(
-          w.location, max_radius_, time,
-          StartWindow{time - max_task_duration_, time},
+          w.location,
+          FeasibleReach(w, time, limits_,
+                        FeasibilityPolicy::kDispatchAtAssignmentTime),
+          time, StartWindow{time - limits_.max_task_duration, time},
           [&](int64_t id, double) {
             if (assignment_.IsTaskMatched(static_cast<TaskId>(id))) {
               return false;
@@ -164,9 +164,12 @@ class HybridPolarOpSession final : public AssignmentSessionBase {
     }
 
     if (!matched) {
+      const double earliest = time - limits_.max_worker_duration;
       const int64_t candidate = waiting_workers_.Nearest(
-          r.location, max_radius_, time,
-          StartWindow{time - max_worker_duration_, time},
+          r.location,
+          FeasibleReach(r, earliest, limits_,
+                        FeasibilityPolicy::kDispatchAtAssignmentTime),
+          time, StartWindow{earliest, time},
           [&](int64_t id, double) {
             if (assignment_.IsWorkerMatched(static_cast<WorkerId>(id))) {
               return false;
@@ -218,9 +221,7 @@ class HybridPolarOpSession final : public AssignmentSessionBase {
   std::vector<uint32_t> task_type_cursor_;
   Pool waiting_workers_;
   Pool waiting_tasks_;
-  double max_radius_;
-  double max_task_duration_;
-  double max_worker_duration_;
+  ReachLimits limits_;
 };
 
 }  // namespace

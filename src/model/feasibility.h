@@ -46,13 +46,49 @@ bool CanServeAttrs(Point worker_loc, double worker_start,
                    FeasibilityPolicy policy);
 
 /// Upper bound on the distance between any feasible (w, r) pair given the
-/// maximum task/worker durations; used for spatial pruning when enumerating
-/// candidate edges. Conservative for both policies.
+/// maximum task/worker durations. Conservative for both policies, and loose
+/// for both: candidate queries take their radius from FeasibleReach, which
+/// caps itself at this bound.
 inline double MaxFeasibleDistance(double max_task_duration,
                                   double max_worker_duration,
                                   double velocity) {
   return (max_task_duration + max_worker_duration) * velocity;
 }
+
+/// Instance-wide inputs of FeasibleReach.
+struct ReachLimits {
+  double max_task_duration = 0.0;
+  double max_worker_duration = 0.0;
+  double velocity = 1.0;
+};
+
+/// FeasibleReach's rounding margin, relative to v * (|S| + maxDr + maxDw)
+/// with S the arriving object's start. For any pair CanServe accepts, every
+/// operand of the predicate is at most |S| + maxDr + maxDw in magnitude, so
+/// its rounding error is a few ulps of that scale; 1e-9 covers it with
+/// over six orders of magnitude to spare.
+inline constexpr double kReachMargin = 1e-9;
+
+/// The query radius for an arriving worker `w` whose candidate tasks
+/// started no later than `latest_task_start`: the largest distance at which
+/// CanServe can accept such a pair under `policy`.
+///   kDispatchAtAssignmentTime:  v * maxDr
+///       (the worker departs at max(Sw, Sr) >= Sr, so d / v <= Dr)
+///   kDispatchAtWorkerStart:     v * (maxDr + latest_task_start - Sw)
+///       (Definition 4's d / v <= Dr + Sr - Sw)
+/// Capped at MaxFeasibleDistance, floored at 0, then widened by
+/// kReachMargin so that rounding inside CanServe never accepts a pair
+/// beyond it (pinned by tests/model/feasibility_test.cc).
+double FeasibleReach(const Worker& w, double latest_task_start,
+                     const ReachLimits& limits, FeasibilityPolicy policy);
+
+/// The query radius for an arriving task `r` whose candidate workers
+/// started no earlier than `earliest_worker_start`:
+///   kDispatchAtAssignmentTime:  v * Dr
+///   kDispatchAtWorkerStart:     v * (Dr + Sr - earliest_worker_start)
+/// with the same cap, floor and margin.
+double FeasibleReach(const Task& r, double earliest_worker_start,
+                     const ReachLimits& limits, FeasibilityPolicy policy);
 
 }  // namespace ftoa
 

@@ -15,6 +15,12 @@
 // Both backends answer Nearest in the canonical (distance, id) order, so
 // sessions are bit-identical across backends; disk enumeration order is
 // backend-dependent, which is why callers sort what they collect.
+//
+// Callers pass the query radius FeasibleReach (model/feasibility.h)
+// derives from the deadline predicate and the query's start window: the
+// largest distance CanServe can accept for that arrival, not the global
+// MaxFeasibleDistance. The radius is only a superset, so the caller's
+// feasibility filter stays the authority on both backends.
 
 #ifndef FTOA_RETRIEVAL_WAITING_POOL_H_
 #define FTOA_RETRIEVAL_WAITING_POOL_H_

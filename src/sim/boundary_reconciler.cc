@@ -105,17 +105,20 @@ Result<ReconcileStats> ReconcileShardBoundary(const Instance& instance,
   if (router.num_shards() <= 1) return stats;  // No border exists.
 
   const double velocity = instance.velocity();
-  const double max_task_duration = instance.MaxTaskDuration();
-  const double radius = MaxFeasibleDistance(
-      max_task_duration, instance.MaxWorkerDuration(), velocity);
+  const ReachLimits limits{instance.MaxTaskDuration(),
+                           instance.MaxWorkerDuration(), velocity};
+  // A worker's candidate tasks start before it leaves (Sr < Sw + Dw).
+  const auto worker_reach = [&](const Worker& w) {
+    return FeasibleReach(w, w.Deadline(), limits, options.policy);
+  };
 
   // The objects the partition may have cost a match: unmatched and within
-  // the feasibility radius of another shard's territory.
+  // their feasible reach of another shard's territory.
   std::vector<WorkerId> workers;
   std::vector<int> worker_shard;
   for (const Worker& w : instance.workers()) {
     if (assignment->IsWorkerMatched(w.id)) continue;
-    if (!router.NearShardBoundary(w.location, radius)) continue;
+    if (!router.NearShardBoundary(w.location, worker_reach(w))) continue;
     workers.push_back(w.id);
     worker_shard.push_back(
         router.Route(ObjectKind::kWorker, w.id, w.location));
@@ -135,7 +138,13 @@ Result<ReconcileStats> ReconcileShardBoundary(const Instance& instance,
   int64_t num_tasks = 0;
   for (const Task& r : instance.tasks()) {
     if (assignment->IsTaskMatched(r.id)) continue;
-    if (!router.NearShardBoundary(r.location, radius)) continue;
+    // Sr < Sw + Dw bounds a candidate worker's start from below.
+    if (!router.NearShardBoundary(
+            r.location,
+            FeasibleReach(r, r.start - limits.max_worker_duration, limits,
+                          options.policy))) {
+      continue;
+    }
     store.Insert(RetrievalCandidate{r.id, r.location, r.start, r.Deadline()});
     const int shard = router.Route(ObjectKind::kTask, r.id, r.location);
     task_shard_of_id[static_cast<size_t>(r.id)] = shard;
@@ -199,8 +208,8 @@ Result<ReconcileStats> ReconcileShardBoundary(const Instance& instance,
       // Querying at w.start is safe: a task gone before the worker even
       // starts cannot be served under either policy.
       const auto& candidates = cursor.TopK(
-          w.location, radius, k, w.start,
-          StartWindow{w.start - max_task_duration, w.start + w.duration},
+          w.location, worker_reach(w), k, w.start,
+          StartWindow{w.start - limits.max_task_duration, w.Deadline()},
           [&](CellId cell) {
             return cell_owner[static_cast<size_t>(cell)] != shard;
           },

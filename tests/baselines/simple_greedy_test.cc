@@ -87,8 +87,11 @@ TEST(SimpleGreedyTest, NamesReflectVariant) {
 }
 
 // Property: the paper's linear scan and the indexed variant (the shared
-// retrieval engine) produce identical assignments (they implement the same
-// rule with the same (distance, id) tie-break).
+// retrieval engine) produce identical assignments under either policy
+// (they implement the same rule with the same (distance, id) tie-break).
+// The linear scan has no radius at all, so this also pins the engine's
+// FeasibleReach radius: a reach that cut off a feasible pair would change
+// a pair here.
 class SimpleGreedyEquivalenceTest
     : public ::testing::TestWithParam<uint64_t> {};
 
@@ -102,18 +105,25 @@ TEST_P(SimpleGreedyEquivalenceTest, IndexedVariantMatchesLinearScan) {
   config.seed = GetParam() * 13 + 5;
   const auto instance = GenerateSyntheticInstance(config);
   ASSERT_TRUE(instance.ok());
-  SimpleGreedy linear;
-  SimpleGreedy indexed(
-      SimpleGreedyOptions{.retrieval = RetrievalMode::kEngine});
-  const Assignment a = linear.Run(*instance);
-  const Assignment b = indexed.Run(*instance);
-  testing::ExpectSamePairs(a, b, "seed " + std::to_string(GetParam()));
-  EXPECT_TRUE(a.Validate(*instance,
-                         FeasibilityPolicy::kDispatchAtAssignmentTime)
-                  .ok());
-  EXPECT_TRUE(b.Validate(*instance,
-                         FeasibilityPolicy::kDispatchAtAssignmentTime)
-                  .ok());
+  for (const FeasibilityPolicy policy :
+       {FeasibilityPolicy::kDispatchAtAssignmentTime,
+        FeasibilityPolicy::kDispatchAtWorkerStart}) {
+    const std::string label =
+        "seed " + std::to_string(GetParam()) +
+        (policy == FeasibilityPolicy::kDispatchAtWorkerStart
+             ? " worker-start"
+             : " assignment-time");
+    SimpleGreedy linear(SimpleGreedyOptions{
+        .retrieval = RetrievalMode::kLinear, .policy = policy});
+    SimpleGreedy indexed(SimpleGreedyOptions{
+        .retrieval = RetrievalMode::kEngine, .policy = policy});
+    const Assignment a = linear.Run(*instance);
+    const Assignment b = indexed.Run(*instance);
+    testing::ExpectSamePairs(a, b, label);
+    EXPECT_GT(a.size(), 0u) << label;
+    EXPECT_TRUE(a.Validate(*instance, policy).ok()) << label;
+    EXPECT_TRUE(b.Validate(*instance, policy).ok()) << label;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimpleGreedyEquivalenceTest,

@@ -104,21 +104,37 @@ TEST(TgoaTest, IncrementalMatchesRebuildOnRandomWorkloads) {
     config.worker_duration = worker_duration;
     for (uint64_t seed : {3u, 17u, 51u, 202u}) {
       config.seed = seed;
-      const std::string label = "seed " + std::to_string(seed) + " Dr " +
-                                std::to_string(task_duration);
       const auto instance = GenerateSyntheticInstance(config);
       ASSERT_TRUE(instance.ok());
-      Tgoa incremental;
-      testing::RebuildTgoa rebuild;
-      RunTrace inc_trace;
-      const Assignment a = incremental.Run(*instance, &inc_trace);
-      const Assignment b = rebuild.Run(*instance);
-      testing::ExpectSamePairs(a, b, label);
-      EXPECT_TRUE(a.Validate(*instance,
-                             FeasibilityPolicy::kDispatchAtAssignmentTime)
-                      .ok())
-          << label;
-      EXPECT_GT(inc_trace.matcher_augment_searches, 0) << label;
+      // Both policies, on both retrieval backends: production takes its
+      // query radius from FeasibleReach, the oracle keeps the global
+      // MaxFeasibleDistance radius, so a reach that cut off a feasible
+      // pair would change a pair here.
+      for (const FeasibilityPolicy policy :
+           {FeasibilityPolicy::kDispatchAtAssignmentTime,
+            FeasibilityPolicy::kDispatchAtWorkerStart}) {
+        for (const RetrievalMode retrieval :
+             {RetrievalMode::kLinear, RetrievalMode::kEngine}) {
+          TgoaOptions options;
+          options.policy = policy;
+          options.retrieval = retrieval;
+          const std::string label =
+              "seed " + std::to_string(seed) + " Dr " +
+              std::to_string(task_duration) +
+              (policy == FeasibilityPolicy::kDispatchAtWorkerStart
+                   ? " worker-start "
+                   : " assignment-time ") +
+              RetrievalModeName(retrieval);
+          Tgoa incremental(options);
+          testing::RebuildTgoa rebuild(options);
+          RunTrace inc_trace;
+          const Assignment a = incremental.Run(*instance, &inc_trace);
+          const Assignment b = rebuild.Run(*instance);
+          testing::ExpectSamePairs(a, b, label);
+          EXPECT_TRUE(a.Validate(*instance, policy).ok()) << label;
+          EXPECT_GT(inc_trace.matcher_augment_searches, 0) << label;
+        }
+      }
     }
   }
 }

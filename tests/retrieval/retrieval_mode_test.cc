@@ -120,10 +120,22 @@ TEST_P(RetrievalEquivalenceTest, EngineRunIsBitIdenticalToLinear) {
   for (const ArrivalPattern pattern : AllArrivalPatterns()) {
     for (const uint64_t seed : {1u, 2u}) {
       const FuzzUniverse universe = MakeFuzzUniverse(seed, pattern);
-      ExpectEngineMatchesLinear(
-          GetParam(), universe.deps, universe.instance,
-          std::string(GetParam()) + " " + ArrivalPatternName(pattern) +
-              " seed " + std::to_string(seed));
+      // Both policies: the query radius (FeasibleReach) depends on it.
+      // polar-op-g's fallback is wait-in-place whatever the knobs say.
+      for (const FeasibilityPolicy policy :
+           {FeasibilityPolicy::kDispatchAtAssignmentTime,
+            FeasibilityPolicy::kDispatchAtWorkerStart}) {
+        AlgorithmDeps deps = universe.deps;
+        deps.simple_greedy_options.policy = policy;
+        deps.tgoa_options.policy = policy;
+        ExpectEngineMatchesLinear(
+            GetParam(), deps, universe.instance,
+            std::string(GetParam()) + " " + ArrivalPatternName(pattern) +
+                " seed " + std::to_string(seed) +
+                (policy == FeasibilityPolicy::kDispatchAtWorkerStart
+                     ? " worker-start"
+                     : ""));
+      }
     }
   }
 }

@@ -442,31 +442,72 @@ TEST(BoundaryReconcilerSuiteTest, ReturnsWhileTheLentPoolStaysBlocked) {
 // ------------------------------------------------------------- stress suite --
 
 /// The production pass on a lent pool against the pre-change serial
-/// reconciler (tests/oracles/): same pairs and outcome counts, one query
-/// per boundary worker, and never more cells visited or entries examined.
-void ExpectMatchesSerialOracle(const Universe& universe,
-                               const std::string& algorithm,
-                               const ShardedOptions& sharded,
-                               ThreadPool* pool, const std::string& label) {
+/// reconciler (tests/oracles/), which walks the global feasibility radius:
+/// same pairs, recovered and dropped counts; one query per boundary
+/// worker; and never more boundary objects, cells visited or entries
+/// examined. The production boundary set is the oracle's minus objects
+/// with no counterpart within their feasible reach, so it shrinks most
+/// under the wait-in-place policy. Returns the production stats and the
+/// oracle's.
+std::pair<ReconcileStats, ReconcileStats> ExpectMatchesSerialOracle(
+    const Universe& universe, const std::string& algorithm,
+    const ShardedOptions& sharded, ThreadPool* pool,
+    const std::string& label) {
   BaseRun base = MakeBaseRun(universe, algorithm, sharded);
   Assignment want = base.assignment;
   const auto oracle = ::ftoa::testing::SerialReconcileShardBoundary(
       universe.instance, *base.router, base.options, &want);
-  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  EXPECT_TRUE(oracle.ok()) << oracle.status().ToString();
   ReconcileOptions options = base.options;
   options.pool = pool;
   Assignment got = base.assignment;
   const auto pass = ReconcileShardBoundary(universe.instance, *base.router,
                                            options, &got);
-  ASSERT_TRUE(pass.ok()) << pass.status().ToString();
+  EXPECT_TRUE(pass.ok()) << pass.status().ToString();
+  if (!oracle.ok() || !pass.ok()) return {};
   ExpectSamePairs(want, got, label + " vs serial oracle");
-  ExpectSameOutcome(*oracle, *pass, label + " vs serial oracle");
-  EXPECT_EQ(oracle->retrieval.queries, pass->retrieval.queries) << label;
+  EXPECT_EQ(oracle->recovered_pairs, pass->recovered_pairs) << label;
+  EXPECT_EQ(oracle->capacity_dropped, pass->capacity_dropped) << label;
+  EXPECT_LE(pass->boundary_workers, oracle->boundary_workers) << label;
+  EXPECT_LE(pass->boundary_tasks, oracle->boundary_tasks) << label;
+  if (pass->boundary_tasks > 0) {
+    EXPECT_EQ(pass->retrieval.queries, pass->boundary_workers) << label;
+  }
   EXPECT_LE(pass->retrieval.cells_visited, oracle->retrieval.cells_visited)
       << label;
   EXPECT_LE(pass->retrieval.candidates_examined,
             oracle->retrieval.candidates_examined)
       << label;
+  return {*pass, *oracle};
+}
+
+TEST(BoundaryReconcilerSuiteTest, FeasibleReachMatchesSerialOracleOnGreedy) {
+  // Sharded simple-greedy runs wait-in-place, whose reach (v * Dr) is far
+  // inside the oracle's global radius (v * (maxDr + maxDw)): the pass must
+  // recover the same pairs from a smaller boundary while examining fewer
+  // entries.
+  ThreadPool pool(2);
+  int64_t recovered = 0;
+  for (const uint64_t seed : {12u, 13u}) {
+    const Universe universe =
+        MakeFuzzUniverse(seed, ArrivalPattern::kShuffledIds, 160, 160);
+    for (const int num_shards : {2, 4}) {
+      ShardedOptions sharded;
+      sharded.num_shards = num_shards;
+      const std::string label = "seed " + std::to_string(seed) +
+                                " shards=" + std::to_string(num_shards);
+      const auto [pass, oracle] = ExpectMatchesSerialOracle(
+          universe, "simple-greedy", sharded, &pool, label);
+      recovered += pass.recovered_pairs;
+      EXPECT_LT(pass.boundary_workers + pass.boundary_tasks,
+                oracle.boundary_workers + oracle.boundary_tasks)
+          << label;
+      EXPECT_LT(pass.retrieval.candidates_examined,
+                oracle.retrieval.candidates_examined)
+          << label;
+    }
+  }
+  EXPECT_GT(recovered, 0);
 }
 
 /// Randomized sweep of the full reconciliation contract: arrival pattern x

@@ -442,10 +442,13 @@ int CmdServe(int argc, char** argv) {
     // Little's law the steady-state live population is sum(durations) /
     // day_horizon over one source day; the engine's expanding-ring search
     // beats the linear scans once the live set is dense enough per grid
-    // cell (crossover fitted from BENCH_retrieval.json: on its 30x30
-    // grid linear wins at 2000 live objects, the engine from ~4000, so
-    // ~4.5 live objects per cell).
-    constexpr double kEngineCrossoverPerCell = 4.5;
+    // cell. Crossover fitted from BENCH_retrieval.json (simple-greedy,
+    // 30x30 grid, 24 slots, Dr = 2, Dw = 3, 4 cores): linear wins at 2000
+    // objects per side (7.3 vs 7.9 ms), the engine at 4000 (14.5 vs
+    // 28.0 ms). Log-log interpolation puts the crossover at ~2150 per
+    // side, which the same Little's law turns into 2150 * 5 / 24 ~ 450
+    // live objects, 0.5 per cell.
+    constexpr double kEngineCrossoverPerCell = 0.5;
     const LoopedTraceSource probe(profile, trace);
     auto day0 = probe.ArrivalsForDay(0);
     if (!day0.ok()) {

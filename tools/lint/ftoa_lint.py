@@ -37,6 +37,12 @@ Checks (see docs/static_analysis.md for the full catalog):
                            `FTOA_<PATH>_H_` include guard; duplicate
                            includes; unused std includes (curated,
                            conservative token map).
+  feasible-reach           `MaxFeasibleDistance(` in src/ outside
+                           src/model: a candidate query's radius comes
+                           from FeasibleReach, which derives it from the
+                           deadline predicate; the global bound is up to
+                           3x wider and scans cells no feasible pair
+                           reaches.
 
 Allowlist grammar (a reason is mandatory; the annotation covers its own
 line and the immediately following line):
@@ -64,6 +70,7 @@ HOT_PATHS = ("src/flow/", "src/spatial/", "src/retrieval/",
              "src/core/guide_generator.")
 RNG_SCOPE = ("src/", "tools/")
 RNG_EXEMPT = ("src/util/", "tools/lint/")
+REACH_EXEMPT = ("src/model/",)
 
 CHECKS = {
     "no-unordered-iteration":
@@ -85,6 +92,10 @@ CHECKS = {
     "include-hygiene":
         "include guard missing or non-canonical (FTOA_<PATH>_H_), "
         "duplicate include, or unused std include",
+    "feasible-reach":
+        "MaxFeasibleDistance outside src/model: take a candidate query's "
+        "radius from FeasibleReach (model/feasibility.h), which derives it "
+        "from the deadline predicate and the query's start window",
     "bad-annotation":
         "malformed ftoa-lint annotation (unknown check name or missing "
         "reason): the grammar is `// ftoa-lint: ok(<check>): <reason>`",
@@ -560,12 +571,21 @@ def check_include_hygiene(sf, ctx):
                           "it or annotate why it is needed)" % (name, name))
 
 
+def check_feasible_reach(sf, ctx):
+    del ctx
+    if not sf.rel.startswith("src/") or sf.rel.startswith(REACH_EXEMPT):
+        return
+    for m in re.finditer(r"\bMaxFeasibleDistance\s*\(", sf.clean):
+        sf.report(m.start(), "feasible-reach", CHECKS["feasible-reach"])
+
+
 ALL_CHECKS = (
     check_no_unordered_iteration,
     check_seeded_rng_only,
     check_notify_under_lock,
     check_no_std_function_hot_path,
     check_include_hygiene,
+    check_feasible_reach,
 )
 
 

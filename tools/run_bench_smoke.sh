@@ -47,6 +47,7 @@ echo "== bench_parallel (sharded guide solve + parallel MC trials)"
 echo "== bench_streaming (session vs batch throughput, decision latency)"
 "$BUILD/bench_streaming" \
     --benchmark_min_time=0.05 \
+    --benchmark_context=nproc="$(nproc)",build_type=Release \
     --benchmark_out="$ROOT/BENCH_streaming.json" \
     --benchmark_out_format=json
 
@@ -60,6 +61,7 @@ echo "== bench_sharded (sharded dispatcher vs single session)"
 echo "== bench_retrieval (engine vs linear candidate scan, approx guides)"
 "$BUILD/bench_retrieval" \
     --benchmark_min_time=0.05 \
+    --benchmark_context=nproc="$(nproc)",build_type=Release \
     --benchmark_out="$ROOT/BENCH_retrieval.json" \
     --benchmark_out_format=json
 
