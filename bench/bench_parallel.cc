@@ -29,8 +29,8 @@
 #include "core/guide_generator.h"
 #include "core/polar_op.h"
 #include "gen/config.h"
-#include "gen/looped_trace.h"
 #include "gen/synthetic.h"
+#include "harness.h"
 #include "sim/competitive.h"
 #include "util/thread_pool.h"
 
@@ -117,18 +117,7 @@ BENCHMARK(BM_GuideOneComponent)
 
 void BM_GuideCity(benchmark::State& state) {
   const CityProfile profile = BeijingProfile();
-  LoopedTraceSource::Options trace;
-  trace.scale = 0.5;
-  const LoopedTraceSource source(profile, trace);
-  const std::vector<int> workers =
-      source.generator().SampleDayCounts(DemandSide::kWorkers, 0);
-  const std::vector<int> tasks =
-      source.generator().SampleDayCounts(DemandSide::kTasks, 0);
-  PredictionMatrix prediction(source.DaySpacetime());
-  for (TypeId type = 0; type < prediction.spacetime().num_types(); ++type) {
-    prediction.set_workers_at(type, workers[static_cast<size_t>(type)]);
-    prediction.set_tasks_at(type, tasks[static_cast<size_t>(type)]);
-  }
+  const PredictionMatrix prediction = bench::BeijingHalfDayPrediction();
   GuideOptions options;
   options.engine = GuideOptions::Engine::kAuto;
   options.worker_duration = profile.worker_duration;

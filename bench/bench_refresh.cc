@@ -19,6 +19,12 @@
 //       refresher thread vs the shared pool + analytical PoolSlice layout.
 //       Counters expose shard decision p99 alongside refresh wall time —
 //       the isolation story in both directions.
+//   BM_RefreshNow/{unchanged,changed} — one inline refresh cycle on the
+//       Beijing x0.5 day BM_GuideCity solves (bench_parallel). unchanged
+//       repeats one prediction, so every cycle republishes the remembered
+//       guide; changed alternates two predictions one task apart, so every
+//       cycle solves. tools/check_bench_regression.py requires unchanged
+//       to cost at most 1% of changed within one run.
 //
 // The clustered workload mirrors tests/core/guide_warm_refresh_test.cc: at
 // dense city scale the type-pair network is one giant component and warm
@@ -37,6 +43,9 @@
 
 #include "core/guide_generator.h"
 #include "core/prediction_matrix.h"
+#include "gen/config.h"
+#include "harness.h"
+#include "serve/guide_refresher.h"
 #include "serve/service_harness.h"
 #include "spatial/spacetime.h"
 #include "util/rng.h"
@@ -259,6 +268,41 @@ void BM_Interference(benchmark::State& state, int analytical_slice) {
   state.counters["refresh_ms"] = last.refresh_ms;
 }
 
+// ---------------------------------------------------------------------------
+// Family 4: inline refresh cycle, unchanged vs changed prediction.
+// ---------------------------------------------------------------------------
+
+void BM_RefreshNow(benchmark::State& state, bool unchanged) {
+  const CityProfile profile = BeijingProfile();
+  GuideOptions options;
+  options.worker_duration = profile.worker_duration;
+  options.task_duration = profile.task_duration;
+  GuideRefresher refresher(profile.velocity, options,
+                           GuideRefresher::Options{});
+  GuideSlot slot;
+  const PredictionMatrix base = bench::BeijingHalfDayPrediction();
+  PredictionMatrix bumped = base;
+  bumped.set_tasks_at(0, base.tasks_at(0) + 1);
+  const PredictionMatrix* predictions[2] = {&base,
+                                            unchanged ? &base : &bumped};
+  int64_t window = 0;
+  // Primes the memo; the first measured cycle of `changed` then solves
+  // `bumped`.
+  DieUnless(refresher.RefreshNow(base, window++, &slot));
+  int64_t republished = 0;
+  for (auto _ : state) {
+    const auto published = DieUnless(refresher.RefreshNow(
+        *predictions[window % 2], window, &slot));
+    benchmark::DoNotOptimize(published);
+    ++window;
+    republished += refresher.last_cycle().unchanged ? 1 : 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["republished"] = static_cast<double>(republished);
+  state.counters["matched"] =
+      static_cast<double>(slot.Get().guide->matched_pairs());
+}
+
 BENCHMARK_CAPTURE(BM_GuideRefresh, cold, GuideRefreshMode::kCold)
     ->Arg(16)
     ->Arg(64)
@@ -283,6 +327,12 @@ BENCHMARK_CAPTURE(BM_Interference, dedicated, 0)
 BENCHMARK_CAPTURE(BM_Interference, shared_slice, 1)
     ->Arg(24)
     ->Unit(benchmark::kMillisecond);
+
+// One time unit for both rows: the checker compares their real_time.
+BENCHMARK_CAPTURE(BM_RefreshNow, unchanged, true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_RefreshNow, changed, false)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace ftoa

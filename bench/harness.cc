@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "core/algorithm_registry.h"
+#include "gen/looped_trace.h"
 #include "sim/runner.h"
 #include "util/csv.h"
 #include "util/thread_pool.h"
@@ -93,6 +94,22 @@ CityProfile ScaledCityProfile(const CityProfile& base, double scale) {
   profile.grid_y = std::max(3, static_cast<int>(std::lround(
                                    base.grid_y * axis)));
   return profile;
+}
+
+PredictionMatrix BeijingHalfDayPrediction() {
+  LoopedTraceSource::Options trace;
+  trace.scale = 0.5;
+  const LoopedTraceSource source(BeijingProfile(), trace);
+  const std::vector<int> workers =
+      source.generator().SampleDayCounts(DemandSide::kWorkers, 0);
+  const std::vector<int> tasks =
+      source.generator().SampleDayCounts(DemandSide::kTasks, 0);
+  PredictionMatrix prediction(source.DaySpacetime());
+  for (TypeId type = 0; type < prediction.spacetime().num_types(); ++type) {
+    prediction.set_workers_at(type, workers[static_cast<size_t>(type)]);
+    prediction.set_tasks_at(type, tasks[static_cast<size_t>(type)]);
+  }
+  return prediction;
 }
 
 std::vector<RunMetrics> RunSuite(const Instance& instance,

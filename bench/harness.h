@@ -73,6 +73,11 @@ SyntheticConfig DefaultSyntheticConfig(const BenchContext& context);
 /// with it the algorithms' relative behaviour — roughly constant.
 CityProfile ScaledCityProfile(const CityProfile& base, double scale);
 
+/// The serving loop's bootstrap prediction for day 0 of the Beijing
+/// profile's looped trace at scale 0.5: the guide solve the refresh
+/// benches time.
+PredictionMatrix BeijingHalfDayPrediction();
+
 /// Runs the full algorithm suite on one instance.
 /// `prediction` feeds the guide for the POLAR family; guide construction is
 /// offline preprocessing and excluded from the measured running time, as in

@@ -52,7 +52,8 @@ class GrSession final : public AssignmentSessionBase {
                           instance.MaxTaskDuration()) /
                          window_)) +
                      1),
-        radius_(instance.MaxTaskDuration() * instance.velocity()),
+        limits_{instance.MaxTaskDuration(), instance.MaxWorkerDuration(),
+                instance.velocity()},
         task_index_(instance.spacetime().grid()),
         worker_index_(instance.spacetime().grid()),
         worker_slot_(static_cast<size_t>(instance.num_workers()), -1),
@@ -179,8 +180,12 @@ class GrSession final : public AssignmentSessionBase {
       slot_task_[static_cast<size_t>(rslot)] = id;
       pool_tasks_.push_back(id);
       task_index_.Insert(id, r.location);
+      // A pooled worker can serve r only if r arrived before it left, so
+      // it started after Sr - maxDw.
+      const double reach = FeasibleReach(
+          r, r.start - limits_.max_worker_duration, limits_, options_.policy);
       worker_index_.ForEachInDisk(
-          r.location, radius_, [&](const IndexedPoint& entry, double d) {
+          r.location, reach, [&](const IndexedPoint& entry, double d) {
             const Worker& w =
                 instance().worker(static_cast<WorkerId>(entry.id));
             if (edge_ok(w, r, d)) {
@@ -208,8 +213,10 @@ class GrSession final : public AssignmentSessionBase {
       }
       pool_workers_.push_back(id);
       worker_index_.Insert(id, w.location);
+      // Every pooled task arrived by this boundary.
       task_index_.ForEachInDisk(
-          w.location, radius_, [&](const IndexedPoint& entry, double d) {
+          w.location, FeasibleReach(w, boundary, limits_, options_.policy),
+          [&](const IndexedPoint& entry, double d) {
             const Task& r = instance().task(static_cast<TaskId>(entry.id));
             if (edge_ok(w, r, d)) {
               matcher_.AddEdge(lslot,
@@ -276,7 +283,7 @@ class GrSession final : public AssignmentSessionBase {
   int num_windows_;
   int next_window_ = 1;
   std::deque<PendingArrival> pending_;
-  double radius_;
+  ReachLimits limits_;
   // Unmatched objects alive on the platform, carried across windows. Both
   // sides are spatially indexed: tasks for the new-worker edge queries,
   // workers for the new-task edge queries.

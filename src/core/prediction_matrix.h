@@ -67,6 +67,12 @@ class PredictionMatrix {
   std::vector<int32_t> tasks_;
 };
 
+/// Exact equality: the same type space and the same per-type counts.
+inline bool operator==(const PredictionMatrix& a, const PredictionMatrix& b) {
+  return a.spacetime() == b.spacetime() && a.workers() == b.workers() &&
+         a.tasks() == b.tasks();
+}
+
 }  // namespace ftoa
 
 #endif  // FTOA_CORE_PREDICTION_MATRIX_H_

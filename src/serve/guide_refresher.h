@@ -7,13 +7,18 @@
 // Two refresh modes:
 //  * RefreshNow — synchronous, on the calling thread. Deterministic: used
 //    by tests and by deterministic replays where the refresh must land at
-//    an exact window boundary.
+//    an exact window boundary. It remembers the prediction of its last
+//    successful solve: generation is a pure function of the prediction
+//    (the generator options are fixed per refresher), so a cycle whose
+//    prediction equals it republishes the same guide without solving.
 //  * StartBackground/Poll — the solve runs on the refresher's own
 //    single-thread pool under a SubmitWithDeadline deadline; the harness
 //    polls at window boundaries and publishes a completed result. A solve
 //    that misses its deadline is *discarded* (DeadlineTask's contract:
 //    joined, never abandoned, reported as DeadlineExceeded) — a stale
-//    guide is never replaced by a late one out of order.
+//    guide is never replaced by a late one out of order. Background cycles
+//    always solve: an instant republish would change when the harness
+//    adopts it (docs/service_harness.md, "Warm refresh").
 //
 // Failure semantics (the degradation ladder's input): a refresh cycle that
 // exhausts its attempts leaves the slot untouched and reports the error.
@@ -106,7 +111,9 @@ class GuideRefresher {
 
   /// Synchronous refresh cycle: generate (with retries), publish into
   /// `slot` on success. On failure the slot is untouched and the last
-  /// attempt's error is returned.
+  /// attempt's error is returned. A prediction equal to the last
+  /// successful cycle's publishes that cycle's guide again (a new epoch,
+  /// one attempt, no solve); an injected guide-fail still fails the cycle.
   Result<GuideSlot::Snapshot> RefreshNow(const PredictionMatrix& prediction,
                                          int64_t window, GuideSlot* slot);
 
@@ -150,6 +157,9 @@ class GuideRefresher {
   struct CycleReport {
     double solve_ms = 0.0;       ///< Wall time of the publishing cycle.
     GuideRefreshStats refresh;   ///< Warm-cache outcome of that cycle.
+    /// RefreshNow republished its last guide for an unchanged prediction
+    /// (no solve ran; `refresh` is all-zero).
+    bool unchanged = false;
   };
   const CycleReport& last_cycle() const { return last_cycle_; }
 
@@ -185,6 +195,14 @@ class GuideRefresher {
   /// thread keeps its own (solver-arena reuse stays effective per mode).
   GuideGenerator inline_generator_;
   GuideGenerator background_generator_;
+
+  /// RefreshNow's memo: the prediction of its last successful solve and
+  /// the guide that solve published (null before the first).
+  struct LastSolve {
+    PredictionMatrix prediction;
+    std::shared_ptr<const OfflineGuide> guide;
+  };
+  LastSolve last_inline_solve_;
 
   std::unique_ptr<ThreadPool> pool_;  ///< Lazily created, 1 thread (only
                                       ///< when no shared pool is lent).

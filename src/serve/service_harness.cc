@@ -72,6 +72,16 @@ Result<std::unique_ptr<ServiceHarness>> ServiceHarness::Create(
   FTOA_ASSIGN_OR_RETURN(
       FaultInjector faults,
       FaultInjector::Parse(resolved.faults, resolved.fault_seed));
+  if (!AlgorithmNeedsGuide(resolved.algorithm)) {
+    for (const FaultSpec& fault : faults.faults()) {
+      if (fault.name == "guide-fail") {
+        return Status::InvalidArgument(
+            "ServiceHarness: guide-fail fault with algorithm '" +
+            resolved.algorithm +
+            "', which reads no guide and so runs no guide refresh");
+      }
+    }
+  }
   if (!resolved.refresh_predictor.empty()) {
     // Validate the name eagerly (CreatePredictor's unknown-name error),
     // so a typo fails Create instead of the first day boundary.
@@ -258,6 +268,7 @@ PredictionMatrix ServiceHarness::PredictionFor(int64_t window) const {
 }
 
 Status ServiceHarness::HandleRefresh(int64_t window) {
+  if (!AlgorithmNeedsGuide(options_.algorithm)) return Status::OK();
   const bool due = (window % options_.refresh_period_windows) == 0;
   if (options_.background_refresh) {
     const GuideRefresher::PollResult poll = refresher_->Poll();
@@ -468,10 +479,13 @@ void ServiceHarness::AdmitWindow(int64_t window) {
   if (pending_refresh_report_.has_value()) {
     const GuideRefresher::CycleReport& report = *pending_refresh_report_;
     metrics.refresh_ms = report.solve_ms;
+    metrics.refresh_unchanged = report.unchanged;
     metrics.refresh_warm = report.refresh.warm;
     metrics.refresh_components_total = report.refresh.components_total;
     metrics.refresh_components_reused = report.refresh.components_reused;
-    (report.refresh.warm ? totals_.warm_refreshes : totals_.cold_refreshes)++;
+    (report.unchanged      ? totals_.unchanged_refreshes
+     : report.refresh.warm ? totals_.warm_refreshes
+                           : totals_.cold_refreshes)++;
     totals_.refresh_components_reused += report.refresh.components_reused;
     totals_.refresh_components_solved += report.refresh.components_solved;
     totals_.refresh_ms += report.solve_ms;

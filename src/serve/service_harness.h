@@ -24,7 +24,9 @@
 // Guide lifecycle: a GuideRefresher re-solves the guide from realized
 // per-type counts (previous completed day; the generator's history before
 // any day completed) every refresh_period_windows, inline or on a
-// background thread. A publish landing inside a running segment is
+// background thread; algorithms that read no guide run no refresh at all.
+// An inline cycle whose prediction is unchanged republishes the last guide
+// unsolved. A publish landing inside a running segment is
 // hot-swapped into the live sessions at the next window boundary
 // (ShardedSession::SwapGuide — epoch swap at an AdvanceTo boundary, so the
 // replay stays deterministic). The degradation ladder at segment start:
@@ -189,6 +191,7 @@ struct WindowMetrics {
   /// window (inline refresh, or the window whose poll harvested a
   /// background cycle). All-zero/false when no publish landed here.
   double refresh_ms = 0.0;          ///< Solve wall time of that cycle.
+  bool refresh_unchanged = false;   ///< Republished for an equal prediction.
   bool refresh_warm = false;        ///< Any component reused warm.
   int64_t refresh_components_total = 0;
   int64_t refresh_components_reused = 0;  ///< Dirty = total - reused.
@@ -215,7 +218,9 @@ struct ServiceTotals {
   /// High-water mark of the object store (records held simultaneously).
   int64_t store_peak = 0;
 
-  /// Guide refresh cost attribution across all published cycles.
+  /// Guide refresh cost attribution across all published cycles; each
+  /// publish counts in exactly one of the first three.
+  int64_t unchanged_refreshes = 0;  ///< Republished without a solve.
   int64_t warm_refreshes = 0;  ///< Published cycles that reused components.
   int64_t cold_refreshes = 0;  ///< Published cycles that solved everything.
   int64_t refresh_components_reused = 0;
@@ -227,7 +232,8 @@ struct ServiceTotals {
 class ServiceHarness {
  public:
   /// Builds a harness over the looped replay of `profile`. Fails on an
-  /// unknown algorithm name or a malformed fault spec.
+  /// unknown algorithm name, a malformed fault spec, or a guide-fail fault
+  /// for an algorithm that reads no guide (it runs no refresh to fail).
   static Result<std::unique_ptr<ServiceHarness>> Create(
       const CityProfile& profile, const LoopedTraceSource::Options& trace,
       const ServiceOptions& options);

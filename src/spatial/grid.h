@@ -72,6 +72,13 @@ class GridSpec {
   double cell_height_ = 1.0;
 };
 
+/// Exact equality of the region and the cell counts (cell sizes derive
+/// from them).
+inline bool operator==(const GridSpec& a, const GridSpec& b) {
+  return a.width() == b.width() && a.height() == b.height() &&
+         a.cells_x() == b.cells_x() && a.cells_y() == b.cells_y();
+}
+
 }  // namespace ftoa
 
 #endif  // FTOA_SPATIAL_GRID_H_

@@ -46,6 +46,11 @@ class SlotSpec {
   double slot_duration_ = 1.0;
 };
 
+/// Exact equality of the horizon and the slot count.
+inline bool operator==(const SlotSpec& a, const SlotSpec& b) {
+  return a.horizon() == b.horizon() && a.num_slots() == b.num_slots();
+}
+
 /// Combines a SlotSpec and a GridSpec into the type space of the paper's
 /// prediction matrices (alpha slots x beta areas).
 class SpacetimeSpec {
@@ -88,6 +93,10 @@ class SpacetimeSpec {
   SlotSpec slots_;
   GridSpec grid_;
 };
+
+inline bool operator==(const SpacetimeSpec& a, const SpacetimeSpec& b) {
+  return a.slots() == b.slots() && a.grid() == b.grid();
+}
 
 }  // namespace ftoa
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "baselines/simple_greedy.h"
 #include "gen/synthetic.h"
 #include "oracles/rebuild_gr_batch.h"
@@ -112,7 +117,8 @@ TEST(GrBatchTest, IncrementalMatchesRebuildOnRandomWorkloads) {
   // Carrying the matcher across windows (inserting only the new arrivals'
   // nodes/edges and re-augmenting for them) must deliver the same total
   // utility as the oracle that rebuilds a Hopcroft-Karp instance per
-  // window.
+  // window. Default (wait-in-place) policy only: the oracle's v * maxDr
+  // radius is exact there and nowhere else.
   SyntheticConfig config;
   config.num_workers = 300;
   config.num_tasks = 300;
@@ -140,6 +146,116 @@ TEST(GrBatchTest, IncrementalMatchesRebuildOnRandomWorkloads) {
           TravelTime(w.location, r.location, instance->velocity());
       EXPECT_LE(arrival, r.Deadline() + 1e-9);
       EXPECT_LT(r.start, w.Deadline());
+    }
+  }
+}
+
+TEST(GrBatchTest, WorkerStartPolicyReachesPastTheTaskDurationRadius) {
+  // Under kDispatchAtWorkerStart the worker is credited with moving since
+  // Sw, so a task arriving 2 time units later is reachable from
+  // v * (Dr + Sr - Sw) = 3 away, well past v * maxDr = 1. Wait-in-place
+  // GR cannot serve it (it departs at the boundary, 2 + 2.5 > 3).
+  const SpacetimeSpec st(SlotSpec(8.0, 2), GridSpec(10.0, 10.0, 10, 10));
+  std::vector<Worker> workers(1);
+  workers[0] = {0, {1.0, 1.0}, 0.0, 10.0};
+  std::vector<Task> tasks(1);
+  tasks[0] = {0, {3.5, 1.0}, 2.0, 1.0};  // d = 2.5.
+  const Instance instance(st, 1.0, std::move(workers), std::move(tasks));
+  GrBatch worker_start(GrBatchOptions{
+      .window = 1.0, .policy = FeasibilityPolicy::kDispatchAtWorkerStart});
+  EXPECT_EQ(worker_start.Run(instance).size(), 1u);
+  GrBatch wait_in_place(GrBatchOptions{.window = 1.0});
+  EXPECT_EQ(wait_in_place.Run(instance).size(), 0u);
+}
+
+/// Unbounded scan of GR's leftovers: after each window's commit, no worker
+/// and task still pooled may pass GR's edge test at that boundary. Such a
+/// pair would be a length-1 augmenting path, which a maximum matching of
+/// the full window graph never leaves; a candidate radius that is too small
+/// leaves them. Scans every pair, with no radius. Returns the first
+/// violation found, or an empty string.
+std::string FirstExposedFeasiblePair(const Instance& instance,
+                                     const Assignment& assignment,
+                                     FeasibilityPolicy policy) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> worker_matched(
+      static_cast<size_t>(instance.num_workers()), inf);
+  std::vector<double> task_matched(static_cast<size_t>(instance.num_tasks()),
+                                   inf);
+  for (const MatchedPair& pair : assignment.pairs()) {
+    worker_matched[static_cast<size_t>(pair.worker)] = pair.time;
+    task_matched[static_cast<size_t>(pair.task)] = pair.time;
+  }
+  // GrBatch's default window and window count.
+  const double window = 0.25 * instance.spacetime().slots().slot_duration();
+  const int num_windows =
+      static_cast<int>(std::ceil((instance.spacetime().slots().horizon() +
+                                  instance.MaxTaskDuration()) /
+                                 window)) +
+      1;
+  const double v = instance.velocity();
+  for (int k = 1; k <= num_windows; ++k) {
+    const double boundary = k * window;
+    for (const Worker& w : instance.workers()) {
+      if (w.start > boundary || w.Deadline() <= boundary ||
+          worker_matched[static_cast<size_t>(w.id)] <= boundary) {
+        continue;
+      }
+      for (const Task& r : instance.tasks()) {
+        if (r.start > boundary || r.Deadline() < boundary ||
+            task_matched[static_cast<size_t>(r.id)] <= boundary ||
+            !(r.start < w.Deadline())) {
+          continue;
+        }
+        const bool feasible =
+            policy == FeasibilityPolicy::kDispatchAtAssignmentTime
+                ? boundary + Distance(r.location, w.location) / v <=
+                      r.Deadline()
+                : CanServe(w, r, v, policy);
+        if (feasible) {
+          return "worker " + std::to_string(w.id) + " and task " +
+                 std::to_string(r.id) + " both pooled after boundary " +
+                 std::to_string(boundary);
+        }
+      }
+    }
+  }
+  return "";
+}
+
+TEST(GrBatchTest, LeavesNoFeasiblePairExposedUnderBothPolicies) {
+  // Workers wait up to 3 slots against Dr = 1, so under worker-start a
+  // task arriving late is reachable from up to 4x v * maxDr, which is
+  // small against the 30x30 region.
+  SyntheticConfig config;
+  config.num_workers = 300;
+  config.num_tasks = 300;
+  config.grid_x = 30;
+  config.grid_y = 30;
+  config.num_slots = 8;
+  config.velocity = 1.5;
+  config.task_duration = 1.0;
+  for (const FeasibilityPolicy policy :
+       {FeasibilityPolicy::kDispatchAtAssignmentTime,
+        FeasibilityPolicy::kDispatchAtWorkerStart}) {
+    const char* name = policy == FeasibilityPolicy::kDispatchAtWorkerStart
+                           ? "worker-start"
+                           : "assignment-time";
+    for (uint64_t seed : {5u, 29u, 71u, 113u}) {
+      config.seed = seed;
+      const auto instance = GenerateSyntheticInstance(config);
+      ASSERT_TRUE(instance.ok());
+      GrBatch gr(GrBatchOptions{.policy = policy});
+      const Assignment assignment = gr.Run(*instance);
+      EXPECT_GT(assignment.size(), 0u) << name << " seed " << seed;
+      EXPECT_EQ(FirstExposedFeasiblePair(*instance, assignment, policy), "")
+          << name << " seed " << seed;
+      for (const MatchedPair& pair : assignment.pairs()) {
+        EXPECT_TRUE(CanServe(instance->worker(pair.worker),
+                             instance->task(pair.task), instance->velocity(),
+                             policy))
+            << name << " seed " << seed;
+      }
     }
   }
 }

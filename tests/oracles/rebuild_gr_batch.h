@@ -3,6 +3,12 @@
 // across windows. At every window boundary it re-enumerates every pooled
 // worker's candidates and solves a fresh Hopcroft-Karp instance. The
 // production session must commit as many pairs on every instance.
+//
+// Its candidate radius is v * maxDr, which covers every feasible pair only
+// under kDispatchAtAssignmentTime, so it is pinned under that policy only.
+// Under kDispatchAtWorkerStart a pair may lie up to v * (Dr + Sr - Sw)
+// apart; tests/baselines/gr_batch_test.cc checks GR there with an
+// unbounded pair scan instead.
 
 #ifndef FTOA_TESTS_ORACLES_REBUILD_GR_BATCH_H_
 #define FTOA_TESTS_ORACLES_REBUILD_GR_BATCH_H_

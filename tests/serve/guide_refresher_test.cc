@@ -80,6 +80,121 @@ TEST(GuideRefresherTest, InjectedFailureFailsWholeCycleAndKeepsSlot) {
   EXPECT_EQ(slot.epoch(), 1);
 }
 
+TEST(GuideRefresherMemoTest, UnchangedPredictionRepublishesTheSameGuide) {
+  const Instance instance = MakeExample1Instance();
+  GuideRefresher refresher(instance.velocity(), SmallGuideOptions(),
+                           GuideRefresher::Options{});
+  GuideSlot slot;
+  const PredictionMatrix prediction =
+      PredictionMatrix::FromInstance(instance);
+  const auto first = refresher.RefreshNow(prediction, 0, &slot);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_FALSE(refresher.last_cycle().unchanged);
+
+  const auto second = refresher.RefreshNow(prediction, 3, &slot);
+  ASSERT_TRUE(second.ok()) << second.status();
+  // Same guide object, new epoch and window: the harness still swaps it.
+  EXPECT_EQ(second.value().guide.get(), first.value().guide.get());
+  EXPECT_EQ(second.value().epoch, 2);
+  EXPECT_EQ(slot.Get().published_window, 3);
+  EXPECT_TRUE(refresher.last_cycle().unchanged);
+  EXPECT_FALSE(refresher.last_cycle().refresh.warm);
+  EXPECT_EQ(refresher.last_cycle().refresh.components_total, 0);
+  EXPECT_GE(refresher.last_cycle().solve_ms, 0.0);
+  EXPECT_EQ(refresher.stats().attempts, 2);
+  EXPECT_EQ(refresher.stats().publishes, 2);
+}
+
+TEST(GuideRefresherMemoTest, ChangedCountOrSpacetimeForcesASolve) {
+  const Instance instance = MakeExample1Instance();
+  GuideRefresher refresher(instance.velocity(), SmallGuideOptions(),
+                           GuideRefresher::Options{});
+  GuideSlot slot;
+  const PredictionMatrix base = PredictionMatrix::FromInstance(instance);
+  const auto solved = refresher.RefreshNow(base, 0, &slot);
+  ASSERT_TRUE(solved.ok()) << solved.status();
+
+  // One type's task count moves by one.
+  PredictionMatrix bumped = base;
+  bumped.set_tasks_at(0, base.tasks_at(0) + 1);
+  const auto after_bump = refresher.RefreshNow(bumped, 1, &slot);
+  ASSERT_TRUE(after_bump.ok()) << after_bump.status();
+  EXPECT_FALSE(refresher.last_cycle().unchanged);
+  EXPECT_NE(after_bump.value().guide.get(), solved.value().guide.get());
+
+  // Same counts over a stretched horizon: the slot midpoints move, so the
+  // type-level deadline test may change.
+  const SpacetimeSpec& st = base.spacetime();
+  PredictionMatrix stretched(
+      SpacetimeSpec(SlotSpec(2.0 * st.slots().horizon(), st.num_slots()),
+                    st.grid()));
+  for (TypeId type = 0; type < st.num_types(); ++type) {
+    stretched.set_workers_at(type, bumped.workers_at(type));
+    stretched.set_tasks_at(type, bumped.tasks_at(type));
+  }
+  const auto after_stretch = refresher.RefreshNow(stretched, 2, &slot);
+  ASSERT_TRUE(after_stretch.ok()) << after_stretch.status();
+  EXPECT_FALSE(refresher.last_cycle().unchanged);
+  EXPECT_NE(after_stretch.value().guide.get(),
+            after_bump.value().guide.get());
+  EXPECT_EQ(refresher.stats().attempts, 3);
+}
+
+TEST(GuideRefresherMemoTest, InjectedFailureOnUnchangedPredictionStillFails) {
+  const Instance instance = MakeExample1Instance();
+  auto faults = FaultInjector::Parse("guide-fail@2-2:count=1").value();
+  GuideRefresher::Options options;
+  options.max_attempts = 3;
+  GuideRefresher refresher(instance.velocity(), SmallGuideOptions(), options,
+                           &faults);
+  GuideSlot slot;
+  const PredictionMatrix prediction =
+      PredictionMatrix::FromInstance(instance);
+  const auto solved = refresher.RefreshNow(prediction, 1, &slot);
+  ASSERT_TRUE(solved.ok()) << solved.status();
+
+  const auto failed = refresher.RefreshNow(prediction, 2, &slot);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.status().message().find("injected"), std::string::npos);
+  EXPECT_EQ(slot.epoch(), 1);
+  EXPECT_EQ(slot.Get().published_window, 1);
+  EXPECT_EQ(refresher.stats().failed_cycles, 1);
+  EXPECT_EQ(refresher.stats().attempts, 1 + 3);
+  EXPECT_EQ(faults.counters().guide_failures, 1);
+
+  // The outage ends; the memo still holds the first solve.
+  const auto recovered = refresher.RefreshNow(prediction, 3, &slot);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_TRUE(refresher.last_cycle().unchanged);
+  EXPECT_EQ(recovered.value().guide.get(), solved.value().guide.get());
+}
+
+TEST(GuideRefresherMemoTest, FailedCycleOnANewPredictionKeepsTheMemo) {
+  const Instance instance = MakeExample1Instance();
+  auto faults = FaultInjector::Parse("guide-fail@2-2:count=1").value();
+  GuideRefresher refresher(instance.velocity(), SmallGuideOptions(),
+                           GuideRefresher::Options{}, &faults);
+  GuideSlot slot;
+  const PredictionMatrix first = PredictionMatrix::FromInstance(instance);
+  PredictionMatrix second = first;
+  second.set_workers_at(0, first.workers_at(0) + 2);
+
+  const auto solved = refresher.RefreshNow(first, 1, &slot);
+  ASSERT_TRUE(solved.ok()) << solved.status();
+  ASSERT_FALSE(refresher.RefreshNow(second, 2, &slot).ok());
+
+  // `first` still hits: the failed cycle did not replace the memo.
+  const auto again = refresher.RefreshNow(first, 3, &slot);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_TRUE(refresher.last_cycle().unchanged);
+  EXPECT_EQ(again.value().guide.get(), solved.value().guide.get());
+  // And `second` was never solved, so it solves now.
+  const auto fresh = refresher.RefreshNow(second, 4, &slot);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_FALSE(refresher.last_cycle().unchanged);
+  EXPECT_NE(fresh.value().guide.get(), solved.value().guide.get());
+}
+
 TEST(GuideRefresherTest, BackgroundCyclePublishesThroughPoll) {
   const Instance instance = MakeExample1Instance();
   GuideRefresher::Options options;

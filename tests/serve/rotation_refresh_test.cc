@@ -10,7 +10,9 @@
 // Refresh: a harness serving with GuideRefreshMode::kWarm must match the
 // cold-serving harness bit for bit, including mid-segment hot-swap
 // publishes, while actually reusing component solves (the reuse totals
-// prove the warm path engaged, not silently fell back cold).
+// prove the warm path engaged, not silently fell back cold). An inline
+// refresh whose prediction is unchanged republishes the last guide without
+// solving; the reference loop solves every epoch, so the pin covers it.
 //
 // The *Stress* suite fuzzes option interleavings under the `stress` ctest
 // label (re-runnable via tools/run_stress.sh).
@@ -153,26 +155,50 @@ TEST(RotationEquivalenceTest, ReferenceRejectsWhatItDoesNotModel) {
 
 TEST(WarmRefreshServeTest, WarmServeMatchesColdIncludingHotSwaps) {
   // refresh_period 3 on 6-window days: every second refresh publishes
-  // mid-segment (hot-swap), and re-solves within one day see an unchanged
-  // prediction — the warm cache's steady state. kCompressed keeps the
-  // solve on the component-reusing path (kAuto would pick node-level at
-  // this scale and run cold by design).
+  // mid-segment (hot-swap) and sees the prediction the day's first refresh
+  // solved, so both harnesses republish that guide unsolved. The component
+  // cache needs a new prediction with a sparse delta: every day replays
+  // one source day, and a flash crowd in window 7 changes only slot 1's
+  // counts, so the refreshes of days 2 and 3 re-solve just the components
+  // that slot touches. A wider grid at unit velocity splits the type
+  // network into several components. kCompressed keeps the solve on the
+  // component-reusing path (kAuto would pick node-level at this scale and
+  // run cold by design).
+  CityProfile city = SmallCity();
+  city.grid_x = 16;
+  city.grid_y = 10;
+  city.velocity = 1.0;
+  LoopedTraceSource::Options trace;
+  trace.loop_days = 1;
   ServiceOptions cold;
   cold.refresh_period_windows = 3;
+  cold.faults = "flash@7-7:factor=2";
   cold.guide.engine = GuideOptions::Engine::kCompressed;
   cold.guide.refresh_mode = GuideRefreshMode::kCold;
   ServiceOptions warm = cold;
   warm.guide.refresh_mode = GuideRefreshMode::kWarm;
 
-  auto a = MakeHarness(warm);
-  auto b = MakeHarness(cold);
-  ASSERT_TRUE(a->RunWindows(18).ok());
-  ASSERT_TRUE(b->RunWindows(18).ok());
+  auto a = std::move(ServiceHarness::Create(city, trace, warm)).value();
+  auto b = std::move(ServiceHarness::Create(city, trace, cold)).value();
+  ASSERT_TRUE(a->RunWindows(24).ok());
+  ASSERT_TRUE(b->RunWindows(24).ok());
   ExpectSamePairs(*a, *b, "warm vs cold serve");
   EXPECT_GT(a->totals().guide_swaps, 0);  // Hot-swaps actually landed.
 
-  // The warm harness reused solves (within-day refreshes see the same
-  // realized counts); the cold one never does.
+  // Mid-day refreshes (windows 3, 9, 15, 21) reuse the published guide in
+  // both harnesses; the cache never sees them.
+  for (const ServiceHarness* harness : {a.get(), b.get()}) {
+    EXPECT_GE(harness->totals().unchanged_refreshes, 4);
+    for (const WindowMetrics& w : harness->windows()) {
+      if (w.window % 6 == 3) {
+        EXPECT_TRUE(w.refresh_unchanged) << "window " << w.window;
+      }
+    }
+  }
+  EXPECT_EQ(a->totals().unchanged_refreshes,
+            b->totals().unchanged_refreshes);
+  // The warm harness reused components on the sparse-delta refreshes; the
+  // cold one never does.
   EXPECT_GT(a->totals().warm_refreshes, 0);
   EXPECT_GT(a->totals().refresh_components_reused, 0);
   EXPECT_EQ(b->totals().warm_refreshes, 0);
@@ -188,6 +214,52 @@ TEST(WarmRefreshServeTest, WarmServeMatchesColdIncludingHotSwaps) {
   }
   EXPECT_GT(attributed_ms, 0.0);
   EXPECT_DOUBLE_EQ(attributed_ms, a->totals().refresh_ms);
+}
+
+TEST(RefreshMemoServeTest, UnchangedRefreshesMatchTheSolveEveryEpochLoop) {
+  // Inline refresh every 3 windows over 20 windows (3+ days). The flash
+  // crowd in window 1 makes day 0's realized counts differ from the
+  // bootstrap prediction, so every day-boundary refresh solves a new
+  // prediction and exactly the mid-day ones reuse. The reference loop
+  // solves every epoch from scratch.
+  ServiceOptions options;
+  options.algorithm = "polar-op";
+  options.refresh_period_windows = 3;
+  options.faults = "flash@1-1:factor=2";
+  auto harness = MakeHarness(options);
+  ASSERT_TRUE(harness->RunWindows(20).ok());
+  ExpectMatchesReference(*harness, "memoized inline refresh");
+
+  int64_t mid_day_publishes = 0;
+  for (const WindowMetrics& w : harness->windows()) {
+    if (w.refresh_ms > 0.0 && w.window % 6 != 0) ++mid_day_publishes;
+    EXPECT_EQ(w.refresh_unchanged, w.window % 6 == 3)
+        << "window " << w.window;
+  }
+  EXPECT_EQ(mid_day_publishes, 3);  // Windows 3, 9, 15.
+  EXPECT_EQ(harness->totals().unchanged_refreshes, mid_day_publishes);
+  EXPECT_EQ(harness->refresher_stats().publishes, 7);
+  EXPECT_GT(harness->totals().guide_swaps, 0);
+}
+
+TEST(RefreshMemoServeTest, GuideFreeAlgorithmRunsNoRefresh) {
+  for (const bool background : {false, true}) {
+    ServiceOptions options;
+    options.algorithm = "simple-greedy";
+    options.refresh_period_windows = 3;
+    options.background_refresh = background;
+    auto harness = MakeHarness(options);
+    ASSERT_TRUE(harness->RunWindows(20).ok());
+    ExpectMatchesReference(*harness, "simple-greedy");
+    EXPECT_EQ(harness->guide_epoch(), 0);
+    EXPECT_EQ(harness->refresher_stats().attempts, 0);
+    EXPECT_EQ(harness->refresher_stats().publishes, 0);
+    EXPECT_EQ(harness->totals().refresh_ms, 0.0);
+    for (const WindowMetrics& w : harness->windows()) {
+      EXPECT_FALSE(w.degraded_greedy) << "window " << w.window;
+    }
+    EXPECT_GT(harness->totals().matched, 0);
+  }
 }
 
 TEST(WarmRefreshServeTest, BackgroundWarmRefreshAttributesCycles) {

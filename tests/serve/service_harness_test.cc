@@ -215,6 +215,27 @@ TEST(ServiceHarnessTest, BackgroundRefreshEventuallyPublishes) {
   EXPECT_GE(harness->refresher_stats().publishes, 1);
 }
 
+TEST(ServiceHarnessTest, RejectsGuideFailForGuideFreeAlgorithms) {
+  // A guide-free algorithm runs no refresh, so a guide-fail fault could
+  // never fire: Create says so instead of leaving it silently unconsumed.
+  for (const char* algorithm : {"simple-greedy", "tgoa", "gr"}) {
+    ServiceOptions options;
+    options.algorithm = algorithm;
+    options.faults = "flash@1-1,guide-fail@2-4:count=1";
+    const auto rejected = ServiceHarness::Create(
+        SmallCity(), LoopedTraceSource::Options{}, options);
+    ASSERT_FALSE(rejected.ok()) << algorithm;
+    EXPECT_TRUE(rejected.status().IsInvalidArgument()) << algorithm;
+    EXPECT_NE(rejected.status().message().find("guide-fail"),
+              std::string::npos);
+    options.faults = "flash@1-1";
+    EXPECT_TRUE(ServiceHarness::Create(SmallCity(),
+                                       LoopedTraceSource::Options{}, options)
+                    .ok())
+        << algorithm;
+  }
+}
+
 TEST(ServiceHarnessTest, RejectsUnknownAlgorithmAndBadFaultSpec) {
   ServiceOptions options;
   options.algorithm = "quantum-dispatch";

@@ -2,7 +2,8 @@
 """Bench regression gate: diff a fresh google-benchmark JSON against a
 committed baseline and fail on steady-state regressions.
 
-Two checks, both over benchmarks present in *both* files:
+Three checks; the first over benchmarks present in *both* files, the
+other two on the fresh run alone:
 
   1. Per-benchmark regression: fresh real_time > --max-regression x the
      baseline's (default 2.0 -- lenient on purpose: baselines are recorded
@@ -13,6 +14,11 @@ Two checks, both over benchmarks present in *both* files:
      BM_GuideRefresh/warm/C must beat BM_GuideRefresh/cold/C by at least
      --min-warm-speedup (default 2.0) -- the PR's acceptance bar, measured
      on one machine so it cannot flake on hardware.
+  3. Unchanged-refresh invariant (BENCH_refresh.json only): in the fresh
+     run, BM_RefreshNow/unchanged (an inline refresh that republishes the
+     remembered guide) must cost at most MAX_UNCHANGED_RATIO (1%) of
+     BM_RefreshNow/changed (a refresh that solves). Both rows use one time
+     unit.
 
 Usage:
   tools/check_bench_regression.py BASELINE.json FRESH.json \
@@ -25,6 +31,10 @@ one file are reported but never fail the gate (series come and go).
 import argparse
 import json
 import sys
+
+# An unchanged-prediction refresh republishes without solving; it must
+# cost at most this fraction of a refresh that solves.
+MAX_UNCHANGED_RATIO = 0.01
 
 
 def load_benchmarks(path):
@@ -81,6 +91,22 @@ def check_warm_speedup(fresh, min_speedup):
     return failures
 
 
+def check_unchanged_refresh(fresh):
+    """Republishing a remembered guide against solving one, in one run."""
+    unchanged = fresh.get("BM_RefreshNow/unchanged")
+    changed = fresh.get("BM_RefreshNow/changed")
+    if unchanged is None or changed is None:
+        return []
+    ratio = unchanged / changed if changed > 0 else float("inf")
+    marker = "ok" if ratio <= MAX_UNCHANGED_RATIO else "FAIL"
+    print(f"  {marker:4s} BM_RefreshNow/unchanged: {ratio:.5f} of "
+          f"BM_RefreshNow/changed (bar {MAX_UNCHANGED_RATIO:.5f})")
+    if ratio > MAX_UNCHANGED_RATIO:
+        return [f"BM_RefreshNow/unchanged costs {ratio:.5f} of "
+                f"BM_RefreshNow/changed (bar {MAX_UNCHANGED_RATIO:.5f})"]
+    return []
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
@@ -96,6 +122,8 @@ def main():
     failures = check_regressions(baseline, fresh, args.max_regression)
     print("bench-regression: warm-refresh speedup bar")
     failures += check_warm_speedup(fresh, args.min_warm_speedup)
+    print("bench-regression: unchanged-refresh bar")
+    failures += check_unchanged_refresh(fresh)
 
     if failures:
         print("bench-regression: FAILED")

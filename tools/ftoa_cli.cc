@@ -499,8 +499,9 @@ int CmdServe(int argc, char** argv) {
   // per-query cells-visited percentiles of the segment rotated at that
   // window (all zero under --retrieval=linear and between rotations).
   // rfr ms/WC/reuse: solve wall time of the refresh cycle whose publish
-  // landed at that window, warm (W) or cold (C), and reused/total
-  // components ("-" between publishes).
+  // landed at that window, warm (W), cold (C) or unchanged prediction
+  // republished without a solve (U), and reused/total components ("-"
+  // between publishes).
   std::printf(
       "window day  offered admitted shed drop match  p99 ms   live "
       "evict epoch age      rq    exam c50  c99   rfr ms WC   reuse "
@@ -529,7 +530,11 @@ int CmdServe(int argc, char** argv) {
         static_cast<long long>(w.candidates_examined),
         static_cast<long long>(w.cells_visited_p50),
         static_cast<long long>(w.cells_visited_p99), w.refresh_ms,
-        published ? (w.refresh_warm ? "W" : "C") : "-", reuse,
+        !published             ? "-"
+        : w.refresh_unchanged ? "U"
+        : w.refresh_warm      ? "W"
+                              : "C",
+        reuse,
         w.degraded_greedy ? "D" : "", w.overloaded ? "O" : "");
   }
   const ServiceTotals& totals = (*harness)->totals();
@@ -557,10 +562,12 @@ int CmdServe(int argc, char** argv) {
               static_cast<long long>(refresher.publishes),
               static_cast<long long>(refresher.failed_cycles),
               static_cast<long long>(totals.guide_swaps));
-  std::printf("refresh        %lld warm / %lld cold publishes, %lld of "
-              "%lld components reused, %.2f ms total solve\n",
+  std::printf("refresh        %lld warm / %lld cold / %lld unchanged "
+              "publishes, %lld of %lld components reused, %.2f ms total "
+              "solve\n",
               static_cast<long long>(totals.warm_refreshes),
               static_cast<long long>(totals.cold_refreshes),
+              static_cast<long long>(totals.unchanged_refreshes),
               static_cast<long long>(totals.refresh_components_reused),
               static_cast<long long>(totals.refresh_components_reused +
                                      totals.refresh_components_solved),

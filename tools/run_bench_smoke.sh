@@ -65,7 +65,8 @@ echo "== bench_retrieval (engine vs linear candidate scan, approx guides)"
     --benchmark_out="$ROOT/BENCH_retrieval.json" \
     --benchmark_out_format=json
 
-echo "== bench_refresh (warm guide refresh, incremental rotation, slice)"
+echo "== bench_refresh (warm guide refresh, incremental rotation, slice," \
+     "unchanged vs changed inline refresh)"
 "$BUILD/bench_refresh" \
     --benchmark_min_time=0.05 \
     --benchmark_context=nproc="$(nproc)",build_type=Release \
@@ -221,8 +222,9 @@ EOF
 # Headline numbers: the serving steady state — warm-refresh speedup on the
 # sparse-delta sequence (the >= 2x acceptance bar), per-window rotation
 # cost as the served window count grows (must stay flat: eviction keeps the
-# store at the live tail), and shard p99 under background refresh for the
-# dedicated vs shared-slice pool layouts.
+# store at the live tail), shard p99 under background refresh for the
+# dedicated vs shared-slice pool layouts, and an inline refresh on an
+# unchanged vs a changed prediction (the <= 1% bar).
 python3 - "$ROOT/BENCH_refresh.json" <<'EOF'
 import json, sys
 benches = json.load(open(sys.argv[1]))["benchmarks"]
@@ -251,4 +253,11 @@ for layout in ("dedicated", "shared_slice"):
               f"windows, shard p99 {run['shard_p99_ms']:.3f}ms, "
               f"{run['publishes']:.0f} background publishes "
               f"({run['refresh_ms']:.0f}ms solve)")
+unchanged = runs.get("BM_RefreshNow/unchanged")
+changed = runs.get("BM_RefreshNow/changed")
+if unchanged and changed:
+    print(f"inline refresh beijing x0.5: unchanged prediction "
+          f"{unchanged['real_time']:.1f}us, changed "
+          f"{changed['real_time']:.0f}us "
+          f"({unchanged['real_time'] / changed['real_time']:.5f} of a solve)")
 EOF

@@ -17,7 +17,8 @@
 # Optional bench gate (FTOA_BENCH_GATE=1): reruns the bench smoke and
 # diffs the fresh BENCH_refresh.json against the committed baseline with
 # tools/check_bench_regression.py — fails on a >2x steady-state serving
-# regression or a warm-refresh speedup below the 2x bar. Off by default:
+# regression, a warm-refresh speedup below the 2x bar, or an
+# unchanged-prediction refresh above 1% of a solving one. Off by default:
 # it rebuilds the Release tree and takes minutes.
 #
 # Usage: tools/run_gates.sh [gate-build-dir]
