@@ -20,7 +20,10 @@
 //    current kth-best distance, and the walk stops when even the nearest
 //    point of the next ring cannot beat the kth-best — the exact
 //    termination rule of GridIndex::FindNearest (grid_index.h:93), pinned
-//    by tests/spatial/grid_index_test.cc.
+//    by tests/spatial/grid_index_test.cc. A caller that already knows the
+//    only cells its filter can accept passes them as a list instead; the
+//    query then visits just those cells, nearest lower bound first, with
+//    the same per-cell bucket scan.
 //  * Results are canonical: candidates are ordered by (distance, id), a
 //    total order independent of scan order, so the engine's result set is
 //    bit-identical to a linear scan over the same live entries — the
@@ -38,7 +41,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "retrieval/stats.h"
@@ -160,18 +165,18 @@ class CandidateCursor {
   /// candidates_examined. Exact whenever every entry of a rejected cell
   /// would fail `filter` anyway (the boundary reconciler's own-shard
   /// cells); the result then equals the unrestricted query's.
-  template <typename AdmitCellFn, typename FilterFn>
+  template <typename AdmitCellFn, typename FilterFn,
+            typename = std::enable_if_t<
+                std::is_invocable_r_v<bool, AdmitCellFn&, CellId>>>
   const std::vector<ScoredCandidate>& TopK(Point origin, double max_distance,
                                            size_t k, double query_time,
                                            StartWindow window,
                                            AdmitCellFn&& admit_cell,
                                            FilterFn&& filter) {
     topk_.clear();
-    int64_t cells = 0;
-    int64_t examined = 0;
-    int64_t pruned = 0;
+    QueryCounts counts;
     if (store_ == nullptr || store_->size() == 0 || k == 0) {
-      if (stats_ != nullptr) stats_->RecordQuery(cells, examined, pruned);
+      RecordQuery(counts);
       return topk_;
     }
     const GridSpec& grid = store_->grid();
@@ -183,50 +188,14 @@ class CandidateCursor {
         std::min(max_distance, grid.width() + grid.height());
     const int max_ring = static_cast<int>(std::ceil(reach / cell_min)) + 1;
 
-    // Current pruning bound: the query radius until the top-k is full,
-    // then the kth-best distance.
-    const auto bound = [&]() {
-      return topk_.size() == k ? topk_.back().distance : max_distance;
-    };
-    const auto worse_than_tail = [&](double d, int64_t id) {
-      if (topk_.size() < k) return false;
-      const ScoredCandidate& tail = topk_.back();
-      return d > tail.distance ||
-             (d == tail.distance && id >= tail.candidate.id);
-    };
-
     const auto scan_cell = [&](int cx, int cy) {
       if (!grid.ValidCell(cx, cy)) return;
       const CellId cell = grid.CellAt(cx, cy);
       if (!admit_cell(cell)) return;
       // Radius lower bound: skip cells that cannot beat the current tail.
-      if (grid.DistanceToCell(origin, cell) > bound()) return;
-      const std::vector<RetrievalCandidate>& bucket = store_->bucket(cell);
-      if (bucket.empty()) return;
-      ++cells;
-      // Arrival-time binary search: the bucket is (start, id)-sorted, so
-      // the window maps to one contiguous span.
-      auto it = std::lower_bound(
-          bucket.begin(), bucket.end(), window.lo,
-          [](const RetrievalCandidate& e, double lo) { return e.start < lo; });
-      for (; it != bucket.end() && it->start <= window.hi; ++it) {
-        if (it->id < 0) continue;  // Tombstone.
-        ++examined;
-        // Deadline prune: an entry gone before the query instant can never
-        // pass either CanServe policy (strict — deadline == query_time may
-        // still be feasible).
-        if (it->deadline < query_time) {
-          ++pruned;
-          continue;
-        }
-        const double d = Distance(origin, it->location);
-        if (d > bound() || worse_than_tail(d, it->id)) {
-          ++pruned;
-          continue;
-        }
-        if (!filter(*it, d)) continue;
-        Offer(ScoredCandidate{d, *it}, k);
-      }
+      if (grid.DistanceToCell(origin, cell) > Bound(k, max_distance)) return;
+      ScanCell(cell, origin, max_distance, k, query_time, window, filter,
+               &counts);
     };
 
     for (int ring = 0; ring <= max_ring; ++ring) {
@@ -250,7 +219,48 @@ class CandidateCursor {
         scan_cell(origin_cx + ring, origin_cy + dy);
       }
     }
-    if (stats_ != nullptr) stats_->RecordQuery(cells, examined, pruned);
+    RecordQuery(counts);
+    return topk_;
+  }
+
+  /// TopK over an explicit list of `cells` (any order, repeats allowed)
+  /// instead of the ring walk: the distinct cells are visited in ascending
+  /// GridSpec::DistanceToCell (ties by id), and the walk stops at the first
+  /// cell whose lower bound exceeds the current kth-best distance. Each
+  /// visited cell gets the ring walk's bucket scan. The result equals the
+  /// ring-walk TopK whose `admit_cell` accepts exactly `cells`; only the
+  /// counters may differ, as cells are visited in another order. For a
+  /// caller that can name the few cells its filter may accept (the boundary
+  /// reconciler's guide-capacity cells), this skips the walk over the rest
+  /// of the disk.
+  template <typename FilterFn>
+  const std::vector<ScoredCandidate>& TopK(Point origin, double max_distance,
+                                           size_t k, double query_time,
+                                           StartWindow window,
+                                           const std::vector<CellId>& cells,
+                                           FilterFn&& filter) {
+    topk_.clear();
+    QueryCounts counts;
+    if (store_ == nullptr || store_->size() == 0 || k == 0) {
+      RecordQuery(counts);
+      return topk_;
+    }
+    const GridSpec& grid = store_->grid();
+    cell_order_.clear();
+    for (const CellId cell : cells) {
+      const double d = grid.DistanceToCell(origin, cell);
+      if (d <= max_distance) cell_order_.emplace_back(d, cell);
+    }
+    std::sort(cell_order_.begin(), cell_order_.end());
+    cell_order_.erase(std::unique(cell_order_.begin(), cell_order_.end()),
+                      cell_order_.end());
+    for (const auto& [d, cell] : cell_order_) {
+      // Every later cell is at least as far: none can beat the tail.
+      if (d > Bound(k, max_distance)) break;
+      ScanCell(cell, origin, max_distance, k, query_time, window, filter,
+               &counts);
+    }
+    RecordQuery(counts);
     return topk_;
   }
 
@@ -324,6 +334,68 @@ class CandidateCursor {
   void set_stats(RetrievalStats* stats) { stats_ = stats; }
 
  private:
+  /// Per-query counters, recorded into the stats sink once at the end.
+  struct QueryCounts {
+    int64_t cells = 0;
+    int64_t examined = 0;
+    int64_t pruned = 0;
+  };
+
+  void RecordQuery(const QueryCounts& counts) {
+    if (stats_ != nullptr) {
+      stats_->RecordQuery(counts.cells, counts.examined, counts.pruned);
+    }
+  }
+
+  /// Current TopK pruning bound: the query radius until the top-k is full,
+  /// then the kth-best distance.
+  double Bound(size_t k, double max_distance) const {
+    return topk_.size() == k ? topk_.back().distance : max_distance;
+  }
+
+  /// TopK's scan of one cell's bucket, shared by the ring walk and the
+  /// cell-list query: the arrival-time binary search, then per entry the
+  /// deadline prune, the kth-best prune, `filter`, and Offer.
+  template <typename FilterFn>
+  void ScanCell(CellId cell, Point origin, double max_distance, size_t k,
+                double query_time, StartWindow window, FilterFn& filter,
+                QueryCounts* counts) {
+    const std::vector<RetrievalCandidate>& bucket = store_->bucket(cell);
+    if (bucket.empty()) return;
+    ++counts->cells;
+    // Arrival-time binary search: the bucket is (start, id)-sorted, so the
+    // window maps to one contiguous span.
+    auto it = std::lower_bound(
+        bucket.begin(), bucket.end(), window.lo,
+        [](const RetrievalCandidate& e, double lo) { return e.start < lo; });
+    for (; it != bucket.end() && it->start <= window.hi; ++it) {
+      if (it->id < 0) continue;  // Tombstone.
+      ++counts->examined;
+      // Deadline prune: an entry gone before the query instant can never
+      // pass either CanServe policy (strict — deadline == query_time may
+      // still be feasible).
+      if (it->deadline < query_time) {
+        ++counts->pruned;
+        continue;
+      }
+      const double d = Distance(origin, it->location);
+      if (d > Bound(k, max_distance) || WorseThanTail(d, it->id, k)) {
+        ++counts->pruned;
+        continue;
+      }
+      if (!filter(*it, d)) continue;
+      Offer(ScoredCandidate{d, *it}, k);
+    }
+  }
+
+  /// True when a full top-k would not take (d, id): it ranks at or after
+  /// the tail in (distance, id) order.
+  bool WorseThanTail(double d, int64_t id, size_t k) const {
+    if (topk_.size() < k) return false;
+    const ScoredCandidate& tail = topk_.back();
+    return d > tail.distance || (d == tail.distance && id >= tail.candidate.id);
+  }
+
   /// Sorted-insert into the top-k buffer by (distance, id); drops the
   /// overflow. O(k) — k is small (1 for nearest, single digits for the
   /// reconciler).
@@ -339,6 +411,7 @@ class CandidateCursor {
   const CandidateStore* store_;
   RetrievalStats* stats_;
   std::vector<ScoredCandidate> topk_;
+  std::vector<std::pair<double, CellId>> cell_order_;  // Cell-list scratch.
 };
 
 }  // namespace ftoa

@@ -654,8 +654,11 @@ Status ServiceHarness::ReplaySegment() {
     }
   }
   totals_.matched += static_cast<int64_t>(result.assignment.size());
+  totals_.reconciled += result.reconcile.recovered_pairs;
   windows_[static_cast<size_t>(rotation_window)].matched +=
       static_cast<int64_t>(result.assignment.size());
+  windows_[static_cast<size_t>(rotation_window)].reconciled +=
+      result.reconcile.recovered_pairs;
   {
     // Retrieval instrumentation of the rotated segment (merged across its
     // shard sessions by the dispatcher's trace fold).

@@ -163,6 +163,9 @@ struct WindowMetrics {
   /// Pairs committed by the segment that rotated at this window (0 for
   /// non-rotation windows).
   int64_t matched = 0;
+  /// Of `matched`: pairs the segment's boundary reconciliation pass
+  /// recovered at this rotation (0 without --reconcile or with one shard).
+  int64_t reconciled = 0;
 
   /// Candidate-retrieval stats of the rotated segment (attributed to the
   /// rotation window, like `matched`). All-zero in linear mode and for
@@ -208,6 +211,7 @@ struct ServiceTotals {
   int64_t admitted = 0;
   int64_t shed = 0;
   int64_t matched = 0;
+  int64_t reconciled = 0;  ///< Of `matched`: boundary-reconciled pairs.
   int64_t evictions = 0;
   int64_t dropped_arrivals = 0;
   /// Guide hot-swaps adopted by running shard sessions (mid-segment).

@@ -123,16 +123,21 @@ Result<ReconcileStats> ReconcileShardBoundary(const Instance& instance,
     worker_shard.push_back(
         router.Route(ObjectKind::kWorker, w.id, w.location));
   }
-  // Boundary tasks in a CandidateStore: the engine's top-k query walks
+  // Boundary tasks in a CandidateStore: the engine's top-k query visits
   // cells nearest-first and binary-searches each bucket's arrival-time
   // window, so a worker only ever touches tasks that could pass the
-  // deadline predicate — the same cell walk every per-arrival scan uses.
-  // Each cell also records its sole owner shard (bucketed by the store's
-  // own CellOf), so a worker's query skips the cells whose tasks all sit
-  // in its own shard; mixed cells keep the per-entry shard check.
+  // deadline predicate. Each cell also records its sole owner shard
+  // (bucketed by the store's own CellOf), so a worker's query skips the
+  // cells whose tasks all sit in its own shard; mixed cells keep the
+  // per-entry shard check. A guided pass also lists, per guide task type,
+  // the cells holding a boundary task of that type.
+  const SpacetimeSpec* guide_st =
+      options.guide != nullptr ? &options.guide->spacetime() : nullptr;
   CandidateStore store(instance.spacetime().grid());
   std::vector<int32_t> cell_owner(
       static_cast<size_t>(store.grid().num_cells()), kNoTasks);
+  std::vector<std::vector<CellId>> cells_of_task_type(
+      guide_st != nullptr ? static_cast<size_t>(guide_st->num_types()) : 0);
   std::vector<int> task_shard_of_id(instance.num_tasks(), -1);
   std::vector<int32_t> right_of_task(instance.num_tasks(), -1);
   int64_t num_tasks = 0;
@@ -148,9 +153,14 @@ Result<ReconcileStats> ReconcileShardBoundary(const Instance& instance,
     store.Insert(RetrievalCandidate{r.id, r.location, r.start, r.Deadline()});
     const int shard = router.Route(ObjectKind::kTask, r.id, r.location);
     task_shard_of_id[static_cast<size_t>(r.id)] = shard;
-    int32_t& owner =
-        cell_owner[static_cast<size_t>(store.grid().CellOf(r.location))];
+    const CellId cell = store.grid().CellOf(r.location);
+    int32_t& owner = cell_owner[static_cast<size_t>(cell)];
     owner = owner == kNoTasks || owner == shard ? shard : kMixedOwners;
+    if (guide_st != nullptr) {
+      cells_of_task_type[static_cast<size_t>(
+                             guide_st->TypeOf(r.location, r.start))]
+          .push_back(cell);
+    }
     right_of_task[static_cast<size_t>(r.id)] =
         static_cast<int32_t>(num_tasks);
     ++num_tasks;
@@ -169,11 +179,22 @@ Result<ReconcileStats> ReconcileShardBoundary(const Instance& instance,
   // Guide capacity: remaining additions allowed per (worker type, task
   // type). Empty map = unguided = uncapped. Discovery only reads it.
   std::unordered_map<int64_t, int32_t> capacity;
+  // Guided discovery visits only the cells its capacity can use: the
+  // sorted keys with capacity > 0 (grouped by worker type, as TypePairKey
+  // is worker-type-major) and each task type's sorted, distinct cells.
+  std::vector<int64_t> capacity_keys;
   if (options.guide != nullptr) {
     capacity = options.guide->MatchedPairCountsByTypePair();
+    // ftoa-lint: ok(no-unordered-iteration): the keys are sorted below
+    for (const auto& [key, count] : capacity) {
+      if (count > 0) capacity_keys.push_back(key);
+    }
+    std::sort(capacity_keys.begin(), capacity_keys.end());
+    for (std::vector<CellId>& cells : cells_of_task_type) {
+      std::sort(cells.begin(), cells.end());
+      cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+    }
   }
-  const SpacetimeSpec* guide_st =
-      options.guide != nullptr ? &options.guide->spacetime() : nullptr;
 
   // Candidate discovery: each boundary worker's nearest feasible
   // cross-shard candidates, as right ids in (distance, id) order, in the
@@ -197,38 +218,65 @@ Result<ReconcileStats> ReconcileShardBoundary(const Instance& instance,
     const size_t begin = n * static_cast<size_t>(range) / ranges;
     const size_t end = n * (static_cast<size_t>(range) + 1) / ranges;
     CandidateCursor cursor(&store, &range_stats[static_cast<size_t>(range)]);
+    std::vector<CellId> cells;  // The worker's candidate cells.
     for (size_t i = begin; i < end; ++i) {
       const Worker& w = instance.worker(workers[i]);
       const int shard = worker_shard[i];
       const TypeId worker_type =
           guide_st != nullptr ? guide_st->TypeOf(w.location, w.start) : -1;
+      const auto filter = [&](const RetrievalCandidate& entry, double) {
+        if (task_shard_of_id[static_cast<size_t>(entry.id)] == shard) {
+          return false;
+        }
+        const Task& r = instance.task(static_cast<TaskId>(entry.id));
+        if (!CanServe(w, r, velocity, options.policy)) return false;
+        if (guide_st != nullptr) {
+          const TypeId task_type = guide_st->TypeOf(r.location, r.start);
+          const auto cap = capacity.find(
+              options.guide->TypePairKey(worker_type, task_type));
+          if (cap == capacity.end() || cap->second <= 0) return false;
+        }
+        return true;
+      };
       // Arrival-time window implied by the deadline predicate (either
       // policy): Sr < Sw + Dw, and the travel-time condition forces
       // Sr >= Sw - Dr. A superset window; CanServe stays the authority.
       // Querying at w.start is safe: a task gone before the worker even
       // starts cannot be served under either policy.
-      const auto& candidates = cursor.TopK(
-          w.location, worker_reach(w), k, w.start,
-          StartWindow{w.start - limits.max_task_duration, w.Deadline()},
-          [&](CellId cell) {
-            return cell_owner[static_cast<size_t>(cell)] != shard;
-          },
-          [&](const RetrievalCandidate& entry, double) {
-            if (task_shard_of_id[static_cast<size_t>(entry.id)] == shard) {
-              return false;
+      const StartWindow window{w.start - limits.max_task_duration,
+                               w.Deadline()};
+      const std::vector<ScoredCandidate>* candidates = nullptr;
+      if (guide_st == nullptr) {
+        candidates = &cursor.TopK(
+            w.location, worker_reach(w), k, w.start, window,
+            [&](CellId cell) {
+              return cell_owner[static_cast<size_t>(cell)] != shard;
+            },
+            filter);
+      } else {
+        // The cells of every task type this worker's type has capacity
+        // toward (the query drops repeats), minus its own shard's cells.
+        // Every other cell holds only tasks the filter rejects (no
+        // capacity, or same shard), so the query stays exact for any guide
+        // grid.
+        const int64_t type_lo = options.guide->TypePairKey(worker_type, 0);
+        const int64_t type_hi = type_lo + guide_st->num_types();
+        cells.clear();
+        for (auto key = std::lower_bound(capacity_keys.begin(),
+                                         capacity_keys.end(), type_lo);
+             key != capacity_keys.end() && *key < type_hi; ++key) {
+          for (const CellId cell :
+               cells_of_task_type[static_cast<size_t>(*key - type_lo)]) {
+            if (cell_owner[static_cast<size_t>(cell)] != shard) {
+              cells.push_back(cell);
             }
-            const Task& r = instance.task(static_cast<TaskId>(entry.id));
-            if (!CanServe(w, r, velocity, options.policy)) return false;
-            if (guide_st != nullptr) {
-              const TypeId task_type = guide_st->TypeOf(r.location, r.start);
-              const auto cap = capacity.find(
-                  options.guide->TypePairKey(worker_type, task_type));
-              if (cap == capacity.end() || cap->second <= 0) return false;
-            }
-            return true;
-          });
+          }
+        }
+        candidates = &cursor.TopK(w.location, worker_reach(w), k, w.start,
+                                  window, cells, filter);
+      }
       int32_t* row = &slots[i * k];
-      for (const ScoredCandidate& c : candidates) {
+      for (const ScoredCandidate& c : *candidates) {
         row[num_slots[i]++] =
             right_of_task[static_cast<size_t>(c.candidate.id)];
       }

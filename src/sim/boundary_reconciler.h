@@ -23,9 +23,13 @@
 //
 // Candidate discovery skips every grid cell whose boundary tasks all
 // belong to the querying worker's own shard (their entries would fail the
-// cross-shard check anyway) and, given a lent pool, fans out over
-// contiguous worker-id ranges; the matching and the commit stay serial in
-// worker id order.
+// cross-shard check anyway). A guided pass goes further: it indexes, per
+// guide task type, the cells holding a boundary task of that type, and a
+// worker scans only the cells of the task types its own type still has
+// capacity toward. Every skipped cell holds only entries the per-entry
+// filter rejects, so the result is exact for any guide grid. Given a lent
+// pool, discovery fans out over contiguous worker-id ranges; the matching
+// and the commit stay serial in worker id order.
 
 #ifndef FTOA_SIM_BOUNDARY_RECONCILER_H_
 #define FTOA_SIM_BOUNDARY_RECONCILER_H_
@@ -86,7 +90,9 @@ struct ReconcileStats {
 /// max(Sw, Sr) — the earliest moment a platform seeing both shards could
 /// have committed the pair). Candidate discovery runs the shared retrieval
 /// engine's top-k query over a CandidateStore of the boundary tasks
-/// (best-first cell walk, arrival-time binary search per bucket); the
+/// (nearest cells first, arrival-time binary search per bucket): the ring
+/// walk for an unguided pass, the guide-capacity cell list for a guided
+/// one; the
 /// matching itself is a DynamicBipartiteMatcher augmented in worker id
 /// order, so the result is deterministic and maximum over the kept
 /// candidate edges.

@@ -42,6 +42,7 @@ class ReferenceLoop {
       }
     }
     const int64_t windows = static_cast<int64_t>(rows.size());
+    reconciled_.assign(rows.size(), 0);
     const int64_t per_segment =
         options_.windows_per_segment <= 0
             ? spd_
@@ -56,6 +57,10 @@ class ReferenceLoop {
     }
     return pairs_;
   }
+
+  /// Per window: the pairs reconciliation recovered in the segment that
+  /// rotated there.
+  const std::vector<int64_t>& reconciled() const { return reconciled_; }
 
  private:
   /// An admitted object on the absolute stream axis.
@@ -204,6 +209,8 @@ class ReferenceLoop {
     }
 
     FTOA_ASSIGN_OR_RETURN(ShardedRunResult result, session->Finish());
+    reconciled_[static_cast<size_t>(end - 1)] +=
+        result.reconcile.recovered_pairs;
     for (const MatchedPair& pair : result.assignment.pairs()) {
       const int64_t worker = worker_stream[static_cast<size_t>(pair.worker)];
       const int64_t task = task_stream[static_cast<size_t>(pair.task)];
@@ -317,6 +324,7 @@ class ReferenceLoop {
   std::vector<std::vector<int32_t>> realized_workers_, realized_tasks_;
   std::vector<Object> objects_;  ///< Indexed by stream id; never freed.
   Pairs pairs_;
+  std::vector<int64_t> reconciled_;
 };
 
 }  // namespace
@@ -324,7 +332,8 @@ class ReferenceLoop {
 Result<Pairs> ReferenceServeLoop(const CityProfile& profile,
                                  const LoopedTraceSource::Options& trace,
                                  const ServiceOptions& options,
-                                 const std::vector<WindowMetrics>& rows) {
+                                 const std::vector<WindowMetrics>& rows,
+                                 std::vector<int64_t>* reconciled) {
   if (options.slo_p99_ms > 0.0) {
     return Status::InvalidArgument(
         "ReferenceServeLoop: slo_p99_ms > 0 is not modeled");
@@ -345,7 +354,9 @@ Result<Pairs> ReferenceServeLoop(const CityProfile& profile,
   guide.task_duration = profile.task_duration;
   guide.refresh_mode = GuideRefreshMode::kCold;
   ReferenceLoop loop(profile, trace, options, std::move(faults), guide);
-  return loop.Run(rows);
+  FTOA_ASSIGN_OR_RETURN(Pairs pairs, loop.Run(rows));
+  if (reconciled != nullptr) *reconciled = loop.reconciled();
+  return pairs;
 }
 
 }  // namespace testing

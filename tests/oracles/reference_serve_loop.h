@@ -41,10 +41,13 @@ namespace testing {
 
 /// Every committed pair as (worker stream id, task stream id), in segment
 /// rotation order — the same order as ServiceHarness::matched_pairs().
+/// A non-null `reconciled` receives, per window, the recovered_pairs of
+/// the dispatcher whose segment rotated there (0 elsewhere).
 Result<std::vector<std::pair<int64_t, int64_t>>> ReferenceServeLoop(
     const CityProfile& profile, const LoopedTraceSource::Options& trace,
     const ServiceOptions& options,
-    const std::vector<WindowMetrics>& harness_windows);
+    const std::vector<WindowMetrics>& harness_windows,
+    std::vector<int64_t>* reconciled = nullptr);
 
 }  // namespace testing
 }  // namespace ftoa

@@ -340,6 +340,125 @@ TEST(CandidateCursorTest, SkippedCellsCountAsNeitherVisitedNorExamined) {
   EXPECT_EQ(stats.max_cells_visited, 1);
 }
 
+TEST(CandidateCursorTest, CellListVisitsNearestCellsFirstAndStopsEarly) {
+  // Listed far cell first: the query still visits the near cell first,
+  // and once k = 1 is held at distance 1 the far cell's lower bound (85)
+  // ends the walk before its bucket is scanned. Unlisted cells are never
+  // visited, even the origin's own.
+  CandidateStore store(MakeGrid());
+  store.Insert(Entry(1, 5.0, 5.0, 0.0, 10.0));
+  store.Insert(Entry(2, 16.0, 5.0, 0.0, 10.0));
+  store.Insert(Entry(3, 95.0, 5.0, 0.0, 10.0));
+  const GridSpec& grid = store.grid();
+  RetrievalStats stats;
+  CandidateCursor cursor(&store, &stats);
+  const std::vector<CellId> cells = {grid.CellOf({95.0, 5.0}),
+                                     grid.CellOf({16.0, 5.0})};
+  const auto& hits = cursor.TopK({15.0, 5.0}, 100.0, 1, 0.0, StartWindow{},
+                                 cells, AcceptAll);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].candidate.id, 2);
+  EXPECT_EQ(stats.queries, 1);
+  EXPECT_EQ(stats.cells_visited, 1);
+  EXPECT_EQ(stats.candidates_examined, 1);
+
+  // An empty list visits nothing.
+  EXPECT_TRUE(cursor
+                  .TopK({15.0, 5.0}, 100.0, 1, 0.0, StartWindow{},
+                        std::vector<CellId>{}, AcceptAll)
+                  .empty());
+  EXPECT_EQ(stats.queries, 2);
+  EXPECT_EQ(stats.cells_visited, 1);
+}
+
+// The cell-list query against the ring walk whose admit_cell accepts the
+// same cells, and against the linear oracle over those cells' entries, on
+// randomized stores with tombstones, overwritten ids, lattice points
+// (many equal distances, so the id decides) and integer starts (equal
+// starts within a bucket).
+TEST(CandidateCursorTest, CellListMatchesRingWalkAndOracle) {
+  for (uint64_t seed = 0; seed < 12; ++seed) {
+    Rng rng(seed * 7919 + 3);
+    CandidateStore store(MakeGrid());
+    const GridSpec& grid = store.grid();
+    const auto lattice = [&rng]() {
+      return 5.0 * static_cast<double>(rng.NextBounded(21));
+    };
+    const auto insert = [&](int64_t id) {
+      const double start = static_cast<double>(rng.NextBounded(10));
+      store.Insert(Entry(id, lattice(), lattice(), start,
+                         start + static_cast<double>(rng.NextBounded(10))));
+    };
+    for (int64_t id = 0; id < 400; ++id) insert(id);
+    for (int64_t id = 0; id < 400; ++id) {
+      const double roll = rng.NextDouble();
+      if (roll < 0.25) {
+        store.Erase(id);  // Tombstone (compaction only for dense buckets).
+      } else if (roll < 0.35) {
+        insert(id);  // Overwrite: tombstone plus a new entry.
+      }
+    }
+
+    RetrievalStats ring_stats;
+    RetrievalStats list_stats;
+    CandidateCursor ring(&store, &ring_stats);
+    CandidateCursor list(&store, &list_stats);
+    for (int q = 0; q < 40; ++q) {
+      std::vector<char> listed(static_cast<size_t>(grid.num_cells()), 0);
+      std::vector<CellId> cells;
+      for (CellId cell = 0; cell < grid.num_cells(); ++cell) {
+        if (rng.NextBool(0.35)) {
+          listed[static_cast<size_t>(cell)] = 1;
+          cells.push_back(cell);
+        }
+      }
+      // Any order and repeats are allowed: repeat a few, then shuffle.
+      for (size_t i = 0, listed_cells = cells.size(); i < listed_cells;
+           ++i) {
+        if (rng.NextBool(0.2)) cells.push_back(cells[i]);
+      }
+      for (size_t i = cells.size(); i > 1; --i) {
+        std::swap(cells[i - 1], cells[rng.NextBounded(i)]);
+      }
+      const auto admit = [&listed](CellId cell) {
+        return listed[static_cast<size_t>(cell)] != 0;
+      };
+      const Point origin{lattice(), lattice()};
+      const double max_distance = rng.NextDouble(5.0, 90.0);
+      const double query_time = static_cast<double>(rng.NextBounded(12));
+      StartWindow window;
+      if (rng.NextBool(0.5)) {
+        window.lo = static_cast<double>(rng.NextBounded(8));
+        window.hi = window.lo + static_cast<double>(rng.NextBounded(6));
+      }
+      const int64_t parity = static_cast<int64_t>(rng.NextBounded(3));
+      const auto filter = [parity](const RetrievalCandidate& e, double) {
+        return e.id % 3 != parity;
+      };
+      for (const size_t k : {size_t{1}, size_t{8}}) {
+        const std::string label = "seed " + std::to_string(seed) +
+                                  " query " + std::to_string(q) +
+                                  " k=" + std::to_string(k);
+        const std::vector<ScoredCandidate> walked = ring.TopK(
+            origin, max_distance, k, query_time, window, admit, filter);
+        const auto& got = list.TopK(origin, max_distance, k, query_time,
+                                    window, cells, filter);
+        ExpectSameHits(got, walked, label + " vs ring walk");
+        ExpectSameHits(
+            got,
+            OracleTopK(store, origin, max_distance, k, query_time, window,
+                       [&](const RetrievalCandidate& e, double d) {
+                         return admit(grid.CellOf(e.location)) &&
+                                filter(e, d);
+                       }),
+            label + " vs oracle");
+      }
+    }
+    // Both queries scan only listed cells.
+    EXPECT_LE(list_stats.cells_visited, ring_stats.cells_visited);
+  }
+}
+
 TEST(CandidateCursorTest, ForEachInDiskMatchesOracleAsASet) {
   Rng rng(2024);
   CandidateStore store(MakeGrid());

@@ -137,6 +137,45 @@ TEST(RotationEquivalenceTest, SpineMatchesRebuildWithEngineAndReconcile) {
   EXPECT_GT(harness->totals().guide_swaps, 0);
 }
 
+TEST(RotationEquivalenceTest, ReconciledCountsTheDispatchersRecoveredPairs) {
+  // WindowMetrics::reconciled attributes a segment's boundary recoveries
+  // to its rotation window: per window it equals the recovered_pairs of
+  // the reference loop's dispatcher for that segment, and the per-window
+  // sum is ServiceTotals::reconciled.
+  ServiceOptions options;
+  options.algorithm = "polar-op";
+  options.num_shards = 4;
+  options.shard_threads = 2;
+  options.reconcile = true;
+  options.retrieval = RetrievalMode::kEngine;
+  options.windows_per_segment = 2;
+  auto harness = MakeHarness(options);
+  ASSERT_TRUE(harness->RunWindows(18).ok());
+  std::vector<int64_t> want;
+  const auto reference = testing::ReferenceServeLoop(
+      SmallCity(), LoopedTraceSource::Options{}, harness->options(),
+      harness->windows(), &want);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_EQ(want.size(), harness->windows().size());
+  int64_t got_sum = 0;
+  int64_t want_sum = 0;
+  for (size_t w = 0; w < want.size(); ++w) {
+    const WindowMetrics& row = harness->windows()[w];
+    EXPECT_EQ(row.reconciled, want[w]) << "window " << w;
+    EXPECT_LE(row.reconciled, row.matched) << "window " << w;
+    got_sum += row.reconciled;
+    want_sum += want[w];
+  }
+  EXPECT_EQ(got_sum, want_sum);
+  EXPECT_EQ(harness->totals().reconciled, got_sum);
+  EXPECT_GT(got_sum, 0);
+
+  options.reconcile = false;
+  auto unreconciled = MakeHarness(options);
+  ASSERT_TRUE(unreconciled->RunWindows(18).ok());
+  EXPECT_EQ(unreconciled->totals().reconciled, 0);
+}
+
 TEST(RotationEquivalenceTest, ReferenceRejectsWhatItDoesNotModel) {
   auto harness = MakeHarness(ServiceOptions{});
   ASSERT_TRUE(harness->RunWindows(2).ok());

@@ -7,7 +7,9 @@
 // counts, lent pool sizes and reruns, and it degenerates to a no-op at one
 // shard. The *Stress* sweep crosses MakeFuzzInstance arrival patterns x
 // routers x handoff batch sizes (FTOA_STRESS_ITERS widens it) and checks
-// the pass against the serial oracle in tests/oracles/.
+// the pass against the serial oracle in tests/oracles/. Guided passes are
+// also pinned to the oracle with guides on a coarser and a finer grid than
+// the instance's, and with a guide that has no matched pairs.
 
 #include "sim/boundary_reconciler.h"
 
@@ -22,6 +24,8 @@
 #include <vector>
 
 #include "core/algorithm_registry.h"
+#include "core/guide_generator.h"
+#include "core/prediction_matrix.h"
 #include "oracles/serial_boundary_reconciler.h"
 #include "sim/runner.h"
 #include "sim/sharded_dispatcher.h"
@@ -508,6 +512,130 @@ TEST(BoundaryReconcilerSuiteTest, FeasibleReachMatchesSerialOracleOnGreedy) {
     }
   }
   EXPECT_GT(recovered, 0);
+}
+
+TEST(BoundaryReconcilerSuiteTest, CapacityCellsMatchSerialOracleOnPolarOp) {
+  // The guided counterpart: polar-op's pass visits only the cells holding
+  // a task type its worker's type has capacity toward, so it must recover
+  // the same pairs as the oracle's full-disk walk while examining fewer
+  // entries.
+  ThreadPool pool(2);
+  int64_t recovered = 0;
+  for (const uint64_t seed : {12u, 13u}) {
+    const Universe universe =
+        MakeFuzzUniverse(seed, ArrivalPattern::kShuffledIds, 160, 160);
+    for (const int num_shards : {2, 4}) {
+      ShardedOptions sharded;
+      sharded.num_shards = num_shards;
+      const std::string label = "seed " + std::to_string(seed) +
+                                " shards=" + std::to_string(num_shards);
+      const auto [pass, oracle] = ExpectMatchesSerialOracle(
+          universe, "polar-op", sharded, &pool, label);
+      recovered += pass.recovered_pairs;
+      EXPECT_LT(pass.retrieval.candidates_examined,
+                oracle.retrieval.candidates_examined)
+          << label;
+    }
+  }
+  EXPECT_GT(recovered, 0);
+}
+
+/// `universe` with its guide re-solved on `guide_grid` instead of the
+/// instance's grid (same slots), from the instance's realized counts typed
+/// on that grid.
+Universe WithGuideOnGrid(const Universe& universe, const GridSpec& guide_grid) {
+  const Instance& instance = universe.instance;
+  const SpacetimeSpec spacetime(instance.spacetime().slots(), guide_grid);
+  PredictionMatrix prediction(spacetime);
+  for (const Worker& w : instance.workers()) {
+    const TypeId type = spacetime.TypeOf(w.location, w.start);
+    prediction.set_workers_at(type, prediction.workers_at(type) + 1);
+  }
+  for (const Task& r : instance.tasks()) {
+    const TypeId type = spacetime.TypeOf(r.location, r.start);
+    prediction.set_tasks_at(type, prediction.tasks_at(type) + 1);
+  }
+  GuideOptions options;
+  options.worker_duration = instance.MaxWorkerDuration();
+  options.task_duration = instance.MaxTaskDuration();
+  auto guide =
+      GuideGenerator(instance.velocity(), options).Generate(prediction);
+  EXPECT_TRUE(guide.ok()) << guide.status().ToString();
+  Universe out{instance, universe.deps};
+  out.deps.guide = std::make_shared<const OfflineGuide>(std::move(*guide));
+  return out;
+}
+
+TEST(BoundaryReconcilerSuiteTest, GuideOnAnotherGridMatchesSerialOracle) {
+  // The type -> cell index maps guide task types to the *store's* cells;
+  // with a coarser guide grid a task type spans several store cells, with
+  // a finer one several task types share a cell. Either way the pass must
+  // reproduce the oracle exactly.
+  ThreadPool pool(3);
+  int64_t recovered = 0;
+  for (const uint64_t seed : {21u, 22u}) {
+    const Universe base =
+        MakeFuzzUniverse(seed, ArrivalPattern::kBursty, 150, 150);
+    ASSERT_EQ(base.instance.spacetime().grid().cells_x(), 4);
+    for (const int cells : {2, 7}) {
+      const Universe universe =
+          WithGuideOnGrid(base, GridSpec(10.0, 10.0, cells, cells));
+      ASSERT_GT(universe.deps.guide->matched_pairs(), 0);
+      for (const char* algorithm : {"polar-op", "polar-op-g"}) {
+        for (const ShardRouterKind router :
+             {ShardRouterKind::kGrid, ShardRouterKind::kHash,
+              ShardRouterKind::kLoad}) {
+          ShardedOptions sharded;
+          sharded.num_shards = 3;
+          sharded.router = router;
+          const std::string label =
+              std::string(algorithm) + " seed " + std::to_string(seed) +
+              " guide grid " + std::to_string(cells) + "x" +
+              std::to_string(cells) + " " + ShardRouterKindName(router);
+          recovered += ExpectMatchesSerialOracle(universe, algorithm,
+                                                 sharded, &pool, label)
+                           .first.recovered_pairs;
+        }
+      }
+    }
+  }
+  EXPECT_GT(recovered, 0);
+}
+
+TEST(BoundaryReconcilerSuiteTest, ZeroPairGuideRecoversNothingAndScansNoCell) {
+  // A guide with no matched pairs leaves no capacity: every boundary
+  // worker's candidate cell list is empty, so the pass queries once per
+  // worker, visits no cell and adds nothing — as the oracle, which walks
+  // and rejects every entry, also adds nothing.
+  const Universe universe =
+      MakeFuzzUniverse(31, ArrivalPattern::kShuffledIds, 120, 120);
+  ShardedOptions sharded;
+  sharded.num_shards = 4;
+  BaseRun base = MakeBaseRun(universe, "polar-op", sharded);
+  auto empty = GuideGenerator(universe.instance.velocity(), GuideOptions{})
+                   .Generate(PredictionMatrix(universe.instance.spacetime()));
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  ASSERT_EQ(empty->matched_pairs(), 0);
+  base.options.guide = &*empty;
+
+  Assignment want = base.assignment;
+  const auto oracle = ::ftoa::testing::SerialReconcileShardBoundary(
+      universe.instance, *base.router, base.options, &want);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  Assignment got = base.assignment;
+  const auto pass = ReconcileShardBoundary(universe.instance, *base.router,
+                                           base.options, &got);
+  ASSERT_TRUE(pass.ok()) << pass.status().ToString();
+  ExpectSamePairs(base.assignment, got, "zero-pair guide");
+  ExpectSamePairs(want, got, "zero-pair guide vs oracle");
+  EXPECT_GT(pass->boundary_workers, 0);
+  EXPECT_GT(pass->boundary_tasks, 0);
+  EXPECT_EQ(pass->recovered_pairs, 0);
+  EXPECT_EQ(pass->capacity_dropped, 0);
+  EXPECT_EQ(pass->retrieval.queries, pass->boundary_workers);
+  EXPECT_EQ(pass->retrieval.cells_visited, 0);
+  EXPECT_EQ(pass->retrieval.candidates_examined, 0);
+  EXPECT_GT(oracle->retrieval.candidates_examined, 0);
 }
 
 /// Randomized sweep of the full reconciliation contract: arrival pattern x

@@ -2,7 +2,7 @@
 """Bench regression gate: diff a fresh google-benchmark JSON against a
 committed baseline and fail on steady-state regressions.
 
-Three checks; the first over benchmarks present in *both* files, the
+Four checks; the first two over benchmarks present in *both* files, the
 other two on the fresh run alone:
 
   1. Per-benchmark regression: fresh real_time > --max-regression x the
@@ -10,11 +10,18 @@ other two on the fresh run alone:
      on whatever machine cut the PR, and the gate must not flake on
      hardware differences; a genuine O(store)-per-window regression on the
      serving path blows past 2x on any machine).
-  2. Warm-refresh invariant (BENCH_refresh.json only): in the *fresh* run,
+  2. Deterministic counters: for every row present in both files, the
+     outcome counters in EQUAL_COUNTERS (matched, reconciled, recovered,
+     boundary_workers) must equal the baseline's, and the work counters in
+     NONINCREASING_COUNTERS (examined_per_query) must not exceed it. A
+     change that drops pairs while getting faster fails here, not in the
+     timing check. Rows whose counters depend on thread timing are listed,
+     with the reason, in COUNTER_EXEMPT_ROWS.
+  3. Warm-refresh invariant (BENCH_refresh.json only): in the *fresh* run,
      BM_GuideRefresh/warm/C must beat BM_GuideRefresh/cold/C by at least
      --min-warm-speedup (default 2.0) -- the PR's acceptance bar, measured
      on one machine so it cannot flake on hardware.
-  3. Unchanged-refresh invariant (BENCH_refresh.json only): in the fresh
+  4. Unchanged-refresh invariant (BENCH_refresh.json only): in the fresh
      run, BM_RefreshNow/unchanged (an inline refresh that republishes the
      remembered guide) must cost at most MAX_UNCHANGED_RATIO (1%) of
      BM_RefreshNow/changed (a refresh that solves). Both rows use one time
@@ -36,17 +43,41 @@ import sys
 # cost at most this fraction of a refresh that solves.
 MAX_UNCHANGED_RATIO = 0.01
 
+# Counters a row must reproduce exactly: what the benchmarked code
+# decided, which no speedup may change.
+EQUAL_COUNTERS = ("matched", "reconciled", "recovered", "boundary_workers")
+
+# Counters a row may lower but never raise: work per query.
+NONINCREASING_COUNTERS = ("examined_per_query",)
+
+# Rows exempt from the counter check: name -> why their counters vary
+# between two runs of the same binary. Every other row carrying these
+# counters in the seven BENCH files reproduced them exactly across two
+# runs of one binary.
+_BACKGROUND_PUBLISH = ("background refresh publishes land at a "
+                       "scheduling-dependent window, so matched varies "
+                       "between runs")
+COUNTER_EXEMPT_ROWS = {
+    "BM_Interference/dedicated/24": _BACKGROUND_PUBLISH,
+    "BM_Interference/shared_slice/24": _BACKGROUND_PUBLISH,
+}
+
 
 def load_benchmarks(path):
-    """name -> real_time for every non-aggregate benchmark entry."""
+    """name -> benchmark entry for every non-aggregate entry."""
     with open(path) as handle:
         data = json.load(handle)
     runs = {}
     for bench in data.get("benchmarks", []):
         if bench.get("run_type", "iteration") != "iteration":
             continue
-        runs[bench["name"]] = float(bench["real_time"])
+        runs[bench["name"]] = bench
     return runs
+
+
+def real_times(runs):
+    """name -> real_time."""
+    return {name: float(bench["real_time"]) for name, bench in runs.items()}
 
 
 def check_regressions(baseline, fresh, max_regression):
@@ -67,6 +98,32 @@ def check_regressions(baseline, fresh, max_regression):
         print(f"  note {name}: in baseline only (series removed?)")
     for name in sorted(set(fresh) - set(baseline)):
         print(f"  note {name}: new series (no baseline)")
+    return failures
+
+
+def check_counters(baseline, fresh):
+    """Outcome counters equal, work counters no higher, row by row."""
+    failures = []
+    for name in sorted(set(baseline) & set(fresh)):
+        if name in COUNTER_EXEMPT_ROWS:
+            print(f"  skip {name}: {COUNTER_EXEMPT_ROWS[name]}")
+            continue
+        for counter in EQUAL_COUNTERS + NONINCREASING_COUNTERS:
+            if counter not in baseline[name] or counter not in fresh[name]:
+                continue
+            want = float(baseline[name][counter])
+            got = float(fresh[name][counter])
+            if counter in EQUAL_COUNTERS:
+                ok, relation = got == want, "!="
+            else:
+                ok, relation = got <= want, ">"
+            if not ok:
+                print(f"  FAIL {name}: {counter} {got:g} {relation} "
+                      f"baseline {want:g}")
+                failures.append(f"{name} {counter} {got:g} {relation} "
+                                f"baseline {want:g}")
+    if not failures:
+        print("  ok   every shared row's counters hold")
     return failures
 
 
@@ -119,11 +176,14 @@ def main():
     fresh = load_benchmarks(args.fresh)
 
     print(f"bench-regression: {args.fresh} vs baseline {args.baseline}")
-    failures = check_regressions(baseline, fresh, args.max_regression)
+    failures = check_regressions(real_times(baseline), real_times(fresh),
+                                 args.max_regression)
+    print("bench-regression: deterministic counters")
+    failures += check_counters(baseline, fresh)
     print("bench-regression: warm-refresh speedup bar")
-    failures += check_warm_speedup(fresh, args.min_warm_speedup)
+    failures += check_warm_speedup(real_times(fresh), args.min_warm_speedup)
     print("bench-regression: unchanged-refresh bar")
-    failures += check_unchanged_refresh(fresh)
+    failures += check_unchanged_refresh(real_times(fresh))
 
     if failures:
         print("bench-regression: FAILED")

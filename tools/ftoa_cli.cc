@@ -549,6 +549,11 @@ int CmdServe(int argc, char** argv) {
               static_cast<long long>(totals.dropped_arrivals));
   std::printf("matched        %lld pairs\n",
               static_cast<long long>(totals.matched));
+  if (options.reconcile) {
+    std::printf("reconciled     %lld of them recovered across shard "
+                "borders\n",
+                static_cast<long long>(totals.reconciled));
+  }
   std::printf("evicted        %lld expired (store peak %lld, now %lld; "
               "%lld live)\n",
               static_cast<long long>(totals.evictions),
