@@ -2,9 +2,10 @@
 // ServiceHarness across its robustness features — segment length (session
 // rebuild amortization), sharding, inline vs background guide refresh, and
 // a faulted run (flash crowd + slow shard + forced refresh failures) versus
-// the clean baseline. Counters expose the service-side outcomes: matched
-// pairs, evictions, shed load, and the final store size (the memory story —
-// the evicting store holds only the live tail).
+// the clean baseline, plus one city-scale day. Counters expose the
+// service-side outcomes: matched pairs, evictions, shed load, and the final
+// store size (the memory story — the evicting store holds only the live
+// tail).
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 #include <memory>
 #include <string>
 
+#include "gen/config.h"
 #include "serve/service_harness.h"
 
 namespace ftoa {
@@ -113,6 +115,40 @@ void BM_ServeFaulted(benchmark::State& state) {
   RunService(state, options, state.range(0));
 }
 
+/// The serving default at city scale: Beijing x1, one measured day after
+/// an untimed warm-up day (bootstrap solve, first trace day, store and
+/// calendar growth). Per-object bookkeeping — the record table and the
+/// expiry calendar — shows here; BenchCity has too few objects for it.
+void BM_ServeCity(benchmark::State& state) {
+  const CityProfile profile = BeijingProfile();
+  ServiceTotals last;
+  int64_t last_store = 0;
+  int64_t admitted = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto harness = DieUnless(ServiceHarness::Create(
+        profile, LoopedTraceSource::Options{}, ServiceOptions{}));
+    Status status = harness->RunWindows(profile.slots_per_day);
+    const int64_t warm_admitted = harness->totals().admitted;
+    state.ResumeTiming();
+    if (status.ok()) status = harness->RunWindows(profile.slots_per_day);
+    if (!status.ok()) {
+      std::fprintf(stderr, "bench_service: %s\n", status.ToString().c_str());
+      std::exit(1);
+    }
+    state.PauseTiming();
+    admitted += harness->totals().admitted - warm_admitted;
+    last = harness->totals();
+    last_store = harness->store_size();
+    harness.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(admitted);
+  state.counters["matched"] = static_cast<double>(last.matched);
+  state.counters["evicted"] = static_cast<double>(last.evictions);
+  state.counters["store"] = static_cast<double>(last_store);
+}
+
 BENCHMARK(BM_ServeBaseline)->Arg(12)->Arg(24)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ServeSegment)
     ->Args({24, 1})
@@ -125,6 +161,7 @@ BENCHMARK(BM_ServeSharded)
     ->Args({24, 3})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ServeFaulted)->Arg(24)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServeCity)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace ftoa

@@ -1,6 +1,8 @@
 #include "gen/city_trace.h"
 
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 
 #include "util/rng.h"
 
@@ -227,6 +229,10 @@ Result<Instance> CityTraceGenerator::GenerateInstanceForDay(int day) const {
 
   std::vector<Worker> workers;
   std::vector<Task> tasks;
+  workers.reserve(static_cast<size_t>(
+      std::accumulate(worker_counts.begin(), worker_counts.end(), int64_t{0})));
+  tasks.reserve(static_cast<size_t>(
+      std::accumulate(task_counts.begin(), task_counts.end(), int64_t{0})));
   for (int slot = 0; slot < profile_.slots_per_day; ++slot) {
     for (int cell = 0; cell < num_cells_; ++cell) {
       const size_t k = static_cast<size_t>(slot) * num_cells_ + cell;

@@ -1,6 +1,9 @@
 #include "gen/looped_trace.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <utility>
 
 namespace ftoa {
@@ -42,24 +45,46 @@ Result<std::vector<StreamArrival>> LoopedTraceSource::ArrivalsForDay(
                         generator_.GenerateInstanceForDay(source_day));
   const double offset = static_cast<double>(day) * day_horizon();
 
-  std::vector<StreamArrival> arrivals;
-  arrivals.reserve(instance.num_workers() + instance.num_tasks());
+  // Linear-time ordering, written straight into place: a counting sort on
+  // a key monotone in time (about one arrival per key), then an insertion
+  // pass with ArrivesBefore. Monotone keys leave out of order only
+  // arrivals that share a key, so the insertion pass ends in exactly the
+  // comparator's order.
+  const size_t n = instance.num_workers() + instance.num_tasks();
+  const double keys_per_unit = static_cast<double>(n) / day_horizon();
+  const auto key_of = [&](double time) {
+    const double key = std::floor((time - offset) * keys_per_unit);
+    return std::min(n - 1, static_cast<size_t>(std::max(0.0, key)));
+  };
+  std::vector<uint32_t> next(n + 1, 0);
   for (const Worker& w : instance.workers()) {
-    arrivals.push_back(StreamArrival{ObjectKind::kWorker, offset + w.start,
-                                     w.location, w.duration, w.id, day});
+    ++next[key_of(offset + w.start) + 1];
   }
   for (const Task& r : instance.tasks()) {
-    arrivals.push_back(StreamArrival{ObjectKind::kTask, offset + r.start,
-                                     r.location, r.duration, r.id, day});
+    ++next[key_of(offset + r.start) + 1];
   }
-  // The session arrival contract: nondecreasing time, workers before tasks
-  // at equal times, lower ids first (BuildArrivalStream's order).
-  std::sort(arrivals.begin(), arrivals.end(),
-            [](const StreamArrival& a, const StreamArrival& b) {
-              if (a.time != b.time) return a.time < b.time;
-              if (a.kind != b.kind) return a.kind == ObjectKind::kWorker;
-              return a.source_id < b.source_id;
-            });
+  for (size_t k = 1; k <= n; ++k) next[k] += next[k - 1];
+
+  std::vector<StreamArrival> arrivals(n);
+  for (const Worker& w : instance.workers()) {
+    const double time = offset + w.start;
+    arrivals[next[key_of(time)]++] = StreamArrival{
+        ObjectKind::kWorker, time, w.location, w.duration, w.id, day};
+  }
+  for (const Task& r : instance.tasks()) {
+    const double time = offset + r.start;
+    arrivals[next[key_of(time)]++] = StreamArrival{
+        ObjectKind::kTask, time, r.location, r.duration, r.id, day};
+  }
+  for (size_t i = 1; i < n; ++i) {
+    if (!ArrivesBefore(arrivals[i], arrivals[i - 1])) continue;
+    const StreamArrival moving = arrivals[i];
+    size_t j = i;
+    for (; j > 0 && ArrivesBefore(moving, arrivals[j - 1]); --j) {
+      arrivals[j] = arrivals[j - 1];
+    }
+    arrivals[j] = moving;
+  }
   return arrivals;
 }
 

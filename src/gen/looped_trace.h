@@ -38,6 +38,15 @@ struct StreamArrival {
   double Deadline() const { return time + duration; }
 };
 
+/// The session arrival contract's order on stream arrivals: nondecreasing
+/// time; at equal times workers before tasks, then lower source id
+/// (BuildArrivalStream's order).
+inline bool ArrivesBefore(const StreamArrival& a, const StreamArrival& b) {
+  if (a.time != b.time) return a.time < b.time;
+  if (a.kind != b.kind) return a.kind == ObjectKind::kWorker;
+  return a.source_id < b.source_id;
+}
+
 /// Deterministic unbounded replay of a city trace.
 class LoopedTraceSource {
  public:
@@ -64,8 +73,7 @@ class LoopedTraceSource {
   SpacetimeSpec DaySpacetime() const { return generator_.DaySpacetime(); }
 
   /// Arrivals of absolute stream day `day` (any day >= 0), on the absolute
-  /// time axis, sorted by the session arrival contract (nondecreasing
-  /// time; at ties workers before tasks, then lower source id).
+  /// time axis, sorted by ArrivesBefore.
   Result<std::vector<StreamArrival>> ArrivalsForDay(int64_t day) const;
 
   /// The first `num_days` stream days concatenated into one Instance over

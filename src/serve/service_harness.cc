@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "core/algorithm_registry.h"
 #include "prediction/dataset.h"
@@ -86,6 +87,22 @@ Result<std::unique_ptr<ServiceHarness>> ServiceHarness::Create(
     // Validate the name eagerly (CreatePredictor's unknown-name error),
     // so a typo fails Create instead of the first day boundary.
     FTOA_RETURN_NOT_OK(CreatePredictor(resolved.refresh_predictor).status());
+  }
+  // The expiry calendar buckets every deadline by its ceiling, so it
+  // needs finite, nonnegative durations of bounded length.
+  for (const double duration :
+       {profile.worker_duration, profile.task_duration}) {
+    if (!(duration >= 0.0 && duration <= kMaxDurationWindows)) {
+      return Status::InvalidArgument(
+          "ServiceHarness: worker and task durations must be finite, "
+          "nonnegative and at most " +
+          std::to_string(static_cast<int64_t>(kMaxDurationWindows)) +
+          " windows");
+    }
+  }
+  if (!(profile.velocity > 0.0 && std::isfinite(profile.velocity))) {
+    return Status::InvalidArgument(
+        "ServiceHarness: velocity must be finite and positive");
   }
   resolved.analytical_slice = std::max(0, resolved.analytical_slice);
 
@@ -198,24 +215,24 @@ Status ServiceHarness::RefitPredictors(int64_t day) {
   return Status::OK();
 }
 
-void ServiceHarness::ExpireUpTo(double time, WindowMetrics* metrics) {
-  expired_up_to_ = time;
-  while (!deadline_heap_.empty() && deadline_heap_.top().first <= time) {
-    const int64_t stream_id = deadline_heap_.top().second;
-    deadline_heap_.pop();
-    auto it = store_.find(stream_id);
-    if (it == store_.end()) continue;  // Freed at match time.
+void ServiceHarness::ExpireUpTo(int64_t window, WindowMetrics* metrics) {
+  expired_up_to_ = window;
+  calendar_.DrainUpTo(window, [&](int64_t stream_id) {
+    const ObjectRecord* record = store_.Find(stream_id);
+    if (record == nullptr) return;  // Freed at match time.
     --live_;
     ++totals_.evictions;
-    if (metrics != nullptr) ++metrics->evicted;
+    ++metrics->evicted;
     // The safety invariant the property tests pin: a record freed here
     // is never live (its deadline has passed).
-    if (it->second.Deadline() > time) ++totals_.evicted_live;
+    if (record->Deadline() > static_cast<double>(window)) {
+      ++totals_.evicted_live;
+    }
     // The open segment's universe still references the record (an object
     // expiring mid-segment can legitimately match during the replay — it
     // was live at its arrival); free it at rotation.
     deferred_free_.push_back(stream_id);
-  }
+  });
 }
 
 PredictionMatrix ServiceHarness::PredictionFor(int64_t window) const {
@@ -319,6 +336,12 @@ void ServiceHarness::StartSegment(int64_t window) {
   CompactSpine(window, segment_.day);
 }
 
+bool ServiceHarness::SpineBefore(const SpineEntry& a, const SpineEntry& b) {
+  if (a.rel_time != b.rel_time) return a.rel_time < b.rel_time;
+  if (a.kind != b.kind) return a.kind == ObjectKind::kWorker;
+  return a.stream_id < b.stream_id;
+}
+
 void ServiceHarness::CompactSpine(int64_t window, int64_t day) {
   // Equivalence with a store scan (pinned against
   // tests/oracles/reference_serve_loop): the spine holds exactly the
@@ -336,7 +359,7 @@ void ServiceHarness::CompactSpine(int64_t window, int64_t day) {
   for (const SpineEntry& entry : spine_) {
     // The fold keeps only entries whose record survived, and nothing is
     // freed between the fold and the next segment start.
-    const ObjectRecord& record = store_.at(entry.stream_id);
+    const ObjectRecord& record = *store_.Find(entry.stream_id);
     if (record.Deadline() <= now) continue;
     SpineEntry survivor = entry;
     if (retime) {
@@ -360,12 +383,7 @@ void ServiceHarness::CompactSpine(int64_t window, int64_t day) {
     // Re-timing can reorder (previous-day survivors all collapse to
     // rel_time 0); restore the spine's sort invariant. O(c log c) on the
     // carryover only.
-    std::sort(spine_.begin(), spine_.end(),
-              [](const SpineEntry& a, const SpineEntry& b) {
-                if (a.rel_time != b.rel_time) return a.rel_time < b.rel_time;
-                if (a.kind != b.kind) return a.kind == ObjectKind::kWorker;
-                return a.stream_id < b.stream_id;
-              });
+    std::sort(spine_.begin(), spine_.end(), SpineBefore);
     spine_day_ = day;
   }
 }
@@ -374,7 +392,7 @@ void ServiceHarness::AdmitWindow(int64_t window) {
   WindowMetrics metrics;
   metrics.window = window;
   metrics.day = window / spd_;
-  ExpireUpTo(static_cast<double>(window), &metrics);
+  ExpireUpTo(window, &metrics);
 
   const double window_end = static_cast<double>(window) + 1.0;
   std::vector<StreamArrival> batch;
@@ -396,12 +414,7 @@ void ServiceHarness::AdmitWindow(int64_t window) {
       batch.push_back(batch[i % base]);
       metrics.flash_clones++;
     }
-    std::sort(batch.begin(), batch.end(),
-              [](const StreamArrival& a, const StreamArrival& b) {
-                if (a.time != b.time) return a.time < b.time;
-                if (a.kind != b.kind) return a.kind == ObjectKind::kWorker;
-                return a.source_id < b.source_id;
-              });
+    std::sort(batch.begin(), batch.end(), ArrivesBefore);
   }
   metrics.offered = static_cast<int64_t>(batch.size());
 
@@ -450,11 +463,9 @@ void ServiceHarness::AdmitWindow(int64_t window) {
       continue;
     }
     const StreamArrival& arrival = batch[i];
-    const int64_t stream_id = next_stream_id_++;
-    store_.emplace(stream_id,
-                   ObjectRecord{arrival.kind, arrival.location, arrival.time,
-                                arrival.duration});
-    deadline_heap_.emplace(arrival.Deadline(), stream_id);
+    const int64_t stream_id = store_.Append(ObjectRecord{
+        arrival.kind, arrival.location, arrival.time, arrival.duration});
+    calendar_.Add(stream_id, arrival.Deadline());
     ++live_;
     admitted.push_back(stream_id);
     ++metrics.admitted;
@@ -496,8 +507,7 @@ void ServiceHarness::AdmitWindow(int64_t window) {
   totals_.offered += metrics.offered;
   totals_.admitted += metrics.admitted;
   totals_.shed += metrics.shed;
-  totals_.store_peak =
-      std::max(totals_.store_peak, static_cast<int64_t>(store_.size()));
+  totals_.store_peak = std::max(totals_.store_peak, store_.size());
   windows_.push_back(metrics);
 }
 
@@ -513,18 +523,18 @@ Status ServiceHarness::ReplaySegment() {
   // session arrival order — nondecreasing time, workers before tasks at
   // ties, lower ids first. Local ids are assigned in this order, so the id
   // tie-break and the stream-id tie-break agree.
-  const auto arrival_order = [](const SpineEntry& a, const SpineEntry& b) {
-    if (a.rel_time != b.rel_time) return a.rel_time < b.rel_time;
-    if (a.kind != b.kind) return a.kind == ObjectKind::kWorker;
-    return a.stream_id < b.stream_id;
-  };
   // This segment's admissions are already in arrival order by
   // construction: each window's batch is fed in (time, kind, source) order
   // and stream ids are handed out along it, windows never interleave times.
+  size_t admitted = 0;
+  for (const std::vector<int64_t>& ids : segment.admitted) {
+    admitted += ids.size();
+  }
   std::vector<SpineEntry> fresh;
+  fresh.reserve(admitted);
   for (size_t offset = 0; offset < segment.admitted.size(); ++offset) {
     for (const int64_t stream_id : segment.admitted[offset]) {
-      const ObjectRecord& record = store_.at(stream_id);
+      const ObjectRecord& record = *store_.Find(stream_id);
       fresh.push_back(SpineEntry{
           stream_id, record.kind, record.abs_start - day_start,
           record.duration, record.location,
@@ -537,11 +547,19 @@ Status ServiceHarness::ReplaySegment() {
   for (SpineEntry& entry : spine_) entry.window = segment.begin;
   std::vector<SpineEntry> objects(spine_.size() + fresh.size());
   std::merge(spine_.begin(), spine_.end(), fresh.begin(), fresh.end(),
-             objects.begin(), arrival_order);
+             objects.begin(), SpineBefore);
 
+  const size_t num_workers = static_cast<size_t>(
+      std::count_if(objects.begin(), objects.end(), [](const SpineEntry& o) {
+        return o.kind == ObjectKind::kWorker;
+      }));
   std::vector<Worker> workers;
   std::vector<Task> tasks;
   std::vector<int64_t> worker_stream, task_stream;
+  workers.reserve(num_workers);
+  worker_stream.reserve(num_workers);
+  tasks.reserve(objects.size() - num_workers);
+  task_stream.reserve(objects.size() - num_workers);
   std::vector<int32_t> local_id(objects.size(), -1);
   for (size_t i = 0; i < objects.size(); ++i) {
     const SpineEntry& object = objects[i];
@@ -647,10 +665,10 @@ Status ServiceHarness::ReplaySegment() {
     const int64_t task_id = task_stream[static_cast<size_t>(pair.task)];
     matched_pairs_.emplace_back(worker_id, task_id);
     for (const int64_t stream_id : {worker_id, task_id}) {
-      auto it = store_.find(stream_id);
-      if (it == store_.end()) continue;
-      if (it->second.Deadline() > expired_up_to_) --live_;
-      store_.erase(it);
+      const ObjectRecord* record = store_.Find(stream_id);
+      if (record == nullptr) continue;
+      if (record->Deadline() > static_cast<double>(expired_up_to_)) --live_;
+      store_.Free(stream_id);
     }
   }
   totals_.matched += static_cast<int64_t>(result.assignment.size());
@@ -687,7 +705,7 @@ Status ServiceHarness::ReplaySegment() {
 
   // Rotation is the eviction point: free the records that expired during
   // the segment (those the fold matched are already gone).
-  for (const int64_t stream_id : deferred_free_) store_.erase(stream_id);
+  for (const int64_t stream_id : deferred_free_) store_.Free(stream_id);
   deferred_free_.clear();
 
   // The next spine: this segment's universe members whose records survived
@@ -696,7 +714,7 @@ Status ServiceHarness::ReplaySegment() {
   // the store is never scanned.
   spine_.clear();
   for (const SpineEntry& object : objects) {
-    if (store_.count(object.stream_id) > 0) spine_.push_back(object);
+    if (store_.Find(object.stream_id) != nullptr) spine_.push_back(object);
   }
   spine_day_ = segment.day;
   return Status::OK();

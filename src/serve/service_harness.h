@@ -33,14 +33,20 @@
 // fresh guide -> stale guide (refresh failed, slot kept) -> guide-free
 // greedy (no guide yet, or staleness beyond max_guide_age_windows).
 //
-// Memory model: every admitted object lives in an id-keyed store plus a
-// deadline-ordered min-heap. At each window boundary objects whose
-// deadline has passed are popped; their records are freed at the next
-// rotation (the open segment may still match them), and matched records at
-// the fold. The store never holds more than the live set plus the current
-// segment. Eviction is *observationally inert*: the committed assignments
-// equal those of a loop that keeps every record (pinned against
-// tests/oracles/reference_serve_loop).
+// Memory model: every admitted object gets a record in an ObjectTable
+// (serve/object_table.h) — one contiguous array indexed by stream id,
+// which admission hands out densely — and an entry in an ExpiryCalendar
+// (serve/expiry_calendar.h), one bucket per window: bucket ceil(deadline),
+// the first window boundary at which the deadline has passed. Expiry runs
+// only at integer window boundaries, so draining the buckets up to window
+// w expires exactly the objects whose deadline is <= w. Expired records
+// are freed at the next rotation (the open segment may still match them),
+// matched records at the fold. The store never holds more than the live
+// set plus the current segment, and the table's array spans from the
+// oldest present record to the newest: at most the longest duration plus
+// one segment of admissions. Eviction is *observationally inert*: the
+// committed assignments equal those of a loop that keeps every record
+// (pinned against tests/oracles/reference_serve_loop).
 //
 // Admission control: per window the harness sheds deterministically,
 // oldest deadline first, whenever the offered batch exceeds
@@ -54,9 +60,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -65,8 +69,10 @@
 #include "gen/looped_trace.h"
 #include "prediction/predictor.h"
 #include "retrieval/mode.h"
+#include "serve/expiry_calendar.h"
 #include "serve/fault_injector.h"
 #include "serve/guide_refresher.h"
+#include "serve/object_table.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
 
@@ -235,9 +241,16 @@ struct ServiceTotals {
 /// The long-running serving loop. Not thread-safe; drive from one thread.
 class ServiceHarness {
  public:
+  /// Longest worker or task duration Create accepts, in windows: the
+  /// expiry calendar holds one bucket per window of the longest duration.
+  static constexpr double kMaxDurationWindows = 1 << 20;
+
   /// Builds a harness over the looped replay of `profile`. Fails on an
-  /// unknown algorithm name, a malformed fault spec, or a guide-fail fault
-  /// for an algorithm that reads no guide (it runs no refresh to fail).
+  /// unknown algorithm name, a malformed fault spec, a guide-fail fault
+  /// for an algorithm that reads no guide (it runs no refresh to fail),
+  /// a worker or task duration that is not finite or is negative or
+  /// longer than kMaxDurationWindows, or a velocity that is not finite and
+  /// positive.
   static Result<std::unique_ptr<ServiceHarness>> Create(
       const CityProfile& profile, const LoopedTraceSource::Options& trace,
       const ServiceOptions& options);
@@ -259,7 +272,7 @@ class ServiceHarness {
 
   int64_t live_objects() const { return live_; }
   /// Records currently held (the live tail plus the open segment).
-  int64_t store_size() const { return static_cast<int64_t>(store_.size()); }
+  int64_t store_size() const { return store_.size(); }
   int64_t guide_epoch() const { return slot_.epoch(); }
 
   /// Every committed pair as (worker stream id, task stream id), in
@@ -308,12 +321,17 @@ class ServiceHarness {
     Point location;
     int64_t window = 0;  ///< Window its feed latency is attributed to.
   };
+  /// Session arrival order of spine entries: (rel_time, kind, stream_id),
+  /// workers before tasks at equal times.
+  static bool SpineBefore(const SpineEntry& a, const SpineEntry& b);
 
   ServiceHarness(LoopedTraceSource source, ServiceOptions options,
                  FaultInjector faults);
 
   Status StartDay(int64_t day);
-  void ExpireUpTo(double time, WindowMetrics* metrics);
+  /// Expires every object whose deadline is <= `window` (called at each
+  /// window boundary, in window order).
+  void ExpireUpTo(int64_t window, WindowMetrics* metrics);
   Status HandleRefresh(int64_t window);
   PredictionMatrix PredictionFor(int64_t window) const;
   /// Rolling refit of the learned refresh predictor at a day boundary
@@ -341,7 +359,6 @@ class ServiceHarness {
 
   int64_t spd_ = 1;  ///< Slots (== windows) per day.
   int64_t next_window_ = 0;
-  int64_t next_stream_id_ = 0;
 
   /// Current day's arrival cache and consumption cursor.
   std::vector<StreamArrival> day_arrivals_;
@@ -361,19 +378,17 @@ class ServiceHarness {
   std::unique_ptr<DemandDataset> predictor_data_;
   int predictor_target_day_ = 0;  ///< Dataset day PredictionFor predicts.
 
-  std::unordered_map<int64_t, ObjectRecord> store_;
-  /// (deadline, stream id) min-heap driving window-boundary expiry.
-  std::priority_queue<std::pair<double, int64_t>,
-                      std::vector<std::pair<double, int64_t>>,
-                      std::greater<std::pair<double, int64_t>>>
-      deadline_heap_;
+  /// Admitted records by stream id; Append hands out the stream ids.
+  ObjectTable<ObjectRecord> store_;
+  /// Window-boundary expiry schedule of every admitted stream id.
+  ExpiryCalendar calendar_;
   int64_t live_ = 0;
   /// Expired records awaiting their free at rotation (the open segment's
   /// replay may still match them).
   std::vector<int64_t> deferred_free_;
-  /// Deadline bound of the last ExpireUpTo — "already popped" horizon the
+  /// Window of the last ExpireUpTo — "already expired" horizon the
   /// match-marking live accounting keys off.
-  double expired_up_to_ = 0.0;
+  int64_t expired_up_to_ = 0;
 
   Segment segment_;
   double last_known_p99_ms_ = 0.0;  ///< From the last replayed window.

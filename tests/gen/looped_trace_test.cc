@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -22,20 +23,37 @@ CityProfile SmallProfile() {
 }
 
 TEST(LoopedTraceTest, DayArrivalsAreOnTheAbsoluteAxisAndOrdered) {
-  const LoopedTraceSource source(SmallProfile());
-  for (const int64_t day : {0, 1, 5}) {
-    auto arrivals = source.ArrivalsForDay(day);
-    ASSERT_TRUE(arrivals.ok()) << arrivals.status();
-    ASSERT_FALSE(arrivals.value().empty());
-    const double lo = static_cast<double>(day) * source.day_horizon();
-    const double hi = lo + source.day_horizon();
-    double prev = lo;
-    for (const StreamArrival& a : arrivals.value()) {
-      EXPECT_GE(a.time, lo);
-      EXPECT_LT(a.time, hi);
-      EXPECT_GE(a.time, prev);  // Nondecreasing.
-      EXPECT_EQ(a.day, day);
-      prev = a.time;
+  LoopedTraceSource::Options scaled_options;
+  scaled_options.scale = 3.0;
+  const LoopedTraceSource plain(SmallProfile());
+  const LoopedTraceSource scaled(SmallProfile(), scaled_options);
+  // Day 5 loops back to source day 1 (history_days = 4).
+  for (const LoopedTraceSource* source : {&plain, &scaled}) {
+    for (const int64_t day : {0, 1, 5}) {
+      auto arrivals = source->ArrivalsForDay(day);
+      ASSERT_TRUE(arrivals.ok()) << arrivals.status();
+      ASSERT_FALSE(arrivals.value().empty());
+      const double lo = static_cast<double>(day) * source->day_horizon();
+      const double hi = lo + source->day_horizon();
+      for (const StreamArrival& a : arrivals.value()) {
+        EXPECT_GE(a.time, lo);
+        EXPECT_LT(a.time, hi);
+        EXPECT_EQ(a.day, day);
+      }
+      // The full (time, kind, source_id) order: exactly what a comparison
+      // sort with the shared comparator produces.
+      std::vector<StreamArrival> sorted = arrivals.value();
+      std::sort(sorted.begin(), sorted.end(), ArrivesBefore);
+      for (size_t i = 0; i < sorted.size(); ++i) {
+        const StreamArrival& got = arrivals.value()[i];
+        ASSERT_EQ(got.time, sorted[i].time) << "day " << day << " at " << i;
+        ASSERT_EQ(got.kind, sorted[i].kind) << "day " << day << " at " << i;
+        ASSERT_EQ(got.source_id, sorted[i].source_id)
+            << "day " << day << " at " << i;
+        if (i > 0) {
+          ASSERT_TRUE(ArrivesBefore(arrivals.value()[i - 1], got));
+        }
+      }
     }
   }
 }

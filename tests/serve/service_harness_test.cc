@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -251,6 +252,55 @@ TEST(ServiceHarnessTest, RejectsUnknownAlgorithmAndBadFaultSpec) {
       SmallCity(), LoopedTraceSource::Options{}, bad_faults);
   ASSERT_FALSE(malformed.ok());
   EXPECT_TRUE(malformed.status().IsInvalidArgument());
+}
+
+TEST(ServiceHarnessTest, RejectsDurationsTheExpiryCalendarCannotBucket) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf, -0.5,
+                           2 * ServiceHarness::kMaxDurationWindows}) {
+    for (const bool worker : {true, false}) {
+      CityProfile profile = SmallCity();
+      (worker ? profile.worker_duration : profile.task_duration) = bad;
+      const auto rejected = ServiceHarness::Create(
+          profile, LoopedTraceSource::Options{}, ServiceOptions{});
+      ASSERT_FALSE(rejected.ok()) << bad << (worker ? " worker" : " task");
+      EXPECT_TRUE(rejected.status().IsInvalidArgument());
+      EXPECT_NE(rejected.status().message().find("duration"),
+                std::string::npos);
+    }
+  }
+}
+
+TEST(ServiceHarnessTest, RejectsNonPositiveOrNonFiniteVelocity) {
+  for (const double bad : {0.0, -3.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    CityProfile profile = SmallCity();
+    profile.velocity = bad;
+    const auto rejected = ServiceHarness::Create(
+        profile, LoopedTraceSource::Options{}, ServiceOptions{});
+    ASSERT_FALSE(rejected.ok()) << bad;
+    EXPECT_TRUE(rejected.status().IsInvalidArgument());
+    EXPECT_NE(rejected.status().message().find("velocity"),
+              std::string::npos);
+  }
+}
+
+TEST(ServiceHarnessTest, ZeroDurationsAreServedAndExpireNextWindow) {
+  // A zero-duration object's deadline is its arrival time, inside its
+  // admission window; it expires at the next window boundary.
+  CityProfile profile = SmallCity();
+  profile.worker_duration = 0.0;
+  profile.task_duration = 0.0;
+  auto harness = ServiceHarness::Create(profile, LoopedTraceSource::Options{},
+                                        ServiceOptions{});
+  ASSERT_TRUE(harness.ok()) << harness.status();
+  ASSERT_TRUE(harness.value()->RunWindows(2 * profile.slots_per_day).ok());
+  const auto& windows = harness.value()->windows();
+  for (size_t w = 1; w < windows.size(); ++w) {
+    EXPECT_EQ(windows[w].evicted, windows[w - 1].admitted) << "window " << w;
+  }
+  EXPECT_EQ(harness.value()->totals().evicted_live, 0);
 }
 
 TEST(ServiceHarnessTest, RetrievalStatsSurfaceOnRotationWindowsOnly) {

@@ -2,12 +2,13 @@
 # Perf-trajectory smoke: builds Release, runs the flow microbench, the
 # per-object online-algorithm microbench, the parallel/sharding
 # microbench, the streaming-session microbench, the sharded-dispatcher
-# bench, the candidate-retrieval bench, and the steady-state refresh/
-# rotation bench, and records their JSON next to the repo root
-# (BENCH_flow.json, BENCH_perobject.json, BENCH_parallel.json,
-# BENCH_streaming.json, BENCH_sharded.json, BENCH_retrieval.json,
-# BENCH_refresh.json) so future PRs can diff solver performance against
-# this one (tools/check_bench_regression.py automates the diff).
+# bench, the candidate-retrieval bench, the steady-state refresh/
+# rotation bench, and the serving-loop bench, and records their JSON next
+# to the repo root (BENCH_flow.json, BENCH_perobject.json,
+# BENCH_parallel.json, BENCH_streaming.json, BENCH_sharded.json,
+# BENCH_retrieval.json, BENCH_refresh.json, BENCH_service.json) so future
+# PRs can diff solver performance against this one
+# (tools/check_bench_regression.py automates the diff).
 #
 # Usage: tools/run_bench_smoke.sh [build-dir]
 set -euo pipefail
@@ -20,6 +21,7 @@ cmake -B "$BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release \
 cmake --build "$BUILD" \
       --target bench_micro_flow bench_micro_perobject bench_parallel \
                bench_streaming bench_sharded bench_retrieval bench_refresh \
+               bench_service \
       -j "$(nproc)"
 
 echo "== bench_micro_flow (Dijkstra+potentials, engine sweep, arenas, matcher)"
@@ -71,6 +73,13 @@ echo "== bench_refresh (warm guide refresh, incremental rotation, slice," \
     --benchmark_min_time=0.05 \
     --benchmark_context=nproc="$(nproc)",build_type=Release \
     --benchmark_out="$ROOT/BENCH_refresh.json" \
+    --benchmark_out_format=json
+
+echo "== bench_service (serving loop: segments, shards, faults, city day)"
+"$BUILD/bench_service" \
+    --benchmark_min_time=0.05 \
+    --benchmark_context=nproc="$(nproc)",build_type=Release \
+    --benchmark_out="$ROOT/BENCH_service.json" \
     --benchmark_out_format=json
 
 # Headline number: min-cost flow on the dense 2048x2048 instance.
@@ -260,4 +269,16 @@ if unchanged and changed:
           f"{unchanged['real_time']:.1f}us, changed "
           f"{changed['real_time']:.0f}us "
           f"({unchanged['real_time'] / changed['real_time']:.5f} of a solve)")
+EOF
+
+# Headline number: one served Beijing x1 day — objects per second and the
+# records still held at its end.
+python3 - "$ROOT/BENCH_service.json" <<'EOF'
+import json, sys
+runs = {b["name"]: b for b in json.load(open(sys.argv[1]))["benchmarks"]}
+city = runs.get("BM_ServeCity")
+if city:
+    print(f"serve beijing x1, one day: {city['real_time']:.0f}ms, "
+          f"{city['items_per_second']:.0f} obj/s, matched "
+          f"{city['matched']:.0f}, store {city['store']:.0f}")
 EOF
