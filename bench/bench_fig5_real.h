@@ -81,7 +81,6 @@ inline int RunCityDeadlineSweep(const CityProfile& base_profile,
     // the midpoint representatives would otherwise discard.
     guide_options.representative_slack =
         0.5 * generator.DaySpacetime().slots().slot_duration();
-    guide_options.num_threads = context.num_threads;
 
     SweepPoint point;
     point.x_label = TablePrinter::FormatDouble(dr, 2);

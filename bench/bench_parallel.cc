@@ -1,22 +1,18 @@
-// Microbenchmark for the sharded/parallel execution layer (thread pool +
-// connected-component guide decomposition + parallel Monte-Carlo trials):
+// Microbenchmark for guide generation and the parallel Monte-Carlo trial
+// runner:
 //
 //  * BM_GuideCompressed / BM_GuideCompressedMinCost — guide generation on
 //    a prediction whose feasibility disks stay within one cell, so the
 //    compressed type-pair network decomposes into many connected
-//    components; swept over GuideOptions::num_threads. num_threads = 1 is
-//    the serial baseline, and every thread count produces the identical
-//    guide (asserted in tests/core/guide_generator_test.cc), so this
-//    measures pure scheduling overhead vs parallel speedup.
-//  * BM_GuideOneComponent — the adversarial shape: a dense prediction that
-//    union-finds into one giant component, where sharding cannot help and
-//    the parallel path must cost no more than a pool dispatch.
+//    components, solved one after another on the calling thread.
+//  * BM_GuideOneComponent — the opposite shape: a dense prediction that
+//    union-finds into one giant component.
 //  * BM_GuideCity — the serving loop's guide solve: a Beijing x0.5 day
 //    prediction under kAuto, one ~176k-pair component on the compressed
 //    max-flow network (the refresh-heavy serve workload's hot spot).
 //  * BM_CompetitiveTrials — EstimateCompetitiveRatio throughput over
 //    num_threads; trials fork independent RNG streams, so this scales with
-//    cores regardless of the guide's component structure.
+//    cores.
 //
 // tools/run_bench_smoke.sh runs this binary and records
 // BENCH_parallel.json for the perf trajectory across PRs.
@@ -75,7 +71,6 @@ void RunGuideBench(benchmark::State& state, const SyntheticConfig& config,
   options.engine = engine;
   options.worker_duration = config.worker_duration;
   options.task_duration = config.task_duration;
-  options.num_threads = static_cast<int>(state.range(0));
   const GuideGenerator generator(config.velocity, options);
   int64_t matched = 0;
   for (auto _ : state) {
@@ -91,29 +86,18 @@ void RunGuideBench(benchmark::State& state, const SyntheticConfig& config,
 void BM_GuideCompressed(benchmark::State& state) {
   RunGuideBench(state, ShardableConfig(), GuideOptions::Engine::kCompressed);
 }
-BENCHMARK(BM_GuideCompressed)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GuideCompressed)->Unit(benchmark::kMillisecond);
 
 void BM_GuideCompressedMinCost(benchmark::State& state) {
   RunGuideBench(state, ShardableConfig(),
                 GuideOptions::Engine::kCompressedMinCost);
 }
-BENCHMARK(BM_GuideCompressedMinCost)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GuideCompressedMinCost)->Unit(benchmark::kMillisecond);
 
 void BM_GuideOneComponent(benchmark::State& state) {
   RunGuideBench(state, DenseConfig(), GuideOptions::Engine::kCompressed);
 }
-BENCHMARK(BM_GuideOneComponent)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GuideOneComponent)->Unit(benchmark::kMillisecond);
 
 void BM_GuideCity(benchmark::State& state) {
   const CityProfile profile = BeijingProfile();
@@ -122,7 +106,6 @@ void BM_GuideCity(benchmark::State& state) {
   options.engine = GuideOptions::Engine::kAuto;
   options.worker_duration = profile.worker_duration;
   options.task_duration = profile.task_duration;
-  options.num_threads = static_cast<int>(state.range(0));
   const GuideGenerator generator(profile.velocity, options);
   int64_t matched = 0;
   for (auto _ : state) {
@@ -136,7 +119,7 @@ void BM_GuideCity(benchmark::State& state) {
       static_cast<double>(generator.last_refresh_stats().pairs_total);
   state.counters["matched"] = static_cast<double>(matched);
 }
-BENCHMARK(BM_GuideCity)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GuideCity)->Unit(benchmark::kMillisecond);
 
 void BM_CompetitiveTrials(benchmark::State& state) {
   SyntheticConfig config;

@@ -182,14 +182,13 @@ struct PreparedPoint {
   std::shared_ptr<const OfflineGuide> guide;
 };
 
-/// Generates instance + prediction + guide for one sweep point.
-/// `guide_threads` shards the guide solve; the parallel sweep passes 1
-/// because it already parallelizes across points. Throws std::runtime_error
-/// on failure — this runs on pool workers, where std::exit is unsafe; the
-/// pool's futures carry the exception back to the main thread.
+/// Generates instance + prediction + guide for one sweep point. Throws
+/// std::runtime_error on failure — this runs on pool workers, where
+/// std::exit is unsafe; the pool's futures carry the exception back to the
+/// main thread.
 PreparedPoint PreparePoint(const std::string& x_label,
                            const SyntheticConfig& config,
-                           const BenchContext& context, int guide_threads) {
+                           const BenchContext& context) {
   auto instance = GenerateSyntheticInstance(config);
   if (!instance.ok()) {
     throw std::runtime_error("workload generation failed: " +
@@ -214,7 +213,6 @@ PreparedPoint PreparePoint(const std::string& x_label,
   guide_options.engine = GuideOptions::Engine::kAuto;
   guide_options.worker_duration = config.worker_duration;
   guide_options.task_duration = config.task_duration;
-  guide_options.num_threads = guide_threads;
   auto guide_result = GuideGenerator(instance->velocity(), guide_options)
                           .Generate(*prediction);
   if (!guide_result.ok()) {
@@ -238,8 +236,7 @@ SweepPoint RunSyntheticPoint(const std::string& x_label,
                              const SyntheticConfig& config,
                              const BenchContext& context) {
   try {
-    PreparedPoint prepared =
-        PreparePoint(x_label, config, context, context.num_threads);
+    PreparedPoint prepared = PreparePoint(x_label, config, context);
     SweepPoint point;
     point.x_label = x_label;
     point.metrics =
@@ -264,16 +261,14 @@ std::vector<SweepPoint> RunSyntheticSweep(
       for (size_t i = 0; i < configs.size(); ++i) {
         done.push_back(pool.Submit([&prepared, &configs, &context, i]() {
           prepared[i] = std::make_unique<PreparedPoint>(
-              PreparePoint(configs[i].x_label, configs[i].config, context,
-                           /*guide_threads=*/1));
+              PreparePoint(configs[i].x_label, configs[i].config, context));
         }));
       }
       for (std::future<void>& f : done) f.get();
     } else {
       for (size_t i = 0; i < configs.size(); ++i) {
         prepared[i] = std::make_unique<PreparedPoint>(
-            PreparePoint(configs[i].x_label, configs[i].config, context,
-                         context.num_threads));
+            PreparePoint(configs[i].x_label, configs[i].config, context));
       }
     }
   } catch (const std::exception& e) {

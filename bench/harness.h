@@ -14,9 +14,10 @@
 //   --prediction=<m>   expected | replicate | perfect (synthetic sweeps)
 //   --csv=<dir>        additionally dump each table as CSV into <dir>
 //   --threads=<n>      worker threads for sweep-point preparation (instance
-//                      + prediction + guide generation) and the sharded
-//                      guide solve; the measured algorithm runs stay serial
-//                      so Time/Memory remain paper-comparable
+//                      + prediction + guide generation, one point per
+//                      thread) and the Monte-Carlo trials; the measured
+//                      algorithm runs stay serial so Time/Memory remain
+//                      paper-comparable
 
 #ifndef FTOA_BENCH_HARNESS_H_
 #define FTOA_BENCH_HARNESS_H_
@@ -56,7 +57,7 @@ struct BenchContext {
   /// OPT is skipped above this many objects per side even when enabled
   /// (its pruned bipartite graph stops fitting in laptop memory).
   int64_t opt_object_cap = 50000;
-  /// Worker threads for sweep preparation and the sharded guide solve
+  /// Worker threads for sweep preparation and the Monte-Carlo trials
   /// (--threads). 1 = fully serial.
   int num_threads = 1;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <future>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -63,20 +62,6 @@ inline uint64_t DoubleBits(double d) {
 
 GuideGenerator::GuideGenerator(double velocity, GuideOptions options)
     : velocity_(velocity), options_(options) {}
-
-GuideGenerator::~GuideGenerator() = default;
-
-GuideGenerator::ShardArena& GuideGenerator::ShardAt(size_t index) const {
-  while (shards_.size() <= index) {
-    shards_.push_back(std::make_unique<ShardArena>());
-  }
-  return *shards_[index];
-}
-
-ThreadPool& GuideGenerator::Pool() const {
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  return *pool_;
-}
 
 void GuideGenerator::InvalidateWarmCache() const {
   warm_cache_ = WarmCache{};
@@ -255,8 +240,7 @@ Result<OfflineGuide> GuideGenerator::GenerateNodeLevel(
   // scratch live in the generator and are reused across calls.
   const NodeId source = 0;
   const NodeId sink = static_cast<NodeId>(m + n + 1);
-  ShardArena& arena = ShardAt(0);
-  FlowGraph& network = arena.maxflow;
+  FlowGraph& network = arena_.maxflow;
   network.Reset(static_cast<NodeId>(m + n + 2));
   network.ReserveEdges(static_cast<size_t>(m + n + node_edges));
   for (int64_t w = 0; w < m; ++w) {
@@ -288,7 +272,7 @@ Result<OfflineGuide> GuideGenerator::GenerateNodeLevel(
 
   // Line 10: max flow.
   if (use_dinic) {
-    arena.dinic.Solve(&network, source, sink);
+    arena_.dinic.Solve(&network, source, sink);
   } else {
     FordFulkersonMaxFlow(&network, source, sink);
   }
@@ -310,8 +294,7 @@ Result<OfflineGuide> GuideGenerator::GenerateCompressed(
 
   // Feasible type pairs in the deterministic enumeration order, thinned by
   // the approximate-mode Bernoulli sample *before* component decomposition
-  // — the sampled pair list is what defines the components, so the
-  // thread-count invariance of the solve below is untouched by sampling.
+  // — the sampled pair list is what defines the components.
   ApproxGuideReport report;
   report.feasible_pairs = static_cast<int64_t>(feasible.size());
   const double rate = options_.approx_sample_rate;
@@ -387,7 +370,7 @@ Result<OfflineGuide> GuideGenerator::GenerateCompressed(
   }
 
   // Component ids in first-appearance order over the pair list, so the
-  // decomposition — and with it the chunking below — is deterministic.
+  // decomposition — and with it the solve order below — is deterministic.
   std::vector<int32_t> comp_of_root(static_cast<size_t>(wcount + tcount),
                                     -1);
   std::vector<int32_t> pair_comp(pairs.size());
@@ -470,7 +453,7 @@ Result<OfflineGuide> GuideGenerator::GenerateCompressed(
   // routes the lookup — would rebuild the *identical* network, and its
   // cached flows are exactly what a fresh solve would return. Those
   // components take their flows from the cache and skip the solve below;
-  // only dirty components solve, from scratch on the persistent arenas
+  // only dirty components solve, from scratch on the persistent arena
   // (injecting warm flows into a dirty component is NOT done: it could
   // steer the solver to a different equally-optimal flow pattern and break
   // the warm == cold bit-identity contract).
@@ -543,9 +526,9 @@ Result<OfflineGuide> GuideGenerator::GenerateCompressed(
     }
   }
 
-  // ---- Solve every component on a shard arena; per-pair flows land in a
-  // shared array indexed by the *original* pair index, so the merge below
-  // is independent of which thread solved which component.
+  // ---- Solve every dirty component in component order on the one arena;
+  // per-pair flows land in an array indexed by the *original* pair index,
+  // which the merge below walks.
   std::vector<int64_t> pair_flow(pairs.size(), 0);
 
   if (warm) {
@@ -563,142 +546,90 @@ Result<OfflineGuide> GuideGenerator::GenerateCompressed(
     }
   }
 
-  auto solve_components = [&](int32_t comp_lo, int32_t comp_hi,
-                              ShardArena* arena) {
-    std::vector<int32_t> edge_ids;  // Pair-edge ids of the current network.
-    for (int32_t c = comp_lo; c < comp_hi; ++c) {
-      if (warm && cached_begin[static_cast<size_t>(c)] >= 0) continue;
-      const int32_t w_lo = comp_worker_begin[static_cast<size_t>(c)];
-      const int32_t t_lo = comp_task_begin[static_cast<size_t>(c)];
-      const int32_t cw =
-          comp_worker_begin[static_cast<size_t>(c) + 1] - w_lo;
-      const int32_t ct = comp_task_begin[static_cast<size_t>(c) + 1] - t_lo;
-      const int32_t p_lo = comp_pair_begin[static_cast<size_t>(c)];
-      const int32_t p_hi = comp_pair_begin[static_cast<size_t>(c) + 1];
-      const int32_t source = 0;
-      const int32_t sink = 1 + cw + ct;
+  std::vector<int32_t> edge_ids;  // Pair-edge ids of the current network.
+  for (int32_t c = 0; c < num_components; ++c) {
+    if (warm && cached_begin[static_cast<size_t>(c)] >= 0) continue;
+    const int32_t w_lo = comp_worker_begin[static_cast<size_t>(c)];
+    const int32_t t_lo = comp_task_begin[static_cast<size_t>(c)];
+    const int32_t cw = comp_worker_begin[static_cast<size_t>(c) + 1] - w_lo;
+    const int32_t ct = comp_task_begin[static_cast<size_t>(c) + 1] - t_lo;
+    const int32_t p_lo = comp_pair_begin[static_cast<size_t>(c)];
+    const int32_t p_hi = comp_pair_begin[static_cast<size_t>(c) + 1];
+    const int32_t source = 0;
+    const int32_t sink = 1 + cw + ct;
 
-      edge_ids.clear();
-      edge_ids.reserve(static_cast<size_t>(p_hi - p_lo));
-      auto add_supply_edges = [&](auto& network, auto add_edge) {
-        for (int32_t p = w_lo; p < w_lo + cw; ++p) {
-          const TypeId type = worker_types[static_cast<size_t>(
-              comp_workers[static_cast<size_t>(p)])];
-          add_edge(network, source, 1 + (p - w_lo),
-                   static_cast<int64_t>(prediction.workers_at(type)));
-        }
-        for (int32_t p = t_lo; p < t_lo + ct; ++p) {
-          const TypeId type = task_types[static_cast<size_t>(
-              comp_tasks[static_cast<size_t>(p)])];
-          add_edge(network, 1 + cw + (p - t_lo), sink,
-                   static_cast<int64_t>(prediction.tasks_at(type)));
-        }
-      };
+    edge_ids.clear();
+    edge_ids.reserve(static_cast<size_t>(p_hi - p_lo));
+    auto add_supply_edges = [&](auto& network, auto add_edge) {
+      for (int32_t p = w_lo; p < w_lo + cw; ++p) {
+        const TypeId type = worker_types[static_cast<size_t>(
+            comp_workers[static_cast<size_t>(p)])];
+        add_edge(network, source, 1 + (p - w_lo),
+                 static_cast<int64_t>(prediction.workers_at(type)));
+      }
+      for (int32_t p = t_lo; p < t_lo + ct; ++p) {
+        const TypeId type = task_types[static_cast<size_t>(
+            comp_tasks[static_cast<size_t>(p)])];
+        add_edge(network, 1 + cw + (p - t_lo), sink,
+                 static_cast<int64_t>(prediction.tasks_at(type)));
+      }
+    };
 
-      if (minimize_cost) {
-        MinCostFlowGraph& network = arena->mincost;
-        network.Reset(sink + 1);
-        network.ReserveEdges(static_cast<size_t>(cw + ct + (p_hi - p_lo)));
-        add_supply_edges(network,
-                         [](MinCostFlowGraph& net, int32_t u, int32_t v,
-                            int64_t cap) { net.AddEdge(u, v, cap, 0); });
-        for (int32_t p = p_lo; p < p_hi; ++p) {
-          const TypePairEdge& pair =
-              pairs[static_cast<size_t>(comp_pairs[static_cast<size_t>(p)])];
-          const int32_t wi = local_worker_id[static_cast<size_t>(
-              worker_node_of_type[static_cast<size_t>(pair.worker_type)])];
-          const int32_t ti = local_task_id[static_cast<size_t>(
-              task_node_of_type[static_cast<size_t>(pair.task_type)])];
-          const double travel =
-              TravelTime(st.RepresentativeLocation(pair.worker_type),
-                         st.RepresentativeLocation(pair.task_type),
-                         velocity_);
-          const int64_t cap =
-              std::min<int64_t>(prediction.workers_at(pair.worker_type),
-                                prediction.tasks_at(pair.task_type));
-          edge_ids.push_back(network.AddEdge(
-              1 + wi, 1 + cw + ti, cap,
-              static_cast<int64_t>(std::llround(travel * 1e6))));
-        }
-        network.Solve(source, sink, options_.flow_engine);
-        for (int32_t p = p_lo; p < p_hi; ++p) {
-          pair_flow[static_cast<size_t>(comp_pairs[static_cast<size_t>(
-              p)])] = network.Flow(edge_ids[static_cast<size_t>(p - p_lo)]);
-        }
-      } else {
-        FlowGraph& network = arena->maxflow;
-        network.Reset(sink + 1);
-        network.ReserveEdges(static_cast<size_t>(cw + ct + (p_hi - p_lo)));
-        add_supply_edges(network,
-                         [](FlowGraph& net, int32_t u, int32_t v,
-                            int64_t cap) { net.AddEdge(u, v, cap); });
-        for (int32_t p = p_lo; p < p_hi; ++p) {
-          const TypePairEdge& pair =
-              pairs[static_cast<size_t>(comp_pairs[static_cast<size_t>(p)])];
-          const int32_t wi = local_worker_id[static_cast<size_t>(
-              worker_node_of_type[static_cast<size_t>(pair.worker_type)])];
-          const int32_t ti = local_task_id[static_cast<size_t>(
-              task_node_of_type[static_cast<size_t>(pair.task_type)])];
-          const int64_t cap =
-              std::min<int64_t>(prediction.workers_at(pair.worker_type),
-                                prediction.tasks_at(pair.task_type));
-          edge_ids.push_back(network.AddEdge(1 + wi, 1 + cw + ti, cap));
-        }
-        arena->dinic.Solve(&network, source, sink);
-        for (int32_t p = p_lo; p < p_hi; ++p) {
-          pair_flow[static_cast<size_t>(comp_pairs[static_cast<size_t>(
-              p)])] = network.Flow(edge_ids[static_cast<size_t>(p - p_lo)]);
-        }
+    if (minimize_cost) {
+      MinCostFlowGraph& network = arena_.mincost;
+      network.Reset(sink + 1);
+      network.ReserveEdges(static_cast<size_t>(cw + ct + (p_hi - p_lo)));
+      add_supply_edges(network,
+                       [](MinCostFlowGraph& net, int32_t u, int32_t v,
+                          int64_t cap) { net.AddEdge(u, v, cap, 0); });
+      for (int32_t p = p_lo; p < p_hi; ++p) {
+        const TypePairEdge& pair =
+            pairs[static_cast<size_t>(comp_pairs[static_cast<size_t>(p)])];
+        const int32_t wi = local_worker_id[static_cast<size_t>(
+            worker_node_of_type[static_cast<size_t>(pair.worker_type)])];
+        const int32_t ti = local_task_id[static_cast<size_t>(
+            task_node_of_type[static_cast<size_t>(pair.task_type)])];
+        const double travel =
+            TravelTime(st.RepresentativeLocation(pair.worker_type),
+                       st.RepresentativeLocation(pair.task_type),
+                       velocity_);
+        const int64_t cap =
+            std::min<int64_t>(prediction.workers_at(pair.worker_type),
+                              prediction.tasks_at(pair.task_type));
+        edge_ids.push_back(network.AddEdge(
+            1 + wi, 1 + cw + ti, cap,
+            static_cast<int64_t>(std::llround(travel * 1e6))));
+      }
+      network.Solve(source, sink, options_.flow_engine);
+      for (int32_t p = p_lo; p < p_hi; ++p) {
+        pair_flow[static_cast<size_t>(comp_pairs[static_cast<size_t>(
+            p)])] = network.Flow(edge_ids[static_cast<size_t>(p - p_lo)]);
+      }
+    } else {
+      FlowGraph& network = arena_.maxflow;
+      network.Reset(sink + 1);
+      network.ReserveEdges(static_cast<size_t>(cw + ct + (p_hi - p_lo)));
+      add_supply_edges(network,
+                       [](FlowGraph& net, int32_t u, int32_t v,
+                          int64_t cap) { net.AddEdge(u, v, cap); });
+      for (int32_t p = p_lo; p < p_hi; ++p) {
+        const TypePairEdge& pair =
+            pairs[static_cast<size_t>(comp_pairs[static_cast<size_t>(p)])];
+        const int32_t wi = local_worker_id[static_cast<size_t>(
+            worker_node_of_type[static_cast<size_t>(pair.worker_type)])];
+        const int32_t ti = local_task_id[static_cast<size_t>(
+            task_node_of_type[static_cast<size_t>(pair.task_type)])];
+        const int64_t cap =
+            std::min<int64_t>(prediction.workers_at(pair.worker_type),
+                              prediction.tasks_at(pair.task_type));
+        edge_ids.push_back(network.AddEdge(1 + wi, 1 + cw + ti, cap));
+      }
+      arena_.dinic.Solve(&network, source, sink);
+      for (int32_t p = p_lo; p < p_hi; ++p) {
+        pair_flow[static_cast<size_t>(comp_pairs[static_cast<size_t>(
+            p)])] = network.Flow(edge_ids[static_cast<size_t>(p - p_lo)]);
       }
     }
-  };
-
-  // Partition components into one contiguous chunk per thread, balanced on
-  // pair counts (the dominant solve cost). The partition affects only which
-  // arena/thread solves a component, never the component's result.
-  const int32_t chunks = std::max<int32_t>(
-      1, std::min<int32_t>(options_.num_threads, num_components));
-  if (chunks <= 1) {
-    // One chunk means across-component parallelism is useless — either one
-    // thread, or one giant component serializing the solve (the PR 2
-    // limitation). Lend the pool to the solver itself so it can shard its
-    // *intra-component* scans (admissible-BFS frontiers, refine saturation
-    // sweeps — both thread-count invariant, so the guide stays
-    // bit-identical). Safe against pool deadlock only because this branch
-    // runs solve_components on the calling thread, never on a pool worker.
-    const bool lend_pool = options_.num_threads > 1 && minimize_cost;
-    if (lend_pool) {
-      ShardAt(0).mincost.SetParallelism(&Pool(), options_.num_threads);
-    }
-    solve_components(0, num_components, &ShardAt(0));
-    if (lend_pool) ShardAt(0).mincost.SetParallelism(nullptr, 1);
-  } else {
-    const int64_t total_pairs = static_cast<int64_t>(pairs.size());
-    std::vector<int32_t> bounds(static_cast<size_t>(chunks) + 1, 0);
-    bounds[static_cast<size_t>(chunks)] = num_components;
-    for (int32_t i = 1; i < chunks; ++i) {
-      const int64_t target = total_pairs * i / chunks;
-      const auto it =
-          std::lower_bound(comp_pair_begin.begin(), comp_pair_begin.end(),
-                           static_cast<int32_t>(target));
-      const int32_t at_least = bounds[static_cast<size_t>(i) - 1] + 1;
-      bounds[static_cast<size_t>(i)] = std::min(
-          num_components - (chunks - i),
-          std::max(at_least, static_cast<int32_t>(
-                                 it - comp_pair_begin.begin())));
-    }
-    std::vector<std::future<void>> done;
-    done.reserve(static_cast<size_t>(chunks));
-    for (int32_t i = 0; i < chunks; ++i) {
-      const int32_t lo = bounds[static_cast<size_t>(i)];
-      const int32_t hi = bounds[static_cast<size_t>(i) + 1];
-      ShardArena* arena = &ShardAt(static_cast<size_t>(i));
-      done.push_back(Pool().Submit(
-          [&solve_components, lo, hi, arena]() {
-            solve_components(lo, hi, arena);
-          }));
-    }
-    for (std::future<void>& f : done) f.get();
   }
 
   // ---- Rebuild the cache from this call so the *next* call diffs against
@@ -745,7 +676,7 @@ Result<OfflineGuide> GuideGenerator::GenerateCompressed(
   last_refresh_stats_ = refresh_stats;
 
   // ---- Deterministic merge: realize matches in the original pair order,
-  // handing out nodes with per-type cursors exactly like the serial path.
+  // handing out nodes with per-type cursors.
   std::vector<int32_t> worker_cursor(static_cast<size_t>(num_types), 0);
   std::vector<int32_t> task_cursor(static_cast<size_t>(num_types), 0);
   for (size_t k = 0; k < pairs.size(); ++k) {

@@ -19,17 +19,14 @@
 //  * kAuto — node-level Dinic when the node-level network is small,
 //    kCompressed otherwise.
 //
-// Sharded solving: the compressed engines first decompose the type-pair
-// network into connected components (union-find over the feasible pairs).
-// Components are independent sub-problems — no augmenting path crosses
-// them — so each is solved on its own small network, and with
-// GuideOptions::num_threads > 1 the components are partitioned into one
-// contiguous, pair-count-balanced chunk per thread and solved on per-chunk
-// solver arenas in parallel. Per-pair flows are written into a global
-// array indexed by the original pair order and realized into guide matches
-// in that order after the join, so the resulting guide is bit-identical no
-// matter how many threads solved it (the serial path runs the exact same
-// decomposition with one chunk).
+// Component decomposition: the compressed engines first decompose the
+// type-pair network into connected components (union-find over the feasible
+// pairs). Components are independent sub-problems — no augmenting path
+// crosses them — so each is solved on its own small network, one after
+// another in component order on the generator's one solver arena. Per-pair
+// flows are written into an array indexed by the original pair order and
+// realized into guide matches in that order. The warm refresh mode reuses
+// the flows of components whose network did not change.
 //
 // Every Generate call enumerates the feasible type pairs exactly once, into
 // a buffer the generator reuses across calls like its flow arenas. kAuto's
@@ -41,7 +38,6 @@
 #define FTOA_CORE_GUIDE_GENERATOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -53,7 +49,6 @@
 #include "flow/graph.h"
 #include "flow/min_cost_flow.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace ftoa {
 
@@ -96,8 +91,8 @@ struct GuideOptions {
   /// flow/flow_engine.h). kAuto picks per component from the component's
   /// measured shape — deterministic for a fixed prediction, so the guide
   /// stays reproducible. Engines may return different equally-cheap flow
-  /// patterns, so the guide is bit-identical across thread counts *per
-  /// engine* and (matched count, total cost)-equivalent across engines.
+  /// patterns, so the guide is bit-identical *per engine* and (matched
+  /// count, total cost)-equivalent across engines.
   FlowEngine flow_engine = FlowEngine::kAuto;
 
   /// Representative worker waiting time Dw used in the type-level deadline
@@ -122,16 +117,10 @@ struct GuideOptions {
   /// this many edges.
   int64_t node_level_edge_limit = 2'000'000;
 
-  /// Worker threads for the sharded compressed solve (see file comment).
-  /// 1 = solve all components on the calling thread. The guide is
-  /// bit-identical for every value. Only the compressed engines shard;
-  /// the node-level network is one component by construction.
-  int num_threads = 1;
-
   /// Approximate-guide mode: keep each feasible type pair in the network
   /// with this probability (seeded Bernoulli per pair, drawn in the
   /// deterministic pair-enumeration order — so the sample, like the exact
-  /// solve, is bit-identical across thread counts). 1.0 (the default) is
+  /// solve, is reproducible). 1.0 (the default) is
   /// the exact network. Dropping pairs only removes edges, so the
   /// approximate guide's matched utility is a lower bound of the exact
   /// one; the measured gap bound is reported via last_approx_report().
@@ -182,18 +171,16 @@ struct TypePairEdge {
 
 /// Builds OfflineGuide instances from prediction matrices.
 ///
-/// The generator owns reusable solver arenas (flow network edge arenas and
-/// the solvers' scratch buffers) — one arena set per shard when
-/// num_threads > 1 — so repeated Generate calls (one per prediction window
-/// in a live deployment) stop re-allocating the network. Consequently a
-/// GuideGenerator instance is NOT thread-safe: it parallelizes internally,
-/// but concurrent Generate calls on one instance are undefined; use one
-/// instance per calling thread.
+/// The generator owns one reusable solver arena (flow network edge arenas
+/// and the solvers' scratch buffers), so repeated Generate calls (one per
+/// prediction window in a live deployment) stop re-allocating the network.
+/// Consequently a GuideGenerator instance is NOT thread-safe: concurrent
+/// Generate calls on one instance are undefined; use one instance per
+/// calling thread.
 class GuideGenerator {
  public:
   /// `velocity` is the shared worker speed of the deployment.
   GuideGenerator(double velocity, GuideOptions options);
-  ~GuideGenerator();
 
   /// Runs Algorithm 1 (or an equivalent engine) on `prediction`.
   Result<OfflineGuide> Generate(const PredictionMatrix& prediction) const;
@@ -236,9 +223,8 @@ class GuideGenerator {
   void InvalidateWarmCache() const;
 
  private:
-  /// One shard's reusable solver state. Each chunk of components is solved
-  /// entirely on one arena, so arenas never cross threads within a call.
-  struct ShardArena {
+  /// Reusable solver state; every solve of a Generate call runs on it.
+  struct SolverArena {
     FlowGraph maxflow;
     MinCostFlowGraph mincost;
     DinicSolver dinic;
@@ -287,21 +273,15 @@ class GuideGenerator {
     std::unordered_map<uint64_t, std::vector<int32_t>> by_hash;
   };
 
-  /// Lazily grown per-shard arenas; index 0 also serves the serial paths.
-  ShardArena& ShardAt(size_t index) const;
-  /// Lazily created worker pool (only when options_.num_threads > 1).
-  ThreadPool& Pool() const;
-
   double velocity_;
   GuideOptions options_;
 
   // Reusable solver arenas (see class comment). Mutable: reusing scratch
   // does not change the observable result of the logically-const Generate.
-  mutable std::vector<std::unique_ptr<ShardArena>> shards_;
+  mutable SolverArena arena_;
   mutable std::vector<TypePairEdge> feasible_pairs_;  // FeasibleTypePairs.
   mutable std::vector<TypePairEdge> sampled_pairs_;   // Approximate mode.
   mutable int64_t pair_enumerations_ = 0;
-  mutable std::unique_ptr<ThreadPool> pool_;
   mutable int32_t last_num_components_ = 0;
   mutable ApproxGuideReport last_approx_report_;
   mutable GuideRefreshStats last_refresh_stats_;

@@ -4,11 +4,8 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <future>
 #include <limits>
 #include <vector>
-
-#include "util/thread_pool.h"
 
 namespace ftoa {
 
@@ -162,13 +159,6 @@ FlowInstanceShape MinCostFlowGraph::ComputeShape(int32_t s) const {
     }
   }
   return shape;
-}
-
-void MinCostFlowGraph::SetParallelism(ThreadPool* pool, int num_threads,
-                                      int64_t min_parallel_items) {
-  pool_ = pool;
-  pool_threads_ = pool == nullptr ? 1 : std::max(1, num_threads);
-  min_parallel_items_ = std::max<int64_t>(1, min_parallel_items);
 }
 
 void MinCostFlowGraph::CancelNegativeCycles() {
@@ -456,63 +446,14 @@ bool MinCostFlowGraph::BuildLevels(int32_t s, int32_t t, bool admissible) {
   while (!frontier_.empty() && level_[static_cast<size_t>(t)] < 0) {
     ++depth;
     next_frontier_.clear();
-    const bool parallel =
-        pool_ != nullptr && pool_threads_ > 1 &&
-        static_cast<int64_t>(frontier_.size()) >= min_parallel_items_;
-    if (parallel) {
-      // Shard the frontier into contiguous in-order slices; each shard
-      // *detects* candidate nodes read-only (level_ is frozen during the
-      // scan), then one serial merge in shard order assigns levels.
-      // Concatenating contiguous in-order shards reproduces the serial scan
-      // order exactly, and level values are a pure function of the depth,
-      // so the resulting level graph — and with it the solved flow — is
-      // bit-identical at any thread count.
-      const size_t shards = std::min<size_t>(
-          static_cast<size_t>(pool_threads_), frontier_.size());
-      if (shard_buffers_.size() < shards) shard_buffers_.resize(shards);
-      const size_t chunk = (frontier_.size() + shards - 1) / shards;
-      const auto scan = [this, &usable, chunk](size_t shard) {
-        std::vector<int32_t>& buffer = shard_buffers_[shard];
-        buffer.clear();
-        const size_t begin = shard * chunk;
-        const size_t end = std::min(begin + chunk, frontier_.size());
-        for (size_t i = begin; i < end; ++i) {
-          const int32_t u = frontier_[i];
-          for (int32_t e = head_[static_cast<size_t>(u)]; e != -1;
-               e = next_[static_cast<size_t>(e)]) {
-            const int32_t v = to_[static_cast<size_t>(e)];
-            if (usable(e, v) && level_[static_cast<size_t>(v)] < 0) {
-              buffer.push_back(v);
-            }
-          }
-        }
-      };
-      std::vector<std::future<void>> pending;
-      pending.reserve(shards - 1);
-      for (size_t shard = 1; shard < shards; ++shard) {
-        pending.push_back(pool_->Submit([&scan, shard] { scan(shard); }));
-      }
-      scan(0);
-      for (std::future<void>& f : pending) f.get();
-      for (size_t shard = 0; shard < shards; ++shard) {
-        for (const int32_t v : shard_buffers_[shard]) {
-          if (level_[static_cast<size_t>(v)] < 0) {
-            level_[static_cast<size_t>(v)] = depth;
-            cur_[static_cast<size_t>(v)] = head_[static_cast<size_t>(v)];
-            next_frontier_.push_back(v);
-          }
-        }
-      }
-    } else {
-      for (const int32_t u : frontier_) {
-        for (int32_t e = head_[static_cast<size_t>(u)]; e != -1;
-             e = next_[static_cast<size_t>(e)]) {
-          const int32_t v = to_[static_cast<size_t>(e)];
-          if (usable(e, v) && level_[static_cast<size_t>(v)] < 0) {
-            level_[static_cast<size_t>(v)] = depth;
-            cur_[static_cast<size_t>(v)] = head_[static_cast<size_t>(v)];
-            next_frontier_.push_back(v);
-          }
+    for (const int32_t u : frontier_) {
+      for (int32_t e = head_[static_cast<size_t>(u)]; e != -1;
+           e = next_[static_cast<size_t>(e)]) {
+        const int32_t v = to_[static_cast<size_t>(e)];
+        if (usable(e, v) && level_[static_cast<size_t>(v)] < 0) {
+          level_[static_cast<size_t>(v)] = depth;
+          cur_[static_cast<size_t>(v)] = head_[static_cast<size_t>(v)];
+          next_frontier_.push_back(v);
         }
       }
     }
@@ -672,48 +613,14 @@ void MinCostFlowGraph::Refine(int64_t eps, int64_t scale) {
   // Step 1: saturate every residual arc whose scaled reduced cost is
   // negative; afterwards every residual arc has rc >= 0 >= -eps, so the
   // pseudoflow is eps-optimal and only the node excesses are wrong.
-  // Detection is read-only over frozen prices (an arc and its reverse are
-  // never both negative, so applying one detected arc cannot change
-  // another's detection) — shard it in contiguous in-order arc ranges and
-  // apply serially in ascending arc order, which both equals the serial
-  // single pass and is thread-count invariant.
+  // Detection reads frozen prices (an arc and its reverse are never both
+  // negative, so applying one detected arc cannot change another's
+  // detection); the detected arcs are then applied in ascending arc order.
   saturate_.clear();
   const int32_t arc_count = static_cast<int32_t>(to_.size());
-  const bool parallel = pool_ != nullptr && pool_threads_ > 1 &&
-                        static_cast<int64_t>(arc_count) >= min_parallel_items_;
-  if (parallel) {
-    const size_t shards = static_cast<size_t>(pool_threads_);
-    if (shard_buffers_.size() < shards) shard_buffers_.resize(shards);
-    const int32_t chunk =
-        (arc_count + static_cast<int32_t>(shards) - 1) /
-        static_cast<int32_t>(shards);
-    const auto scan = [this, &scaled_rc, chunk, arc_count](size_t shard) {
-      std::vector<int32_t>& buffer = shard_buffers_[shard];
-      buffer.clear();
-      const int32_t begin = static_cast<int32_t>(shard) * chunk;
-      const int32_t end = std::min(begin + chunk, arc_count);
-      for (int32_t e = begin; e < end; ++e) {
-        if (cap_[static_cast<size_t>(e)] > 0 && scaled_rc(e) < 0) {
-          buffer.push_back(e);
-        }
-      }
-    };
-    std::vector<std::future<void>> pending;
-    pending.reserve(shards - 1);
-    for (size_t shard = 1; shard < shards; ++shard) {
-      pending.push_back(pool_->Submit([&scan, shard] { scan(shard); }));
-    }
-    scan(0);
-    for (std::future<void>& f : pending) f.get();
-    for (size_t shard = 0; shard < shards; ++shard) {
-      saturate_.insert(saturate_.end(), shard_buffers_[shard].begin(),
-                       shard_buffers_[shard].end());
-    }
-  } else {
-    for (int32_t e = 0; e < arc_count; ++e) {
-      if (cap_[static_cast<size_t>(e)] > 0 && scaled_rc(e) < 0) {
-        saturate_.push_back(e);
-      }
+  for (int32_t e = 0; e < arc_count; ++e) {
+    if (cap_[static_cast<size_t>(e)] > 0 && scaled_rc(e) < 0) {
+      saturate_.push_back(e);
     }
   }
   for (const int32_t e : saturate_) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <utility>
 
 namespace ftoa {
@@ -19,6 +20,27 @@ CityProfile ScaledProfile(CityProfile profile, double scale) {
 }
 
 }  // namespace
+
+Status LoopedTraceSource::CheckOptions(const CityProfile& profile,
+                                       const Options& options) {
+  const double scale = options.scale;
+  if (!(scale > 0.0 && std::isfinite(scale))) {
+    return Status::InvalidArgument(
+        "LoopedTraceSource: trace scale must be finite and positive");
+  }
+  for (const double per_day :
+       {profile.workers_per_day * profile.supply_surplus,
+        profile.tasks_per_day}) {
+    if (!(per_day * scale <= kMaxObjectsPerDay)) {
+      return Status::InvalidArgument(
+          "LoopedTraceSource: trace scale " + std::to_string(scale) +
+          " asks for more than " +
+          std::to_string(static_cast<int64_t>(kMaxObjectsPerDay)) +
+          " objects of one side per day");
+    }
+  }
+  return Status::OK();
+}
 
 LoopedTraceSource::LoopedTraceSource(CityProfile profile)
     : LoopedTraceSource(std::move(profile), Options()) {}

@@ -56,9 +56,25 @@ class LoopedTraceSource {
     int loop_days = 0;
     /// Multiplier on both sides' per-day object counts (soak scaling;
     /// applied to the profile before the generator is built, so spatial
-    /// and temporal shape are unchanged). Clamped to > 0.
+    /// and temporal shape are unchanged). Must be finite and positive,
+    /// and must keep each side's day within kMaxObjectsPerDay; see
+    /// CheckOptions.
     double scale = 1.0;
   };
+
+  /// Most expected objects of one side per scaled stream day (workers x
+  /// supply_surplus, or tasks, times the scale). A day's objects take
+  /// int32 ids; the 8x margin under INT32_MAX covers the Poisson draw's
+  /// spread and both sides of a segment together.
+  static constexpr double kMaxObjectsPerDay = 1 << 28;
+
+  /// InvalidArgument unless `options.scale` is finite and positive and
+  /// keeps both sides of `profile` within kMaxObjectsPerDay. Callers that
+  /// take the scale from outside input check it before building a source:
+  /// the constructor leaves the counts unscaled for a nonpositive or NaN
+  /// scale, and an oversized one exhausts memory or the id space.
+  static Status CheckOptions(const CityProfile& profile,
+                             const Options& options);
 
   explicit LoopedTraceSource(CityProfile profile);
   LoopedTraceSource(CityProfile profile, Options options);

@@ -104,6 +104,7 @@ Result<std::unique_ptr<ServiceHarness>> ServiceHarness::Create(
     return Status::InvalidArgument(
         "ServiceHarness: velocity must be finite and positive");
   }
+  FTOA_RETURN_NOT_OK(LoopedTraceSource::CheckOptions(profile, trace));
   resolved.analytical_slice = std::max(0, resolved.analytical_slice);
 
   resolved.windows_per_segment =

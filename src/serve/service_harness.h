@@ -249,8 +249,8 @@ class ServiceHarness {
   /// unknown algorithm name, a malformed fault spec, a guide-fail fault
   /// for an algorithm that reads no guide (it runs no refresh to fail),
   /// a worker or task duration that is not finite or is negative or
-  /// longer than kMaxDurationWindows, or a velocity that is not finite and
-  /// positive.
+  /// longer than kMaxDurationWindows, a velocity that is not finite and
+  /// positive, or trace options LoopedTraceSource::CheckOptions rejects.
   static Result<std::unique_ptr<ServiceHarness>> Create(
       const CityProfile& profile, const LoopedTraceSource::Options& trace,
       const ServiceOptions& options);

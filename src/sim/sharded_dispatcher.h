@@ -91,14 +91,6 @@ struct ShardedOptions {
   /// a no-op at 1 shard). See sim/boundary_reconciler.h for the contract.
   bool reconcile = false;
 
-  /// Every Nth decision per shard is individually timed (systematic
-  /// sampling by per-shard decision ordinal — deterministic, thread-count
-  /// independent); RunMetrics::decisions stays exact and busy_seconds is
-  /// extrapolated from the sample. 1 = time every decision, which costs
-  /// two clock reads per ~100ns decision on the serving path. Clamped
-  /// to >= 1.
-  int latency_sample_period = 8;
-
   /// Borrowed worker pool to run shard drains on instead of a dispatcher-
   /// owned pool (threaded mode only; ignored when the resolved num_threads
   /// is <= 1). Lets a host share one pool between shard actors and other
@@ -246,7 +238,6 @@ class ShardedSession {
   ThreadPool* pool_;  // Null = inline mode. Borrowed from the dispatcher.
   int handoff_batch_ = 1;
   bool reconcile_ = false;
-  int latency_sample_period_ = 1;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::mutex quiesce_mutex_;

@@ -277,83 +277,10 @@ TEST_P(GuideEngineEquivalenceTest, EnginesAgreeOnCardinality) {
 INSTANTIATE_TEST_SUITE_P(Seeds, GuideEngineEquivalenceTest,
                          ::testing::Range<uint64_t>(1, 9));
 
-// Property: the sharded parallel solve must be invisible — any
-// num_threads produces the exact guide (every pairing identical) of the
-// serial num_threads = 1 run, for both compressed engines.
-class GuideParallelIdentityTest : public ::testing::TestWithParam<uint64_t> {
-};
-
-TEST_P(GuideParallelIdentityTest, ParallelGuideIsBitIdenticalToSerial) {
-  SyntheticConfig config;
-  Rng rng(GetParam() * 77 + 5);
-  config.num_workers = 200 + static_cast<int>(rng.NextBounded(400));
-  config.num_tasks = 200 + static_cast<int>(rng.NextBounded(400));
-  config.grid_x = 8 + static_cast<int>(rng.NextBounded(8));
-  config.grid_y = 8 + static_cast<int>(rng.NextBounded(8));
-  config.num_slots = 6 + static_cast<int>(rng.NextBounded(10));
-  // Mix of regimes: some seeds get tiny feasibility disks (many
-  // components), others the default physics (few components).
-  config.velocity = rng.NextBool() ? 0.3 : 5.0;
-  config.task_duration = 0.5 + rng.NextDouble() * 2.0;
-  config.worker_duration = 0.5 + rng.NextDouble() * 3.0;
-  config.seed = GetParam() * 991 + 3;
-  const auto instance = GenerateSyntheticInstance(config);
-  ASSERT_TRUE(instance.ok());
-  const PredictionMatrix prediction =
-      PredictionMatrix::FromInstance(*instance);
-
-  for (const auto engine : {GuideOptions::Engine::kCompressed,
-                            GuideOptions::Engine::kCompressedMinCost}) {
-    GuideOptions options;
-    options.engine = engine;
-    options.worker_duration = config.worker_duration;
-    options.task_duration = config.task_duration;
-
-    options.num_threads = 1;
-    const GuideGenerator serial(config.velocity, options);
-    const auto serial_guide = serial.Generate(prediction);
-    ASSERT_TRUE(serial_guide.ok());
-
-    for (const int threads : {2, 3, 8}) {
-      options.num_threads = threads;
-      const GuideGenerator parallel(config.velocity, options);
-      const auto parallel_guide = parallel.Generate(prediction);
-      ASSERT_TRUE(parallel_guide.ok());
-      EXPECT_EQ(parallel.last_num_components(),
-                serial.last_num_components());
-      EXPECT_EQ(parallel_guide->matched_pairs(),
-                serial_guide->matched_pairs())
-          << "engine " << static_cast<int>(engine) << " threads "
-          << threads;
-      ASSERT_EQ(parallel_guide->worker_nodes().size(),
-                serial_guide->worker_nodes().size());
-      for (size_t node = 0; node < serial_guide->worker_nodes().size();
-           ++node) {
-        ASSERT_EQ(parallel_guide->worker_nodes()[node].partner,
-                  serial_guide->worker_nodes()[node].partner)
-            << "engine " << static_cast<int>(engine) << " threads "
-            << threads << " node " << node;
-      }
-      ASSERT_EQ(parallel_guide->task_nodes().size(),
-                serial_guide->task_nodes().size());
-      for (size_t node = 0; node < serial_guide->task_nodes().size();
-           ++node) {
-        ASSERT_EQ(parallel_guide->task_nodes()[node].partner,
-                  serial_guide->task_nodes()[node].partner)
-            << "engine " << static_cast<int>(engine) << " threads "
-            << threads << " node " << node;
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, GuideParallelIdentityTest,
-                         ::testing::Range<uint64_t>(1, 9));
-
 TEST(GuideGeneratorTest, ShardedSolveDecomposesDisconnectedRegimes) {
   // With a feasibility disk smaller than one cell, type pairs only form
   // within a cell, so the compressed network must shatter into many
-  // components — the structure the parallel shards exploit.
+  // components, each solved on its own small network.
   SyntheticConfig config;
   config.num_workers = 2000;
   config.num_tasks = 2000;
@@ -373,7 +300,6 @@ TEST(GuideGeneratorTest, ShardedSolveDecomposesDisconnectedRegimes) {
   options.engine = GuideOptions::Engine::kCompressed;
   options.worker_duration = config.worker_duration;
   options.task_duration = config.task_duration;
-  options.num_threads = 4;
   const GuideGenerator generator(config.velocity, options);
   const auto guide = generator.Generate(prediction);
   ASSERT_TRUE(guide.ok());
@@ -516,35 +442,6 @@ TEST(GuideGeneratorTest, ApproxCardinalityLossStaysWithinTheReportedBound) {
   }
 }
 
-TEST(GuideGeneratorTest, ApproxGuideIsThreadCountInvariant) {
-  // Sampling happens in deterministic pair-enumeration order before the
-  // component decomposition, so the parallel solve must stay invisible
-  // under approximation too.
-  const PredictionMatrix prediction = ApproxTestPrediction();
-  GuideOptions options = ApproxTestOptions(0.5);
-  options.num_threads = 1;
-  const GuideGenerator serial(2.0, options);
-  const auto serial_guide = serial.Generate(prediction);
-  ASSERT_TRUE(serial_guide.ok());
-  options.num_threads = 4;
-  const GuideGenerator parallel(2.0, options);
-  const auto parallel_guide = parallel.Generate(prediction);
-  ASSERT_TRUE(parallel_guide.ok());
-  EXPECT_EQ(parallel.last_approx_report().sampled_pairs,
-            serial.last_approx_report().sampled_pairs);
-  EXPECT_EQ(parallel.last_approx_report().utility_loss_bound,
-            serial.last_approx_report().utility_loss_bound);
-  EXPECT_EQ(parallel_guide->matched_pairs(), serial_guide->matched_pairs());
-  ASSERT_EQ(parallel_guide->worker_nodes().size(),
-            serial_guide->worker_nodes().size());
-  for (size_t node = 0; node < serial_guide->worker_nodes().size();
-       ++node) {
-    EXPECT_EQ(parallel_guide->worker_nodes()[node].partner,
-              serial_guide->worker_nodes()[node].partner)
-        << "node " << node;
-  }
-}
-
 // --- FlowEngine selection inside the min-cost guide ---
 
 double TotalGuideTravel(const OfflineGuide& guide) {
@@ -613,62 +510,6 @@ TEST_P(GuideFlowEngineTest, MinCostGuideIsEngineEquivalent) {
     }
   }
   EXPECT_GE(reference_pairs, 0);
-}
-
-TEST_P(GuideFlowEngineTest, FixedEngineGuideIsThreadCountInvariant) {
-  // Per fixed engine the guide is bit-identical at any thread count: both
-  // the across-component sharding and the intra-component scans (the lent
-  // pool on the chunks <= 1 path) are order-insensitive.
-  SyntheticConfig config;
-  Rng rng(GetParam() * 677 + 11);
-  config.num_workers = 200 + static_cast<int>(rng.NextBounded(300));
-  config.num_tasks = 200 + static_cast<int>(rng.NextBounded(300));
-  config.grid_x = 8;
-  config.grid_y = 8;
-  config.num_slots = 6;
-  // Alternate between the many-component regime (across-component shards)
-  // and the one-giant-component regime (the lent-pool path).
-  config.velocity = rng.NextBool() ? 0.3 : 5.0;
-  config.task_duration = 0.5 + rng.NextDouble() * 2.0;
-  config.worker_duration = 0.5 + rng.NextDouble() * 3.0;
-  config.seed = GetParam() * 457 + 13;
-  const auto instance = GenerateSyntheticInstance(config);
-  ASSERT_TRUE(instance.ok());
-  const PredictionMatrix prediction =
-      PredictionMatrix::FromInstance(*instance);
-
-  for (const FlowEngine flow_engine :
-       {FlowEngine::kBlockingSsp, FlowEngine::kCostScaling}) {
-    GuideOptions options;
-    options.engine = GuideOptions::Engine::kCompressedMinCost;
-    options.flow_engine = flow_engine;
-    options.worker_duration = config.worker_duration;
-    options.task_duration = config.task_duration;
-
-    options.num_threads = 1;
-    const GuideGenerator serial(config.velocity, options);
-    const auto serial_guide = serial.Generate(prediction);
-    ASSERT_TRUE(serial_guide.ok()) << FlowEngineName(flow_engine);
-
-    for (const int threads : {2, 8}) {
-      options.num_threads = threads;
-      const GuideGenerator parallel(config.velocity, options);
-      const auto parallel_guide = parallel.Generate(prediction);
-      ASSERT_TRUE(parallel_guide.ok()) << FlowEngineName(flow_engine);
-      EXPECT_EQ(parallel_guide->matched_pairs(),
-                serial_guide->matched_pairs())
-          << FlowEngineName(flow_engine) << " threads " << threads;
-      ASSERT_EQ(parallel_guide->worker_nodes().size(),
-                serial_guide->worker_nodes().size());
-      for (size_t node = 0; node < serial_guide->worker_nodes().size();
-           ++node) {
-        ASSERT_EQ(parallel_guide->worker_nodes()[node].partner,
-                  serial_guide->worker_nodes()[node].partner)
-            << FlowEngineName(flow_engine) << " threads " << threads
-            << " node " << node;
-      }
-    }
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GuideFlowEngineTest,

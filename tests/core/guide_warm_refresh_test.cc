@@ -1,7 +1,7 @@
 // Warm-started guide refresh (GuideRefreshMode::kWarm): the equivalence
 // suite pinning the PR's core claim — a warm Generate is bit-identical to
-// a cold one on the same prediction, for every compressed engine, thread
-// count, and refresh sequence, while the reuse stats track exactly how
+// a cold one on the same prediction, for every compressed engine and
+// refresh sequence, while the reuse stats track exactly how
 // sparse the inter-call delta was.
 //
 // The workload is a clustered city: several spatially separated pockets of
@@ -34,12 +34,10 @@ SpacetimeSpec ClusteredSpec() {
   return SpacetimeSpec(SlotSpec(2.0, 1), GridSpec(40.0, 2.0, 20, 1));
 }
 
-GuideOptions WarmOptions(GuideOptions::Engine engine, GuideRefreshMode mode,
-                         int threads = 1) {
+GuideOptions WarmOptions(GuideOptions::Engine engine, GuideRefreshMode mode) {
   GuideOptions options;
   options.engine = engine;
   options.refresh_mode = mode;
-  options.num_threads = threads;
   options.worker_duration = 3.0;
   options.task_duration = 2.0;
   return options;
@@ -105,26 +103,22 @@ TEST(GuideWarmRefreshTest, WarmIsBitIdenticalToColdAcrossSequences) {
   const auto sequence = PredictionSequence();
   for (const auto engine : {GuideOptions::Engine::kCompressed,
                             GuideOptions::Engine::kCompressedMinCost}) {
-    for (const int threads : {1, 3}) {
-      const GuideGenerator warm(
-          1.0, WarmOptions(engine, GuideRefreshMode::kWarm, threads));
-      // The cold reference runs single-threaded: reuse must be invariant
-      // to both the warm generator's history and its thread count.
-      const GuideGenerator cold(
-          1.0, WarmOptions(engine, GuideRefreshMode::kCold));
-      for (size_t step = 0; step < sequence.size(); ++step) {
-        const PredictionMatrix prediction = MakePrediction(st, sequence[step]);
-        const auto warm_guide = warm.Generate(prediction);
-        const auto cold_guide = cold.Generate(prediction);
-        ASSERT_TRUE(warm_guide.ok()) << warm_guide.status();
-        ASSERT_TRUE(cold_guide.ok()) << cold_guide.status();
-        const std::string context =
-            "engine " + std::to_string(static_cast<int>(engine)) +
-            " threads " + std::to_string(threads) + " step " +
-            std::to_string(step);
-        ExpectGuidesIdentical(*warm_guide, *cold_guide, context.c_str());
-        EXPECT_FALSE(cold.last_refresh_stats().warm) << context;
-      }
+    const GuideGenerator warm(1.0,
+                              WarmOptions(engine, GuideRefreshMode::kWarm));
+    // Reuse must be invariant to the warm generator's history.
+    const GuideGenerator cold(1.0,
+                              WarmOptions(engine, GuideRefreshMode::kCold));
+    for (size_t step = 0; step < sequence.size(); ++step) {
+      const PredictionMatrix prediction = MakePrediction(st, sequence[step]);
+      const auto warm_guide = warm.Generate(prediction);
+      const auto cold_guide = cold.Generate(prediction);
+      ASSERT_TRUE(warm_guide.ok()) << warm_guide.status();
+      ASSERT_TRUE(cold_guide.ok()) << cold_guide.status();
+      const std::string context =
+          "engine " + std::to_string(static_cast<int>(engine)) + " step " +
+          std::to_string(step);
+      ExpectGuidesIdentical(*warm_guide, *cold_guide, context.c_str());
+      EXPECT_FALSE(cold.last_refresh_stats().warm) << context;
     }
   }
 }

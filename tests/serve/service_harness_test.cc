@@ -5,10 +5,12 @@
 #include <chrono>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "gen/config.h"
 #include "oracles/reference_serve_loop.h"
 
 namespace ftoa {
@@ -283,6 +285,53 @@ TEST(ServiceHarnessTest, RejectsNonPositiveOrNonFiniteVelocity) {
     EXPECT_TRUE(rejected.status().IsInvalidArgument());
     EXPECT_NE(rejected.status().message().find("velocity"),
               std::string::npos);
+  }
+}
+
+/// Expects Create to reject `scale` on the Beijing profile with an
+/// InvalidArgument that mentions the trace scale.
+void ExpectScaleRejected(double scale) {
+  LoopedTraceSource::Options trace;
+  trace.scale = scale;
+  const auto rejected =
+      ServiceHarness::Create(BeijingProfile(), trace, ServiceOptions{});
+  ASSERT_FALSE(rejected.ok()) << scale;
+  EXPECT_TRUE(rejected.status().IsInvalidArgument()) << rejected.status();
+  EXPECT_NE(rejected.status().message().find("trace scale"),
+            std::string::npos)
+      << rejected.status();
+}
+
+TEST(ServiceHarnessTest, RejectsNanScale) {
+  ExpectScaleRejected(std::numeric_limits<double>::quiet_NaN());
+}
+
+TEST(ServiceHarnessTest, RejectsZeroScale) { ExpectScaleRejected(0.0); }
+
+TEST(ServiceHarnessTest, RejectsNegativeScale) { ExpectScaleRejected(-1.0); }
+
+TEST(ServiceHarnessTest, RejectsInfiniteScale) {
+  ExpectScaleRejected(std::numeric_limits<double>::infinity());
+}
+
+TEST(ServiceHarnessTest, RejectsScaleBeyondTheObjectIdSpace) {
+  ExpectScaleRejected(1e5);
+}
+
+TEST(ServiceHarnessTest, RejectsScaleFarBeyondTheObjectIdSpace) {
+  ExpectScaleRejected(1e12);
+}
+
+TEST(ServiceHarnessTest, AcceptsTheServingScales) {
+  for (const CityProfile& profile : {BeijingProfile(), HangzhouProfile()}) {
+    for (const double scale : {0.05, 0.5, 0.7, 1.0, 3.0}) {
+      LoopedTraceSource::Options trace;
+      trace.scale = scale;
+      const auto harness =
+          ServiceHarness::Create(profile, trace, ServiceOptions{});
+      EXPECT_TRUE(harness.ok()) << profile.name << " x" << scale << ": "
+                                << harness.status();
+    }
   }
 }
 

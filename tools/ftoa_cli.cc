@@ -189,9 +189,15 @@ int CmdGenerate(int argc, char** argv) {
     CityProfile profile = args.Get("city", "beijing") == "hangzhou"
                               ? HangzhouProfile()
                               : BeijingProfile();
-    const double scale = args.GetDouble("scale", 0.1);
-    profile.workers_per_day *= scale;
-    profile.tasks_per_day *= scale;
+    LoopedTraceSource::Options scaled;
+    scaled.scale = args.GetDouble("scale", 0.1);
+    if (const Status bad = LoopedTraceSource::CheckOptions(profile, scaled);
+        !bad.ok()) {
+      std::fprintf(stderr, "generate: %s\n", bad.ToString().c_str());
+      return 2;
+    }
+    profile.workers_per_day *= scaled.scale;
+    profile.tasks_per_day *= scaled.scale;
     const CityTraceGenerator generator(profile);
     instance = generator.GenerateInstanceForDay(
         args.GetInt32("day", profile.history_days - 3));
@@ -402,6 +408,12 @@ int CmdServe(int argc, char** argv) {
   LoopedTraceSource::Options trace;
   trace.scale = args.GetDouble("scale", 0.05);
   trace.loop_days = args.GetInt32("loop-days", 0);
+  // Checked before the retrieval probe below builds a source from it.
+  if (const Status scale = LoopedTraceSource::CheckOptions(profile, trace);
+      !scale.ok()) {
+    std::fprintf(stderr, "serve: %s\n", scale.ToString().c_str());
+    return 2;
+  }
 
   ServiceOptions options;
   options.algorithm = args.Get("algorithm", "polar-op");

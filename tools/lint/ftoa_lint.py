@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """ftoa-lint: project-specific determinism & concurrency checks.
 
-The repo's verification story (bit-identical guides at any thread count,
-batch-vs-stream equality, shard-merge invariance) rests on a determinism
+The repo's verification story (bit-identical guides, batch-vs-stream
+equality, shard-merge invariance) rests on a determinism
 contract that runtime tests can only spot-check: a violation hides until an
 input happens to trigger it.  Every concurrency bug this project has shipped
 and later caught at runtime belongs to a statically detectable class; this
@@ -37,6 +37,11 @@ Checks (see docs/static_analysis.md for the full catalog):
                            `FTOA_<PATH>_H_` include guard; duplicate
                            includes; unused std includes (curated,
                            conservative token map).
+  serial-solver            Thread-pool or std::thread/async/future use,
+                           or includes of util/thread_pool.h, <future>
+                           or <thread>, in src/flow and
+                           src/core/guide_generator: the guide solve is
+                           serial (no parallel path measured a win).
   feasible-reach           `MaxFeasibleDistance(` in src/ outside
                            src/model: a candidate query's radius comes
                            from FeasibleReach, which derives it from the
@@ -68,6 +73,7 @@ import sys
 DETERMINISM_PATHS = ("src/core/", "src/sim/", "src/serve/", "src/flow/")
 HOT_PATHS = ("src/flow/", "src/spatial/", "src/retrieval/",
              "src/core/guide_generator.")
+SERIAL_SOLVER_PATHS = ("src/flow/", "src/core/guide_generator.")
 RNG_SCOPE = ("src/", "tools/")
 RNG_EXEMPT = ("src/util/", "tools/lint/")
 REACH_EXEMPT = ("src/model/",)
@@ -89,6 +95,11 @@ CHECKS = {
     "no-std-function-hot-path":
         "std::function in a hot path (%s): per-item callbacks must be "
         "templated parameters, not type-erased" % ", ".join(HOT_PATHS),
+    "serial-solver":
+        "thread primitive in the serial guide solve (%s): the solvers and "
+        "the guide generator run on the calling thread; a parallel path "
+        "returns only with a bench showing it winning on more than one "
+        "core" % ", ".join(SERIAL_SOLVER_PATHS),
     "include-hygiene":
         "include guard missing or non-canonical (FTOA_<PATH>_H_), "
         "duplicate include, or unused std include",
@@ -472,6 +483,21 @@ def check_no_std_function_hot_path(sf, ctx):
                   CHECKS["no-std-function-hot-path"])
 
 
+_SERIAL_SOLVER_RE = re.compile(
+    r"\b(?:ThreadPool|PoolSlice)\b"
+    r"|\bstd\s*::\s*(?:thread|async|future)\b"
+    r'|^[ \t]*#[ \t]*include[ \t]*(?:"util/thread_pool\.h"|<future>|<thread>)',
+    re.MULTILINE)
+
+
+def check_serial_solver(sf, ctx):
+    del ctx
+    if not sf.rel.startswith(SERIAL_SOLVER_PATHS):
+        return
+    for m in _SERIAL_SOLVER_RE.finditer(sf.clean):
+        sf.report(m.start(), "serial-solver", CHECKS["serial-solver"])
+
+
 # Conservative unused-include token map: a std header is flagged only when
 # none of its distinctive tokens appear in the cleaned text.  Headers whose
 # use is hard to fingerprint (<utility>, <cstddef>, <new>, ...) are not
@@ -584,6 +610,7 @@ ALL_CHECKS = (
     check_seeded_rng_only,
     check_notify_under_lock,
     check_no_std_function_hot_path,
+    check_serial_solver,
     check_include_hygiene,
     check_feasible_reach,
 )

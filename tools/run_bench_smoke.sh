@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Perf-trajectory smoke: builds Release, runs the flow microbench, the
-# per-object online-algorithm microbench, the parallel/sharding
+# per-object online-algorithm microbench, the guide-solve/MC-trials
 # microbench, the streaming-session microbench, the sharded-dispatcher
 # bench, the candidate-retrieval bench, the steady-state refresh/
 # rotation bench, and the serving-loop bench, and records their JSON next
@@ -39,7 +39,7 @@ echo "== bench_micro_perobject (per-arrival cost of the online algorithms)"
     --benchmark_out="$ROOT/BENCH_perobject.json" \
     --benchmark_out_format=json
 
-echo "== bench_parallel (sharded guide solve + parallel MC trials)"
+echo "== bench_parallel (serial guide solve + parallel MC trials)"
 "$BUILD/bench_parallel" \
     --benchmark_min_time=0.05 \
     --benchmark_context=nproc="$(nproc)",build_type=Release \
@@ -115,23 +115,22 @@ for shape, size in shapes:
           f"auto {auto:.1f}ms ({auto / times[winner]:.2f}x of winner)")
 EOF
 
-# Headline numbers: serial vs parallel guide generation and trial
-# throughput (ratios near 1.0 are expected on single-core machines).
+# Headline numbers: serial guide generation times and the Monte-Carlo
+# trial speedup (a ratio near 1.0 is expected on single-core machines).
 python3 - "$ROOT/BENCH_parallel.json" <<'EOF'
 import json, sys
 runs = {b["name"]: b["real_time"]
         for b in json.load(open(sys.argv[1]))["benchmarks"]}
-for base, label in [("BM_GuideCompressed", "guide (sharded)"),
+serial = runs.get("BM_CompetitiveTrials/1")
+parallel = runs.get("BM_CompetitiveTrials/4")
+if serial and parallel:
+    print(f"MC trials: serial {serial:.1f}ms, 4 threads "
+          f"{parallel:.1f}ms, speedup {serial / parallel:.2f}x")
+for name, label in [("BM_GuideCompressed", "guide many components"),
                     ("BM_GuideCompressedMinCost", "guide min-cost"),
-                    ("BM_CompetitiveTrials", "MC trials")]:
-    serial = runs.get(f"{base}/1")
-    parallel = runs.get(f"{base}/4")
-    if serial and parallel:
-        print(f"{label}: serial {serial:.1f}ms, 4 threads "
-              f"{parallel:.1f}ms, speedup {serial / parallel:.2f}x")
-for base, label in [("BM_GuideCity", "guide beijing x0.5 (kAuto)"),
-                    ("BM_GuideOneComponent", "guide one component")]:
-    serial = runs.get(f"{base}/1")
+                    ("BM_GuideOneComponent", "guide one component"),
+                    ("BM_GuideCity", "guide beijing x0.5 (kAuto)")]:
+    serial = runs.get(name)
     if serial:
         print(f"{label}: {serial:.1f}ms per solve")
 EOF
