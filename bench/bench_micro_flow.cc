@@ -16,6 +16,11 @@
 //  * BM_MinCostFlowArenaReuse — same solve through a long-lived solver
 //    whose Reset() keeps the edge arena and scratch buffers, the usage
 //    pattern of guide generation in a live deployment.
+//  * BM_DinicCityNetwork — the max-flow layer of the serving loop's guide
+//    solve: the compressed type-pair network of a Beijing x0.5 day (one
+//    component, ~175k pairs) loaded into one long-lived FlowGraph and
+//    solved by one long-lived DinicSolver per iteration, the arena pattern
+//    of GuideGenerator. Covers AddEdge, BuildAdjacency and the solve.
 //  * BM_DynamicMatchingArrivals vs BM_HopcroftKarpRebuildPerArrival — the
 //    incremental matcher's per-arrival augmenting-path cost against
 //    rebuilding a Hopcroft-Karp instance per arrival (the TGOA/GR pattern
@@ -27,12 +32,18 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "core/guide_generator.h"
+#include "flow/dinic.h"
 #include "flow/dynamic_matching.h"
 #include "flow/hopcroft_karp.h"
+#include "flow/graph.h"
 #include "flow/min_cost_flow.h"
+#include "gen/config.h"
+#include "harness.h"
 #include "util/rng.h"
 
 namespace ftoa {
@@ -268,6 +279,67 @@ BENCHMARK(BM_HopcroftKarpRebuildPerArrival)
     ->Args({256, 8})
     ->Args({1024, 8})
     ->Unit(benchmark::kMillisecond);
+
+void BM_DinicCityNetwork(benchmark::State& state) {
+  // The network GuideGenerator builds for this one-component day: compact
+  // type nodes in first-use order over the pairs, supply and demand edges,
+  // then one edge per pair with capacity min(workers, tasks).
+  const CityProfile profile = BeijingProfile();
+  const PredictionMatrix prediction = bench::BeijingHalfDayPrediction();
+  GuideOptions options;
+  options.worker_duration = profile.worker_duration;
+  options.task_duration = profile.task_duration;
+  const GuideGenerator generator(profile.velocity, options);
+  const std::vector<TypePairEdge>& pairs =
+      generator.FeasibleTypePairs(prediction);
+  const auto num_types =
+      static_cast<size_t>(prediction.spacetime().num_types());
+  std::vector<NodeId> worker_node(num_types, -1);
+  std::vector<NodeId> task_node(num_types, -1);
+  std::vector<TypeId> worker_types;
+  std::vector<TypeId> task_types;
+  for (const TypePairEdge& pair : pairs) {
+    NodeId& w = worker_node[static_cast<size_t>(pair.worker_type)];
+    if (w < 0) {
+      w = static_cast<NodeId>(worker_types.size());
+      worker_types.push_back(pair.worker_type);
+    }
+    NodeId& t = task_node[static_cast<size_t>(pair.task_type)];
+    if (t < 0) {
+      t = static_cast<NodeId>(task_types.size());
+      task_types.push_back(pair.task_type);
+    }
+  }
+  const auto workers = static_cast<NodeId>(worker_types.size());
+  const auto tasks = static_cast<NodeId>(task_types.size());
+  const NodeId sink = workers + tasks + 1;
+  FlowGraph graph;
+  DinicSolver solver;
+  int64_t flow = 0;
+  for (auto _ : state) {
+    graph.Reset(sink + 1);
+    graph.ReserveEdges(static_cast<size_t>(workers + tasks) + pairs.size());
+    for (NodeId i = 0; i < workers; ++i) {
+      const TypeId type = worker_types[static_cast<size_t>(i)];
+      graph.AddEdge(0, 1 + i, prediction.workers_at(type));
+    }
+    for (NodeId j = 0; j < tasks; ++j) {
+      const TypeId type = task_types[static_cast<size_t>(j)];
+      graph.AddEdge(1 + workers + j, sink, prediction.tasks_at(type));
+    }
+    for (const auto& [wt, tt] : pairs) {
+      graph.AddEdge(1 + worker_node[static_cast<size_t>(wt)],
+                    1 + workers + task_node[static_cast<size_t>(tt)],
+                    std::min<int64_t>(prediction.workers_at(wt),
+                                      prediction.tasks_at(tt)));
+    }
+    flow = solver.Solve(&graph, 0, sink);
+    benchmark::DoNotOptimize(flow);
+  }
+  state.counters["pairs"] = static_cast<double>(pairs.size());
+  state.counters["matched"] = static_cast<double>(flow);
+}
+BENCHMARK(BM_DinicCityNetwork)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace ftoa

@@ -1,5 +1,8 @@
 #include "core/guide.h"
 
+#include <cstddef>
+#include <numeric>
+
 namespace ftoa {
 
 OfflineGuide::OfflineGuide(SpacetimeSpec spacetime, double velocity,
@@ -13,18 +16,31 @@ OfflineGuide::OfflineGuide(SpacetimeSpec spacetime, double velocity,
       worker_nodes_by_type_(static_cast<size_t>(spacetime.num_types())),
       task_nodes_by_type_(static_cast<size_t>(spacetime.num_types())) {}
 
-GuideNodeId OfflineGuide::AddWorkerNode(TypeId type) {
-  const GuideNodeId id = static_cast<GuideNodeId>(worker_nodes_.size());
-  worker_nodes_.push_back(GuideNode{type, -1});
-  worker_nodes_by_type_[static_cast<size_t>(type)].push_back(id);
-  return id;
+namespace {
+
+GuideNodeId AppendNodes(TypeId type, int32_t count,
+                        std::vector<GuideNode>* nodes,
+                        std::vector<GuideNodeId>* nodes_of_type) {
+  const auto first = static_cast<GuideNodeId>(nodes->size());
+  nodes->resize(nodes->size() + static_cast<size_t>(count),
+                GuideNode{type, -1});
+  const size_t old_size = nodes_of_type->size();
+  nodes_of_type->resize(old_size + static_cast<size_t>(count));
+  std::iota(nodes_of_type->begin() + static_cast<std::ptrdiff_t>(old_size),
+            nodes_of_type->end(), first);
+  return first;
 }
 
-GuideNodeId OfflineGuide::AddTaskNode(TypeId type) {
-  const GuideNodeId id = static_cast<GuideNodeId>(task_nodes_.size());
-  task_nodes_.push_back(GuideNode{type, -1});
-  task_nodes_by_type_[static_cast<size_t>(type)].push_back(id);
-  return id;
+}  // namespace
+
+GuideNodeId OfflineGuide::AddWorkerNodes(TypeId type, int32_t count) {
+  return AppendNodes(type, count, &worker_nodes_,
+                     &worker_nodes_by_type_[static_cast<size_t>(type)]);
+}
+
+GuideNodeId OfflineGuide::AddTaskNodes(TypeId type, int32_t count) {
+  return AppendNodes(type, count, &task_nodes_,
+                     &task_nodes_by_type_[static_cast<size_t>(type)]);
 }
 
 Status OfflineGuide::MatchNodes(GuideNodeId worker_node,

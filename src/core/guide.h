@@ -46,9 +46,15 @@ class OfflineGuide {
   double representative_slack() const { return representative_slack_; }
 
   /// Appends a worker node of `type`; returns its id.
-  GuideNodeId AddWorkerNode(TypeId type);
+  GuideNodeId AddWorkerNode(TypeId type) { return AddWorkerNodes(type, 1); }
   /// Appends a task node of `type`; returns its id.
-  GuideNodeId AddTaskNode(TypeId type);
+  GuideNodeId AddTaskNode(TypeId type) { return AddTaskNodes(type, 1); }
+
+  /// Appends `count` > 0 worker nodes of `type` with consecutive ids;
+  /// returns the first. A type's first call sizes its id list exactly.
+  GuideNodeId AddWorkerNodes(TypeId type, int32_t count);
+  /// Appends `count` > 0 task nodes of `type`; see AddWorkerNodes.
+  GuideNodeId AddTaskNodes(TypeId type, int32_t count);
 
   /// Marks (worker node, task node) as a matched pair of Ĝf.
   /// Both must be currently unmatched.

@@ -67,31 +67,49 @@ void GuideGenerator::InvalidateWarmCache() const {
   warm_cache_ = WarmCache{};
 }
 
-const std::vector<TypePairEdge>& GuideGenerator::FeasibleTypePairs(
-    const PredictionMatrix& prediction) const {
-  ++pair_enumerations_;
-  std::vector<TypePairEdge>& pairs = feasible_pairs_;
-  pairs.clear();
-  const SpacetimeSpec& st = prediction.spacetime();
-  const GridSpec& grid = st.grid();
-  const SlotSpec& slots = st.slots();
-  const int num_areas = st.num_areas();
+namespace {
+
+/// Column and row range of the cells the feasibility disk of radius
+/// `radius` around `center` can reach, clamped to the grid. std::floor
+/// before the int cast so each bound is the disk edge's true cell index
+/// even when (center - radius) is negative (the clamp happens to erase the
+/// difference from a plain cast; floor states the intended semantics).
+struct DiskBox {
+  int cx_lo;
+  int cx_hi;
+  int cy_lo;
+  int cy_hi;
+
+  DiskBox(const GridSpec& grid, Point center, double radius)
+      : cx_lo(std::max(0, static_cast<int>(std::floor(
+                              (center.x - radius) / grid.cell_width())))),
+        cx_hi(std::min(grid.cells_x() - 1,
+                       static_cast<int>(std::floor((center.x + radius) /
+                                                   grid.cell_width())))),
+        cy_lo(std::max(0, static_cast<int>(std::floor(
+                              (center.y - radius) / grid.cell_height())))),
+        cy_hi(std::min(grid.cells_y() - 1,
+                       static_cast<int>(std::floor((center.y + radius) /
+                                                   grid.cell_height())))) {}
+
+  int64_t cells() const {
+    return static_cast<int64_t>(cx_hi - cx_lo + 1) * (cy_hi - cy_lo + 1);
+  }
+};
+
+}  // namespace
+
+void GuideGenerator::ResetCandidateTable(
+    const SpacetimeSpec& spacetime) const {
+  CandidateTable& table = candidates_;
+  table.valid = true;
+  table.spacetime = spacetime;
+  const SlotSpec& slots = spacetime.slots();
   const double dw = options_.worker_duration;
   const double dr = options_.task_duration;
   const double rep_slack = options_.representative_slack;
-
-  // Per-slot list of cells with predicted tasks, for sparse iteration when
-  // the feasibility disk covers most of the grid.
-  std::vector<std::vector<CellId>> task_cells_by_slot(
-      static_cast<size_t>(slots.num_slots()));
-  for (int slot = 0; slot < slots.num_slots(); ++slot) {
-    for (CellId cell = 0; cell < num_areas; ++cell) {
-      if (prediction.tasks_at(st.TypeAt(slot, cell)) > 0) {
-        task_cells_by_slot[static_cast<size_t>(slot)].push_back(cell);
-      }
-    }
-  }
-
+  table.window_begin.assign(static_cast<size_t>(slots.num_slots()) + 1, 0);
+  table.task_slots.clear();
   for (int wslot = 0; wslot < slots.num_slots(); ++wslot) {
     const double sw = slots.SlotMidpoint(wslot);
     // Candidate task slots: representatives must satisfy
@@ -100,62 +118,126 @@ const std::vector<TypePairEdge>& GuideGenerator::FeasibleTypePairs(
         0, slots.SlotOf(std::max(0.0, sw - dr - rep_slack)) - 1);
     const int slot_hi = std::min(slots.num_slots() - 1,
                                  slots.SlotOf(sw + dw + rep_slack) + 1);
+    for (int tslot = slot_lo; tslot <= slot_hi; ++tslot) {
+      const double sr = slots.SlotMidpoint(tslot);
+      if (!(sr < sw + dw + rep_slack)) continue;
+      const double slack = dr - (sw - sr) + rep_slack;
+      if (slack < 0.0) continue;
+      table.task_slots.push_back(CandidateTable::TaskSlot{tslot, slack});
+    }
+    table.window_begin[static_cast<size_t>(wslot) + 1] =
+        static_cast<int32_t>(table.task_slots.size());
+  }
+  table.first_disk.assign(static_cast<size_t>(spacetime.num_types()), -1);
+  table.disks.clear();
+  table.task_types.clear();
+}
 
+int64_t GuideGenerator::DisksOf(const SpacetimeSpec& spacetime,
+                                TypeId wtype) const {
+  CandidateTable& table = candidates_;
+  int64_t& first = table.first_disk[static_cast<size_t>(wtype)];
+  if (first >= 0) return first;
+  first = static_cast<int64_t>(table.disks.size());
+  const int wslot = spacetime.SlotOfType(wtype);
+  const Point wloc = spacetime.RepresentativeLocation(wtype);
+  for (int32_t i = table.window_begin[static_cast<size_t>(wslot)];
+       i < table.window_begin[static_cast<size_t>(wslot) + 1]; ++i) {
+    const double radius =
+        table.task_slots[static_cast<size_t>(i)].slack * velocity_;
+    CandidateTable::Disk disk;
+    disk.box_cells = static_cast<int32_t>(
+        DiskBox(spacetime.grid(), wloc, radius).cells());
+    table.disks.push_back(disk);
+  }
+  return first;
+}
+
+void GuideGenerator::BuildDisk(const SpacetimeSpec& spacetime, CellId wcell,
+                               const CandidateTable::TaskSlot& tslot,
+                               CandidateTable::Disk* disk) const {
+  std::vector<TypeId>& types = candidates_.task_types;
+  const GridSpec& grid = spacetime.grid();
+  const Point wloc = grid.CellCenter(wcell);
+  const DiskBox box(grid, wloc, tslot.slack * velocity_);
+  disk->begin = static_cast<int64_t>(types.size());
+  for (int cy = box.cy_lo; cy <= box.cy_hi; ++cy) {
+    for (int cx = box.cx_lo; cx <= box.cx_hi; ++cx) {
+      const CellId tcell = grid.CellAt(cx, cy);
+      if (Distance(wloc, grid.CellCenter(tcell)) / velocity_ <= tslot.slack) {
+        types.push_back(spacetime.TypeAt(tslot.slot, tcell));
+      }
+    }
+  }
+  disk->count = static_cast<int32_t>(static_cast<int64_t>(types.size()) -
+                                     disk->begin);
+}
+
+const std::vector<TypePairEdge>& GuideGenerator::FeasibleTypePairs(
+    const PredictionMatrix& prediction) const {
+  ++pair_enumerations_;
+  std::vector<TypePairEdge>& pairs = feasible_pairs_;
+  pairs.clear();
+  const SpacetimeSpec& st = prediction.spacetime();
+  if (!candidates_.valid || !(candidates_.spacetime == st)) {
+    ResetCandidateTable(st);
+  }
+  const CandidateTable& table = candidates_;
+  const GridSpec& grid = st.grid();
+  const int num_slots = st.num_slots();
+  const int num_areas = st.num_areas();
+
+  // Per-slot list of cells with predicted tasks, for the sparse side.
+  sparse_begin_.assign(static_cast<size_t>(num_slots) + 1, 0);
+  sparse_cells_.clear();
+  for (int slot = 0; slot < num_slots; ++slot) {
+    for (CellId cell = 0; cell < num_areas; ++cell) {
+      if (prediction.tasks_at(st.TypeAt(slot, cell)) > 0) {
+        sparse_cells_.push_back(cell);
+      }
+    }
+    sparse_begin_[static_cast<size_t>(slot) + 1] =
+        static_cast<int32_t>(sparse_cells_.size());
+  }
+
+  for (int wslot = 0; wslot < num_slots; ++wslot) {
+    const int32_t window_lo = table.window_begin[static_cast<size_t>(wslot)];
+    const int32_t window_hi =
+        table.window_begin[static_cast<size_t>(wslot) + 1];
     for (CellId wcell = 0; wcell < num_areas; ++wcell) {
       const TypeId wtype = st.TypeAt(wslot, wcell);
       if (prediction.workers_at(wtype) <= 0) continue;
-      const Point wloc = grid.CellCenter(wcell);
-
-      for (int tslot = slot_lo; tslot <= slot_hi; ++tslot) {
-        const double sr = slots.SlotMidpoint(tslot);
-        if (!(sr < sw + dw + rep_slack)) continue;
-        const double slack = dr - (sw - sr) + rep_slack;
-        if (slack < 0.0) continue;
-        const double radius = slack * velocity_;
-
-        // Choose between scanning the bounding box of the feasibility disk
-        // and scanning the slot's nonempty task cells, whichever is smaller.
-        // std::floor before the int cast so each bound is the disk edge's
-        // true cell index even when (wloc - radius) is negative. With the
-        // current clamps the cast alone happens to agree (trunc and floor
-        // differ only below zero, where max(0, ...) erases the difference),
-        // but that equivalence is incidental — floor states the intended
-        // semantics instead of relying on it.
-        const int cx_lo = std::max(
-            0, static_cast<int>(
-                   std::floor((wloc.x - radius) / grid.cell_width())));
-        const int cx_hi = std::min(
-            grid.cells_x() - 1,
-            static_cast<int>(
-                std::floor((wloc.x + radius) / grid.cell_width())));
-        const int cy_lo = std::max(
-            0, static_cast<int>(
-                   std::floor((wloc.y - radius) / grid.cell_height())));
-        const int cy_hi = std::min(
-            grid.cells_y() - 1,
-            static_cast<int>(
-                std::floor((wloc.y + radius) / grid.cell_height())));
-        const int64_t box_cells = static_cast<int64_t>(cx_hi - cx_lo + 1) *
-                                  (cy_hi - cy_lo + 1);
-        const auto& sparse = task_cells_by_slot[static_cast<size_t>(tslot)];
-
-        auto consider = [&](CellId tcell) {
-          const TypeId ttype = st.TypeAt(tslot, tcell);
-          if (prediction.tasks_at(ttype) <= 0) return;
-          const double d = Distance(wloc, grid.CellCenter(tcell));
-          if (d / velocity_ <= slack) {
-            pairs.push_back(TypePairEdge{wtype, ttype});
-          }
-        };
-
-        if (box_cells <= static_cast<int64_t>(sparse.size())) {
-          for (int cy = cy_lo; cy <= cy_hi; ++cy) {
-            for (int cx = cx_lo; cx <= cx_hi; ++cx) {
-              consider(grid.CellAt(cx, cy));
+      const int64_t first = DisksOf(st, wtype);
+      for (int32_t i = window_lo; i < window_hi; ++i) {
+        const CandidateTable::TaskSlot& tslot =
+            table.task_slots[static_cast<size_t>(i)];
+        const int32_t sparse_lo =
+            sparse_begin_[static_cast<size_t>(tslot.slot)];
+        const int32_t sparse_hi =
+            sparse_begin_[static_cast<size_t>(tslot.slot) + 1];
+        CandidateTable::Disk& disk =
+            candidates_.disks[static_cast<size_t>(first + (i - window_lo))];
+        // Scan whichever side is smaller: the disk's bounding box (through
+        // its built list) or the slot's nonempty task cells.
+        if (disk.box_cells <= sparse_hi - sparse_lo) {
+          if (disk.begin < 0) BuildDisk(st, wcell, tslot, &disk);
+          const TypeId* types =
+              table.task_types.data() + static_cast<size_t>(disk.begin);
+          for (int32_t k = 0; k < disk.count; ++k) {
+            if (prediction.tasks_at(types[k]) > 0) {
+              pairs.push_back(TypePairEdge{wtype, types[k]});
             }
           }
         } else {
-          for (CellId tcell : sparse) consider(tcell);
+          const Point wloc = grid.CellCenter(wcell);
+          for (int32_t k = sparse_lo; k < sparse_hi; ++k) {
+            const CellId tcell = sparse_cells_[static_cast<size_t>(k)];
+            if (Distance(wloc, grid.CellCenter(tcell)) / velocity_ <=
+                tslot.slack) {
+              pairs.push_back(
+                  TypePairEdge{wtype, st.TypeAt(tslot.slot, tcell)});
+            }
+          }
         }
       }
     }
@@ -176,35 +258,26 @@ int64_t NodeLevelEdges(const PredictionMatrix& prediction,
   return edges;
 }
 
-/// Instantiates all predicted nodes into `guide`; returns the first guide
-/// node id per type so callers can translate (type, ordinal) -> node id.
-struct InstantiatedNodes {
-  std::vector<GuideNodeId> first_worker_node;  // Per type, -1 when empty.
-  std::vector<GuideNodeId> first_task_node;
-};
+}  // namespace
 
-InstantiatedNodes InstantiateNodes(const PredictionMatrix& prediction,
-                                   OfflineGuide* guide) {
+void GuideGenerator::InstantiateNodes(const PredictionMatrix& prediction,
+                                      OfflineGuide* guide) const {
   const int num_types = prediction.spacetime().num_types();
-  InstantiatedNodes out;
-  out.first_worker_node.assign(static_cast<size_t>(num_types), -1);
-  out.first_task_node.assign(static_cast<size_t>(num_types), -1);
+  first_worker_node_.assign(static_cast<size_t>(num_types), -1);
+  first_task_node_.assign(static_cast<size_t>(num_types), -1);
   for (TypeId type = 0; type < num_types; ++type) {
     const int32_t workers = prediction.workers_at(type);
-    for (int32_t k = 0; k < workers; ++k) {
-      const GuideNodeId id = guide->AddWorkerNode(type);
-      if (k == 0) out.first_worker_node[static_cast<size_t>(type)] = id;
+    if (workers > 0) {
+      first_worker_node_[static_cast<size_t>(type)] =
+          guide->AddWorkerNodes(type, workers);
     }
     const int32_t tasks = prediction.tasks_at(type);
-    for (int32_t k = 0; k < tasks; ++k) {
-      const GuideNodeId id = guide->AddTaskNode(type);
-      if (k == 0) out.first_task_node[static_cast<size_t>(type)] = id;
+    if (tasks > 0) {
+      first_task_node_[static_cast<size_t>(type)] =
+          guide->AddTaskNodes(type, tasks);
     }
   }
-  return out;
 }
-
-}  // namespace
 
 int64_t GuideGenerator::EstimateNodeLevelEdges(
     const PredictionMatrix& prediction) const {
@@ -233,7 +306,7 @@ Result<OfflineGuide> GuideGenerator::GenerateNodeLevel(
   OfflineGuide guide(prediction.spacetime(), velocity_,
                      options_.worker_duration, options_.task_duration,
                      options_.representative_slack);
-  const InstantiatedNodes nodes = InstantiateNodes(prediction, &guide);
+  InstantiateNodes(prediction, &guide);
 
   // Network layout: source 0, worker nodes 1..m, task nodes m+1..m+n,
   // sink m+n+1 (Algorithm 1 lines 1-5). The edge arena and the solver
@@ -255,8 +328,8 @@ Result<OfflineGuide> GuideGenerator::GenerateNodeLevel(
   std::vector<EdgeId> pair_edges;
   std::vector<std::pair<GuideNodeId, GuideNodeId>> pair_nodes;
   for (const auto& [wt, tt] : pairs) {
-    const GuideNodeId w0 = nodes.first_worker_node[static_cast<size_t>(wt)];
-    const GuideNodeId r0 = nodes.first_task_node[static_cast<size_t>(tt)];
+    const GuideNodeId w0 = first_worker_node_[static_cast<size_t>(wt)];
+    const GuideNodeId r0 = first_task_node_[static_cast<size_t>(tt)];
     const int32_t wc = prediction.workers_at(wt);
     const int32_t tc = prediction.tasks_at(tt);
     for (int32_t wi = 0; wi < wc; ++wi) {
@@ -291,6 +364,7 @@ Result<OfflineGuide> GuideGenerator::GenerateCompressed(
     const std::vector<TypePairEdge>& feasible, bool minimize_cost) const {
   const SpacetimeSpec& st = prediction.spacetime();
   const int num_types = st.num_types();
+  CompressedScratch& scratch = scratch_;
 
   // Feasible type pairs in the deterministic enumeration order, thinned by
   // the approximate-mode Bernoulli sample *before* component decomposition
@@ -320,11 +394,14 @@ Result<OfflineGuide> GuideGenerator::GenerateCompressed(
 
   // Dense type id -> compact network node id, assigned on first use over
   // the (sampled) pair list.
-  std::vector<int32_t> worker_node_of_type(static_cast<size_t>(num_types),
-                                           -1);
-  std::vector<int32_t> task_node_of_type(static_cast<size_t>(num_types), -1);
-  std::vector<TypeId> worker_types;
-  std::vector<TypeId> task_types;
+  std::vector<int32_t>& worker_node_of_type = scratch.worker_node_of_type;
+  std::vector<int32_t>& task_node_of_type = scratch.task_node_of_type;
+  std::vector<TypeId>& worker_types = scratch.worker_types;
+  std::vector<TypeId>& task_types = scratch.task_types;
+  worker_node_of_type.assign(static_cast<size_t>(num_types), -1);
+  task_node_of_type.assign(static_cast<size_t>(num_types), -1);
+  worker_types.clear();
+  task_types.clear();
   for (const TypePairEdge& pair : pairs) {
     if (worker_node_of_type[static_cast<size_t>(pair.worker_type)] < 0) {
       worker_node_of_type[static_cast<size_t>(pair.worker_type)] =
@@ -344,15 +421,20 @@ Result<OfflineGuide> GuideGenerator::GenerateCompressed(
   OfflineGuide guide(st, velocity_, options_.worker_duration,
                      options_.task_duration,
                      options_.representative_slack);
-  const InstantiatedNodes nodes = InstantiateNodes(prediction, &guide);
+  InstantiateNodes(prediction, &guide);
 
   // ---- Connected-component decomposition. Compact worker node i and
   // compact task node j live at union-find indices i and wcount + j.
   // Components are independent flow problems: every source/sink edge is
   // private to its type node, so no augmenting path crosses components and
   // solving them separately is exact.
-  std::vector<int32_t> parent(static_cast<size_t>(wcount + tcount));
+  // Union by size keeps the trees shallow; which root a set gets never
+  // matters, only its membership.
+  std::vector<int32_t>& parent = scratch.parent;
+  std::vector<int32_t>& set_size = scratch.set_size;
+  parent.resize(static_cast<size_t>(wcount + tcount));
   std::iota(parent.begin(), parent.end(), 0);
+  set_size.assign(static_cast<size_t>(wcount + tcount), 1);
   auto find = [&parent](int32_t x) {
     while (parent[static_cast<size_t>(x)] != x) {
       parent[static_cast<size_t>(x)] =
@@ -362,71 +444,94 @@ Result<OfflineGuide> GuideGenerator::GenerateCompressed(
     return x;
   };
   for (const TypePairEdge& pair : pairs) {
-    const int32_t a =
+    int32_t a =
         find(worker_node_of_type[static_cast<size_t>(pair.worker_type)]);
-    const int32_t b = find(
+    int32_t b = find(
         wcount + task_node_of_type[static_cast<size_t>(pair.task_type)]);
-    if (a != b) parent[static_cast<size_t>(b)] = a;
+    if (a == b) continue;
+    if (set_size[static_cast<size_t>(a)] < set_size[static_cast<size_t>(b)]) {
+      std::swap(a, b);
+    }
+    parent[static_cast<size_t>(b)] = a;
+    set_size[static_cast<size_t>(a)] += set_size[static_cast<size_t>(b)];
   }
 
   // Component ids in first-appearance order over the pair list, so the
   // decomposition — and with it the solve order below — is deterministic.
-  std::vector<int32_t> comp_of_root(static_cast<size_t>(wcount + tcount),
-                                    -1);
+  // The pair-sized buffers (pair_comp, comp_pairs, pair_flow, edge_ids;
+  // ~3.5 MB on a Beijing x0.5 day) are one exact-size allocation each per
+  // call: kept between solves they raised serve's peak RSS by more than
+  // their size.
+  std::vector<int32_t>& comp_of_root = scratch.comp_of_root;
+  comp_of_root.assign(static_cast<size_t>(wcount + tcount), -1);
   std::vector<int32_t> pair_comp(pairs.size());
   int32_t num_components = 0;
+  int32_t last_worker = -1;  // Pairs arrive grouped by worker type.
+  int32_t comp = -1;
   for (size_t k = 0; k < pairs.size(); ++k) {
-    const int32_t root = find(
-        worker_node_of_type[static_cast<size_t>(pairs[k].worker_type)]);
-    if (comp_of_root[static_cast<size_t>(root)] < 0) {
-      comp_of_root[static_cast<size_t>(root)] = num_components++;
+    const int32_t worker =
+        worker_node_of_type[static_cast<size_t>(pairs[k].worker_type)];
+    if (worker != last_worker) {
+      const int32_t root = find(worker);
+      if (comp_of_root[static_cast<size_t>(root)] < 0) {
+        comp_of_root[static_cast<size_t>(root)] = num_components++;
+      }
+      comp = comp_of_root[static_cast<size_t>(root)];
+      last_worker = worker;
     }
-    pair_comp[k] = comp_of_root[static_cast<size_t>(root)];
+    pair_comp[k] = comp;
   }
   last_num_components_ = num_components;
 
   // Group pairs and compact nodes by component with counting sorts that
   // preserve the original order within each component.
-  auto group_by_comp = [num_components](const std::vector<int32_t>& comp_of,
-                                        std::vector<int32_t>* begin,
-                                        std::vector<int32_t>* items) {
+  std::vector<int32_t>& group_cursor = scratch.group_cursor;
+  auto group_by_comp = [num_components, &group_cursor](
+                           const std::vector<int32_t>& comp_of,
+                           std::vector<int32_t>* begin,
+                           std::vector<int32_t>* items) {
     begin->assign(static_cast<size_t>(num_components) + 1, 0);
     for (const int32_t c : comp_of) ++(*begin)[static_cast<size_t>(c) + 1];
     for (int32_t c = 0; c < num_components; ++c) {
       (*begin)[static_cast<size_t>(c) + 1] += (*begin)[static_cast<size_t>(c)];
     }
     items->resize(comp_of.size());
-    std::vector<int32_t> cursor(begin->begin(), begin->end() - 1);
+    group_cursor.assign(begin->begin(), begin->end() - 1);
     for (size_t i = 0; i < comp_of.size(); ++i) {
       (*items)[static_cast<size_t>(
-          cursor[static_cast<size_t>(comp_of[i])]++)] =
+          group_cursor[static_cast<size_t>(comp_of[i])]++)] =
           static_cast<int32_t>(i);
     }
   };
 
-  std::vector<int32_t> comp_pair_begin;
-  std::vector<int32_t> comp_pairs;  // Pair indices grouped by component.
-  group_by_comp(pair_comp, &comp_pair_begin, &comp_pairs);
+  // Pair indices, compact worker ids and compact task ids by component.
+  const std::vector<int32_t>& comp_pair_begin = scratch.comp_pair_begin;
+  std::vector<int32_t> comp_pairs;
+  group_by_comp(pair_comp, &scratch.comp_pair_begin, &comp_pairs);
 
-  std::vector<int32_t> comp_of_worker(static_cast<size_t>(wcount));
+  std::vector<int32_t>& comp_of_worker = scratch.comp_of_worker;
+  comp_of_worker.resize(static_cast<size_t>(wcount));
   for (int32_t i = 0; i < wcount; ++i) {
     comp_of_worker[static_cast<size_t>(i)] =
         comp_of_root[static_cast<size_t>(find(i))];
   }
-  std::vector<int32_t> comp_of_task(static_cast<size_t>(tcount));
+  std::vector<int32_t>& comp_of_task = scratch.comp_of_task;
+  comp_of_task.resize(static_cast<size_t>(tcount));
   for (int32_t j = 0; j < tcount; ++j) {
     comp_of_task[static_cast<size_t>(j)] =
         comp_of_root[static_cast<size_t>(find(wcount + j))];
   }
-  std::vector<int32_t> comp_worker_begin;
-  std::vector<int32_t> comp_workers;  // Compact worker ids by component.
-  group_by_comp(comp_of_worker, &comp_worker_begin, &comp_workers);
-  std::vector<int32_t> comp_task_begin;
-  std::vector<int32_t> comp_tasks;  // Compact task ids by component.
-  group_by_comp(comp_of_task, &comp_task_begin, &comp_tasks);
+  const std::vector<int32_t>& comp_worker_begin = scratch.comp_worker_begin;
+  const std::vector<int32_t>& comp_workers = scratch.comp_workers;
+  group_by_comp(comp_of_worker, &scratch.comp_worker_begin,
+                &scratch.comp_workers);
+  const std::vector<int32_t>& comp_task_begin = scratch.comp_task_begin;
+  const std::vector<int32_t>& comp_tasks = scratch.comp_tasks;
+  group_by_comp(comp_of_task, &scratch.comp_task_begin, &scratch.comp_tasks);
 
   // Local (within-component) network node id of each compact node.
-  std::vector<int32_t> local_worker_id(static_cast<size_t>(wcount));
+  std::vector<int32_t>& local_worker_id = scratch.local_worker_id;
+  local_worker_id.resize(static_cast<size_t>(wcount));
   for (int32_t c = 0; c < num_components; ++c) {
     for (int32_t p = comp_worker_begin[static_cast<size_t>(c)];
          p < comp_worker_begin[static_cast<size_t>(c) + 1]; ++p) {
@@ -434,7 +539,8 @@ Result<OfflineGuide> GuideGenerator::GenerateCompressed(
           p)])] = p - comp_worker_begin[static_cast<size_t>(c)];
     }
   }
-  std::vector<int32_t> local_task_id(static_cast<size_t>(tcount));
+  std::vector<int32_t>& local_task_id = scratch.local_task_id;
+  local_task_id.resize(static_cast<size_t>(tcount));
   for (int32_t c = 0; c < num_components; ++c) {
     for (int32_t p = comp_task_begin[static_cast<size_t>(c)];
          p < comp_task_begin[static_cast<size_t>(c) + 1]; ++p) {
@@ -476,8 +582,8 @@ Result<OfflineGuide> GuideGenerator::GenerateCompressed(
   }
 
   // Per component: start of its cached flow slice, or -1 when dirty.
-  std::vector<int64_t> cached_begin;
-  std::vector<uint64_t> comp_hash;
+  std::vector<int64_t>& cached_begin = scratch.cached_begin;
+  std::vector<uint64_t>& comp_hash = scratch.comp_hash;
   if (warm) {
     cached_begin.assign(static_cast<size_t>(num_components), -1);
     comp_hash.assign(static_cast<size_t>(num_components), 0);
@@ -546,7 +652,8 @@ Result<OfflineGuide> GuideGenerator::GenerateCompressed(
     }
   }
 
-  std::vector<int32_t> edge_ids;  // Pair-edge ids of the current network.
+  std::vector<EdgeId> edge_ids;  // Pair-edge ids of the current network.
+  edge_ids.reserve(pairs.size());
   for (int32_t c = 0; c < num_components; ++c) {
     if (warm && cached_begin[static_cast<size_t>(c)] >= 0) continue;
     const int32_t w_lo = comp_worker_begin[static_cast<size_t>(c)];
@@ -559,7 +666,6 @@ Result<OfflineGuide> GuideGenerator::GenerateCompressed(
     const int32_t sink = 1 + cw + ct;
 
     edge_ids.clear();
-    edge_ids.reserve(static_cast<size_t>(p_hi - p_lo));
     auto add_supply_edges = [&](auto& network, auto add_edge) {
       for (int32_t p = w_lo; p < w_lo + cw; ++p) {
         const TypeId type = worker_types[static_cast<size_t>(
@@ -677,15 +783,17 @@ Result<OfflineGuide> GuideGenerator::GenerateCompressed(
 
   // ---- Deterministic merge: realize matches in the original pair order,
   // handing out nodes with per-type cursors.
-  std::vector<int32_t> worker_cursor(static_cast<size_t>(num_types), 0);
-  std::vector<int32_t> task_cursor(static_cast<size_t>(num_types), 0);
+  std::vector<int32_t>& worker_cursor = scratch.worker_cursor;
+  std::vector<int32_t>& task_cursor = scratch.task_cursor;
+  worker_cursor.assign(static_cast<size_t>(num_types), 0);
+  task_cursor.assign(static_cast<size_t>(num_types), 0);
   for (size_t k = 0; k < pairs.size(); ++k) {
     const int64_t flow = pair_flow[k];
     if (flow <= 0) continue;
     const TypeId wt = pairs[k].worker_type;
     const TypeId tt = pairs[k].task_type;
-    const GuideNodeId w0 = nodes.first_worker_node[static_cast<size_t>(wt)];
-    const GuideNodeId r0 = nodes.first_task_node[static_cast<size_t>(tt)];
+    const GuideNodeId w0 = first_worker_node_[static_cast<size_t>(wt)];
+    const GuideNodeId r0 = first_task_node_[static_cast<size_t>(tt)];
     for (int64_t u = 0; u < flow; ++u) {
       const GuideNodeId w = w0 + worker_cursor[static_cast<size_t>(wt)]++;
       const GuideNodeId r = r0 + task_cursor[static_cast<size_t>(tt)]++;

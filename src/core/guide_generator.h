@@ -32,7 +32,23 @@
 // a buffer the generator reuses across calls like its flow arenas. kAuto's
 // node-level edge estimate, the node-level network, the compressed network
 // and the approximate-mode sample all consume that one list, in its
-// deterministic order.
+// deterministic order: worker slot, worker cell, task slot, task cell.
+//
+// Candidate table: the representative deadline and distance test depends
+// only on the spacetime geometry, the velocity and the GuideOptions, never
+// on the predicted counts. The generator therefore keeps the geometric half
+// of the enumeration in a table keyed on SpacetimeSpec equality (velocity
+// and options are fixed per generator), and a call filters it by predicted
+// support. Per worker slot the table holds the candidate task slots with
+// the slack the deadline test grants at each. Per (worker type, task slot)
+// it holds the bounding-box size of the feasibility disk and, once built,
+// the disk's task types in cell id order. A call scans the smaller of that
+// box and the slot's nonempty task cells, as the per-call enumeration did:
+// the disk list is built the first time the box side wins, and the sparse
+// side keeps testing distances per call. Both sides emit the same types in
+// the same order, so the pair list is identical whichever side runs, and
+// the table never holds more than the cells the per-call enumeration would
+// have scanned. A call on a different geometry rebuilds the table.
 
 #ifndef FTOA_CORE_GUIDE_GENERATOR_H_
 #define FTOA_CORE_GUIDE_GENERATOR_H_
@@ -172,8 +188,10 @@ struct TypePairEdge {
 /// Builds OfflineGuide instances from prediction matrices.
 ///
 /// The generator owns one reusable solver arena (flow network edge arenas
-/// and the solvers' scratch buffers), so repeated Generate calls (one per
-/// prediction window in a live deployment) stop re-allocating the network.
+/// and the solvers' scratch buffers), the candidate table and the
+/// per-type scratch, so repeated Generate calls (one per prediction window
+/// in a live deployment) stop re-allocating the network; a steady-state
+/// call allocates little beyond the guide it returns.
 /// Consequently a GuideGenerator instance is NOT thread-safe: concurrent
 /// Generate calls on one instance are undefined; use one instance per
 /// calling thread.
@@ -230,6 +248,74 @@ class GuideGenerator {
     DinicSolver dinic;
   };
 
+  /// The geometric half of the pair enumeration (see the file comment).
+  struct CandidateTable {
+    /// A candidate task slot of one worker slot.
+    struct TaskSlot {
+      int32_t slot = 0;
+      double slack = 0.0;  ///< Deadline slack at the representatives.
+    };
+    /// One (worker type, task slot): the disk's task types are
+    /// task_types[begin, begin + count) once built.
+    struct Disk {
+      int64_t begin = -1;  ///< -1 until the box side first wins.
+      int32_t count = 0;
+      int32_t box_cells = 0;  ///< Cells of the disk's bounding box.
+    };
+    bool valid = false;
+    SpacetimeSpec spacetime;  ///< The key, compared exactly.
+    /// Per worker slot s: its task slots are task_slots[window_begin[s],
+    /// window_begin[s + 1]).
+    std::vector<int32_t> window_begin;
+    std::vector<TaskSlot> task_slots;
+    /// Per worker type: its first Disk, one per task slot of its window;
+    /// -1 until the type first has predicted workers.
+    std::vector<int64_t> first_disk;
+    std::vector<Disk> disks;
+    std::vector<TypeId> task_types;
+  };
+
+  /// Per-call scratch of the compressed engines sized by types and
+  /// components, kept so a steady-state Generate does not regrow it (the
+  /// vectors are described where GenerateCompressed fills them).
+  struct CompressedScratch {
+    std::vector<int32_t> worker_node_of_type;
+    std::vector<int32_t> task_node_of_type;
+    std::vector<TypeId> worker_types;
+    std::vector<TypeId> task_types;
+    std::vector<int32_t> parent;
+    std::vector<int32_t> set_size;
+    std::vector<int32_t> comp_of_root;
+    std::vector<int32_t> comp_pair_begin;
+    std::vector<int32_t> comp_of_worker;
+    std::vector<int32_t> comp_worker_begin;
+    std::vector<int32_t> comp_workers;
+    std::vector<int32_t> comp_of_task;
+    std::vector<int32_t> comp_task_begin;
+    std::vector<int32_t> comp_tasks;
+    std::vector<int32_t> group_cursor;
+    std::vector<int32_t> local_worker_id;
+    std::vector<int32_t> local_task_id;
+    std::vector<int64_t> cached_begin;
+    std::vector<uint64_t> comp_hash;
+    std::vector<int32_t> worker_cursor;
+    std::vector<int32_t> task_cursor;
+  };
+
+  /// Rebuilds candidates_ for `spacetime` with no disk built.
+  void ResetCandidateTable(const SpacetimeSpec& spacetime) const;
+  /// Index of `wtype`'s first Disk, creating its window's Disks.
+  int64_t DisksOf(const SpacetimeSpec& spacetime, TypeId wtype) const;
+  /// Fills `disk` with the task types of `tslot` whose cell centers are
+  /// within the worker cell's feasibility disk, in cell id order.
+  void BuildDisk(const SpacetimeSpec& spacetime, CellId wcell,
+                 const CandidateTable::TaskSlot& tslot,
+                 CandidateTable::Disk* disk) const;
+  /// Adds the predicted nodes of every type to `guide`, type by type, and
+  /// records each type's first worker and task node id (-1 when none).
+  void InstantiateNodes(const PredictionMatrix& prediction,
+                        OfflineGuide* guide) const;
+
   /// Both take the pair list FeasibleTypePairs returned for `prediction`.
   Result<OfflineGuide> GenerateNodeLevel(
       const PredictionMatrix& prediction,
@@ -281,6 +367,14 @@ class GuideGenerator {
   mutable SolverArena arena_;
   mutable std::vector<TypePairEdge> feasible_pairs_;  // FeasibleTypePairs.
   mutable std::vector<TypePairEdge> sampled_pairs_;   // Approximate mode.
+  mutable CandidateTable candidates_;
+  // Nonempty task cells of slot s: sparse_cells_[sparse_begin_[s],
+  // sparse_begin_[s + 1]), rebuilt per enumeration.
+  mutable std::vector<int32_t> sparse_begin_;
+  mutable std::vector<CellId> sparse_cells_;
+  mutable CompressedScratch scratch_;
+  mutable std::vector<GuideNodeId> first_worker_node_;  // InstantiateNodes.
+  mutable std::vector<GuideNodeId> first_task_node_;
   mutable int64_t pair_enumerations_ = 0;
   mutable int32_t last_num_components_ = 0;
   mutable ApproxGuideReport last_approx_report_;

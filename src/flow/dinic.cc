@@ -7,7 +7,11 @@
 namespace ftoa {
 
 bool DinicSolver::Bfs(const FlowGraph& g, NodeId source, NodeId sink) {
-  std::fill(level_.begin(), level_.end(), -1);
+  // Reset only this graph's nodes: level_ is sized for the largest graph
+  // this solver has seen.
+  std::fill(level_.begin(), level_.begin() + g.num_nodes(), -1);
+  const EdgeId* start = g.start().data();
+  const FlowGraph::Arc* arcs = g.arcs().data();
   queue_.clear();
   queue_.push_back(source);
   level_[static_cast<size_t>(source)] = 0;
@@ -17,50 +21,51 @@ bool DinicSolver::Bfs(const FlowGraph& g, NodeId source, NodeId sink) {
     const int32_t sink_level = level_[static_cast<size_t>(sink)];
     // From the sink's level on, no node lies on a level-increasing path.
     if (sink_level >= 0 && u_level >= sink_level) break;
-    for (EdgeId i = g.start()[static_cast<size_t>(u)];
-         i < g.start()[static_cast<size_t>(u) + 1]; ++i) {
-      const EdgeId e = g.adj()[static_cast<size_t>(i)];
-      const NodeId v = g.To(e);
-      if (g.Capacity(e) > 0 && level_[static_cast<size_t>(v)] < 0) {
-        level_[static_cast<size_t>(v)] = u_level + 1;
-        queue_.push_back(v);
+    for (EdgeId p = start[u]; p < start[u + 1]; ++p) {
+      const FlowGraph::Arc& arc = arcs[p];
+      if (arc.cap > 0 && level_[static_cast<size_t>(arc.to)] < 0) {
+        level_[static_cast<size_t>(arc.to)] = u_level + 1;
+        queue_.push_back(arc.to);
       }
     }
   }
   return level_[static_cast<size_t>(sink)] >= 0;
 }
 
-// Iterative blocking-flow DFS along level-increasing edges.
+// Iterative blocking-flow DFS along level-increasing arcs.
 int64_t DinicSolver::BlockingPath(FlowGraph& g, NodeId source, NodeId sink,
                                   int64_t limit) {
   if (source == sink) return limit;
+  const EdgeId* start = g.start().data();
+  FlowGraph::Arc* arcs = g.arcs().data();
+  const EdgeId* partner = g.partner().data();
   stack_.clear();
   stack_.push_back(Frame{source, limit, -1});
   while (!stack_.empty()) {
     Frame& frame = stack_.back();
     const NodeId u = frame.node;
+    const int32_t next_level = level_[static_cast<size_t>(u)] + 1;
     EdgeId& it = iter_[static_cast<size_t>(u)];
-    const EdgeId end = g.start()[static_cast<size_t>(u) + 1];
+    const EdgeId end = start[u + 1];
     bool advanced = false;
     while (it < end) {
-      const EdgeId e = g.adj()[static_cast<size_t>(it)];
-      const NodeId v = g.To(e);
-      if (g.Capacity(e) > 0 &&
-          level_[static_cast<size_t>(v)] ==
-              level_[static_cast<size_t>(u)] + 1) {
-        const int64_t next_limit = std::min(frame.limit, g.Capacity(e));
-        if (v == sink) {
-          // Augment the whole path stored on the stack plus edge e.
-          g.cap()[static_cast<size_t>(e)] -= next_limit;
-          g.cap()[static_cast<size_t>(e ^ 1)] += next_limit;
+      const FlowGraph::Arc& arc = arcs[it];
+      if (arc.cap > 0 && level_[static_cast<size_t>(arc.to)] == next_level) {
+        const int64_t next_limit = std::min<int64_t>(frame.limit, arc.cap);
+        if (arc.to == sink) {
+          // Augment the whole path stored on the stack plus this arc.
+          // Every amount fits int32: it is at most an arc's capacity.
+          const auto amount = static_cast<int32_t>(next_limit);
+          arcs[it].cap -= amount;
+          arcs[partner[it]].cap += amount;
           for (size_t i = stack_.size(); i-- > 1;) {
-            const EdgeId pe = stack_[i].via;
-            g.cap()[static_cast<size_t>(pe)] -= next_limit;
-            g.cap()[static_cast<size_t>(pe ^ 1)] += next_limit;
+            const EdgeId via = stack_[i].via;
+            arcs[via].cap -= amount;
+            arcs[partner[via]].cap += amount;
           }
           return next_limit;
         }
-        stack_.push_back(Frame{v, next_limit, e});
+        stack_.push_back(Frame{arc.to, next_limit, it});
         advanced = true;
         break;
       }
@@ -106,18 +111,18 @@ int64_t DinicMaxFlow(FlowGraph* graph, NodeId source, NodeId sink) {
 
 std::vector<bool> ResidualReachable(const FlowGraph& graph, NodeId source) {
   std::vector<bool> reachable(static_cast<size_t>(graph.num_nodes()), false);
+  const EdgeId* start = graph.start().data();
+  const FlowGraph::Arc* arcs = graph.arcs().data();
   std::vector<NodeId> queue;
   queue.push_back(source);
   reachable[static_cast<size_t>(source)] = true;
   for (size_t qi = 0; qi < queue.size(); ++qi) {
     const NodeId u = queue[qi];
-    for (EdgeId i = graph.start()[static_cast<size_t>(u)];
-         i < graph.start()[static_cast<size_t>(u) + 1]; ++i) {
-      const EdgeId e = graph.adj()[static_cast<size_t>(i)];
-      const NodeId v = graph.To(e);
-      if (graph.Capacity(e) > 0 && !reachable[static_cast<size_t>(v)]) {
-        reachable[static_cast<size_t>(v)] = true;
-        queue.push_back(v);
+    for (EdgeId p = start[u]; p < start[u + 1]; ++p) {
+      const FlowGraph::Arc& arc = arcs[p];
+      if (arc.cap > 0 && !reachable[static_cast<size_t>(arc.to)]) {
+        reachable[static_cast<size_t>(arc.to)] = true;
+        queue.push_back(arc.to);
       }
     }
   }

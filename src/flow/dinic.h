@@ -7,9 +7,12 @@
 // DFS stack) and reuses them across calls, so a long-lived solver performs
 // zero heap allocations per Solve once warmed up. The `DinicMaxFlow` free
 // function remains as a one-shot convenience wrapper.
-// Both phases scan FlowGraph's CSR blocks (a current-arc cursor is a block
-// position), and the BFS stops at the sink's level, which leaves every
-// per-edge flow unchanged (docs/flow_engines.md, "Max-flow graph layout").
+// Both phases scan FlowGraph's arc blocks front to back (a current-arc
+// cursor is an arc position), and the BFS stops at the sink's level, which
+// leaves every per-edge flow unchanged (docs/flow_engines.md, "Max-flow
+// graph layout"). Each BFS resets the levels of the solved graph's nodes
+// only, so one solver reused on a small graph after a large one pays for
+// the small one.
 
 #ifndef FTOA_FLOW_DINIC_H_
 #define FTOA_FLOW_DINIC_H_
@@ -38,7 +41,7 @@ class DinicSolver {
   struct Frame {
     NodeId node;
     int64_t limit;
-    EdgeId via;  // Edge taken from the parent frame, -1 at the root.
+    EdgeId via;  // Arc position taken from the parent, -1 at the root.
   };
   std::vector<int32_t> level_;
   std::vector<EdgeId> iter_;

@@ -11,49 +11,53 @@ namespace {
 // (0 when no path exists) and augments along the path.
 int64_t Augment(FlowGraph& g, NodeId source, NodeId sink,
                 std::vector<int32_t>& visit_mark, int32_t epoch,
-                std::vector<EdgeId>& path_edges,
+                std::vector<EdgeId>& path_arcs,
                 std::vector<EdgeId>& dfs_stack,
                 std::vector<NodeId>& node_stack) {
-  // dfs_stack holds the CSR position per depth; path_edges the chosen edge.
-  path_edges.clear();
+  // dfs_stack holds the block cursor per depth; path_arcs the chosen arc
+  // positions.
+  const EdgeId* start = g.start().data();
+  FlowGraph::Arc* arcs = g.arcs().data();
+  const EdgeId* partner = g.partner().data();
+  path_arcs.clear();
   dfs_stack.clear();
   node_stack.clear();
   node_stack.push_back(source);
-  dfs_stack.push_back(g.start()[static_cast<size_t>(source)]);
+  dfs_stack.push_back(start[source]);
   visit_mark[static_cast<size_t>(source)] = epoch;
 
   while (!node_stack.empty()) {
     EdgeId& it = dfs_stack.back();
-    const EdgeId end = g.start()[static_cast<size_t>(node_stack.back()) + 1];
+    const EdgeId end = start[node_stack.back() + 1];
     bool advanced = false;
     while (it < end) {
-      const EdgeId e = g.adj()[static_cast<size_t>(it++)];
-      const NodeId v = g.To(e);
-      if (g.Capacity(e) <= 0) continue;
+      const EdgeId p = it++;
+      const NodeId v = arcs[p].to;
+      if (arcs[p].cap <= 0) continue;
       if (visit_mark[static_cast<size_t>(v)] == epoch) continue;
       visit_mark[static_cast<size_t>(v)] = epoch;
-      path_edges.push_back(e);
+      path_arcs.push_back(p);
       if (v == sink) {
         // Compute bottleneck and augment.
-        int64_t bottleneck = g.Capacity(path_edges[0]);
-        for (EdgeId pe : path_edges) {
-          bottleneck = std::min(bottleneck, g.Capacity(pe));
+        int32_t bottleneck = arcs[path_arcs[0]].cap;
+        for (const EdgeId pe : path_arcs) {
+          bottleneck = std::min(bottleneck, arcs[pe].cap);
         }
-        for (EdgeId pe : path_edges) {
-          g.cap()[static_cast<size_t>(pe)] -= bottleneck;
-          g.cap()[static_cast<size_t>(pe ^ 1)] += bottleneck;
+        for (const EdgeId pe : path_arcs) {
+          arcs[pe].cap -= bottleneck;
+          arcs[partner[pe]].cap += bottleneck;
         }
         return bottleneck;
       }
       node_stack.push_back(v);
-      dfs_stack.push_back(g.start()[static_cast<size_t>(v)]);
+      dfs_stack.push_back(start[v]);
       advanced = true;
       break;
     }
     if (!advanced) {
       node_stack.pop_back();
       dfs_stack.pop_back();
-      if (!path_edges.empty()) path_edges.pop_back();
+      if (!path_arcs.empty()) path_arcs.pop_back();
     }
   }
   return 0;
@@ -65,7 +69,7 @@ int64_t FordFulkersonMaxFlow(FlowGraph* graph, NodeId source, NodeId sink) {
   FlowGraph& g = *graph;
   g.BuildAdjacency();
   std::vector<int32_t> visit_mark(static_cast<size_t>(g.num_nodes()), 0);
-  std::vector<EdgeId> path_edges;
+  std::vector<EdgeId> path_arcs;
   std::vector<EdgeId> dfs_stack;
   std::vector<NodeId> node_stack;
   int64_t total = 0;
@@ -73,7 +77,7 @@ int64_t FordFulkersonMaxFlow(FlowGraph* graph, NodeId source, NodeId sink) {
   while (true) {
     ++epoch;
     const int64_t pushed = Augment(g, source, sink, visit_mark, epoch,
-                                   path_edges, dfs_stack, node_stack);
+                                   path_arcs, dfs_stack, node_stack);
     if (pushed == 0) break;
     total += pushed;
   }

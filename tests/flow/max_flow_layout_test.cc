@@ -1,8 +1,9 @@
-// FlowGraph's CSR adjacency against the linked-list oracle: built from one
-// edge sequence, Dinic and Ford-Fulkerson must leave every forward edge
-// with the flow the linked-list solvers leave on it. Equal flow values
-// alone would not catch a block order that steers the solvers to another
-// maximum flow; per-edge equality is what keeps guides bit-identical, and
+// FlowGraph's arc-contiguous CSR against the linked-list oracle: built from
+// one edge sequence, Dinic and Ford-Fulkerson must leave every edge, read
+// through the handle AddEdge returned, with the flow, residual capacities
+// and heads the linked-list solvers leave on it. Equal flow values alone
+// would not catch a block order that steers the solvers to another maximum
+// flow; per-edge equality is what keeps guides bit-identical, and
 // GuideOracleTest checks that end to end on a Beijing x0.5 day, whose
 // kAuto guide is one ~175k-pair component.
 
@@ -40,27 +41,50 @@ struct Network {
   std::vector<EdgeSpec> edges;
 };
 
+/// Loads `net` into `graph` (rewound first) and `oracle` from one edge
+/// sequence; returns the forward handles.
+std::vector<EdgeId> LoadNetwork(const Network& net, FlowGraph* graph,
+                                LinkedListMaxFlow* oracle) {
+  graph->Reset(net.num_nodes);
+  std::vector<EdgeId> ids;
+  for (const EdgeSpec& edge : net.edges) {
+    ids.push_back(graph->AddEdge(edge.u, edge.v, edge.cap));
+    EXPECT_EQ(oracle->AddEdge(edge.u, edge.v, edge.cap), ids.back());
+  }
+  return ids;
+}
+
+/// Every edge read by handle, both arcs of it, against the oracle: the
+/// flow, the remaining capacities and the heads.
+void ExpectHandlesMatchOracle(const FlowGraph& graph,
+                              const LinkedListMaxFlow& oracle,
+                              const std::vector<EdgeId>& ids,
+                              const std::string& label) {
+  for (size_t k = 0; k < ids.size(); ++k) {
+    const EdgeId e = ids[k];
+    ASSERT_EQ(graph.Flow(e), oracle.Flow(e)) << label << " edge " << k;
+    ASSERT_EQ(graph.Capacity(e), oracle.Capacity(e)) << label << " edge " << k;
+    ASSERT_EQ(graph.Capacity(e ^ 1), oracle.Capacity(e ^ 1))
+        << label << " edge " << k;
+    ASSERT_EQ(graph.To(e), oracle.To(e)) << label << " edge " << k;
+    ASSERT_EQ(graph.To(e ^ 1), oracle.To(e ^ 1)) << label << " edge " << k;
+  }
+}
+
 void ExpectFlowsMatchOracle(const Network& net, const std::string& label) {
   for (const bool dinic : {true, false}) {
-    FlowGraph graph(net.num_nodes);
+    const std::string run = label + (dinic ? " dinic" : " ford-fulkerson");
+    FlowGraph graph;
     LinkedListMaxFlow oracle(net.num_nodes);
-    std::vector<EdgeId> ids;
-    for (const EdgeSpec& edge : net.edges) {
-      ids.push_back(graph.AddEdge(edge.u, edge.v, edge.cap));
-      ASSERT_EQ(oracle.AddEdge(edge.u, edge.v, edge.cap), ids.back());
-    }
+    const std::vector<EdgeId> ids = LoadNetwork(net, &graph, &oracle);
     const int64_t got = dinic
                             ? DinicMaxFlow(&graph, net.source, net.sink)
                             : FordFulkersonMaxFlow(&graph, net.source,
                                                    net.sink);
     const int64_t want = dinic ? oracle.Dinic(net.source, net.sink)
                                : oracle.FordFulkerson(net.source, net.sink);
-    ASSERT_EQ(got, want) << label << (dinic ? " dinic" : " ford-fulkerson");
-    for (size_t k = 0; k < ids.size(); ++k) {
-      ASSERT_EQ(graph.Flow(ids[k]), oracle.Flow(ids[k]))
-          << label << (dinic ? " dinic" : " ford-fulkerson") << " edge "
-          << k;
-    }
+    ASSERT_EQ(got, want) << run;
+    ExpectHandlesMatchOracle(graph, oracle, ids, run);
   }
 }
 
@@ -244,17 +268,80 @@ TEST(MaxFlowLayoutTest, EdgesAddedAfterASolveRebuildTheAdjacency) {
   // Solving builds the CSR; a later AddEdge must invalidate it so the
   // next solve sees the new edge.
   FlowGraph graph(4);
-  graph.AddEdge(0, 1, 2);
-  graph.AddEdge(1, 3, 1);
+  const EdgeId first = graph.AddEdge(0, 1, 2);
+  const EdgeId direct = graph.AddEdge(1, 3, 1);
   EXPECT_EQ(DinicMaxFlow(&graph, 0, 3), 1);
   const EdgeId late = graph.AddEdge(1, 2, 5);
   graph.AddEdge(2, 3, 5);
   EXPECT_EQ(DinicMaxFlow(&graph, 0, 3), 1);
   EXPECT_EQ(graph.Flow(late), 1);
+  // The rebuild carried the first solve's residuals over.
+  EXPECT_EQ(graph.Flow(first), 2);
+  EXPECT_EQ(graph.Capacity(first), 0);
+  EXPECT_EQ(graph.Flow(direct), 1);
   EXPECT_EQ(FordFulkersonMaxFlow(&graph, 0, 3), 0);
   graph.Reset(2);
   graph.AddEdge(0, 1, 4);
   EXPECT_EQ(DinicMaxFlow(&graph, 0, 1), 4);
+}
+
+TEST(MaxFlowLayoutTest, HandlesReadTheAddedEdgesBeforeAnyBuild) {
+  FlowGraph graph(3);
+  const EdgeId a = graph.AddEdge(0, 1, 4);
+  const EdgeId b = graph.AddEdge(1, 2, 7);
+  EXPECT_EQ(graph.To(a), 1);
+  EXPECT_EQ(graph.To(a ^ 1), 0);
+  EXPECT_EQ(graph.Capacity(b), 7);
+  EXPECT_EQ(graph.Capacity(b ^ 1), 0);
+  EXPECT_EQ(graph.Flow(b), 0);
+  EXPECT_EQ(DinicMaxFlow(&graph, 0, 2), 4);
+  EXPECT_EQ(graph.Flow(a), 4);
+  EXPECT_EQ(graph.Capacity(b), 3);
+  EXPECT_EQ(graph.To(b), 2);
+}
+
+TEST(MaxFlowLayoutTest, OneGraphAndSolverServeManyNetworks) {
+  // The guide generator solves every component on one FlowGraph and one
+  // DinicSolver. Alternate large and small networks so a reset graph keeps
+  // larger arenas than it needs, and the solver's scratch (levels, edge
+  // cursors) is sized for a bigger graph than the one it solves.
+  FlowGraph graph;
+  DinicSolver solver;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed * 6151 + 5);
+    Network net = RandomBipartite(rng);
+    if (seed % 4 == 1) {
+      // Large: several bipartite networks side by side share a source
+      // and a sink.
+      for (int copy = 0; copy < 6; ++copy) {
+        const Network more = RandomBipartite(rng);
+        const NodeId offset = net.num_nodes;
+        for (const EdgeSpec& edge : more.edges) {
+          const auto shift = [&](NodeId x) {
+            if (x == more.source) return net.source;
+            if (x == more.sink) return net.sink;
+            return offset + x - 1;
+          };
+          net.edges.push_back(EdgeSpec{shift(edge.u), shift(edge.v),
+                                       edge.cap});
+        }
+        net.num_nodes += more.num_nodes - 2;
+      }
+    }
+    const std::string label = "seed " + std::to_string(seed) + " nodes " +
+                              std::to_string(net.num_nodes);
+    LinkedListMaxFlow oracle(net.num_nodes);
+    const std::vector<EdgeId> ids = LoadNetwork(net, &graph, &oracle);
+    ASSERT_EQ(solver.Solve(&graph, net.source, net.sink),
+              oracle.Dinic(net.source, net.sink))
+        << label;
+    ExpectHandlesMatchOracle(graph, oracle, ids, label);
+  }
+}
+
+TEST(MaxFlowLayoutDeathTest, CapacityBeyondInt32Aborts) {
+  FlowGraph graph(2);
+  EXPECT_DEATH(graph.AddEdge(0, 1, int64_t{1} << 31), "exceeds int32");
 }
 
 /// Worker partner of every guide worker node, -1 when unmatched.

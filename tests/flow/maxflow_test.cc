@@ -138,14 +138,14 @@ TEST_P(MaxFlowPropertyTest, EnginesAgreeAndMatchMinCut) {
   // cross the residual-reachability cut.
   const std::vector<bool> reachable = ResidualReachable(g2, s);
   int64_t cut = 0;
-  for (size_t e = 0; e < g2.to().size(); e += 2) {
-    // Forward edges sit at even indices; original capacity is cap + flow.
-    const NodeId u = g2.to()[e + 1];  // Residual partner points back at u.
-    const NodeId v = g2.to()[e];
+  const auto num_arcs = static_cast<EdgeId>(2 * g2.num_edges());
+  for (EdgeId e = 0; e < num_arcs; e += 2) {
+    // Forward edges have even handles; original capacity is cap + flow.
+    const NodeId u = g2.To(e ^ 1);  // Residual partner points back at u.
+    const NodeId v = g2.To(e);
     if (reachable[static_cast<size_t>(u)] &&
         !reachable[static_cast<size_t>(v)]) {
-      cut += g2.Capacity(static_cast<EdgeId>(e)) +
-             g2.Flow(static_cast<EdgeId>(e));
+      cut += g2.Capacity(e) + g2.Flow(e);
     }
   }
   EXPECT_EQ(cut, dinic);

@@ -34,6 +34,12 @@ class LinkedListMaxFlow {
   /// Flow carried by forward edge `e`.
   int64_t Flow(int32_t e) const { return cap_[static_cast<size_t>(e ^ 1)]; }
 
+  /// Remaining capacity of edge `e`.
+  int64_t Capacity(int32_t e) const { return cap_[static_cast<size_t>(e)]; }
+
+  /// Head of edge `e`.
+  int32_t To(int32_t e) const { return to_[static_cast<size_t>(e)]; }
+
  private:
   /// One Dinic blocking-flow path, or 0 when the level graph is blocked.
   int64_t DinicPath(int32_t s, int32_t t, std::vector<int32_t>& level,

@@ -12,10 +12,11 @@ other two on the fresh run alone:
      serving path blows past 2x on any machine).
   2. Deterministic counters: for every row present in both files, the
      outcome counters in EQUAL_COUNTERS (matched, reconciled, recovered,
-     boundary_workers, evicted, store) must equal the baseline's, and the work counters in
-     NONINCREASING_COUNTERS (examined_per_query) must not exceed it. A
-     change that drops pairs while getting faster fails here, not in the
-     timing check. Rows whose counters depend on thread timing are listed,
+     boundary_workers, evicted, store, pairs, components) must equal the
+     baseline's, and the work counters in NONINCREASING_COUNTERS
+     (examined_per_query) must not exceed it. A change that drops pairs
+     while getting faster, or solves another type-pair network, fails
+     here, not in the timing check. Rows whose counters depend on thread timing are listed,
      with the reason, in COUNTER_EXEMPT_ROWS.
   3. Warm-refresh invariant (BENCH_refresh.json only): in the *fresh* run,
      BM_GuideRefresh/warm/C must beat BM_GuideRefresh/cold/C by at least
@@ -44,9 +45,10 @@ import sys
 MAX_UNCHANGED_RATIO = 0.01
 
 # Counters a row must reproduce exactly: what the benchmarked code
-# decided, which no speedup may change.
+# decided, which no speedup may change. `pairs` and `components` describe
+# the guide's type-pair network.
 EQUAL_COUNTERS = ("matched", "reconciled", "recovered", "boundary_workers",
-                  "evicted", "store")
+                  "evicted", "store", "pairs", "components")
 
 # Counters a row may lower but never raise: work per query.
 NONINCREASING_COUNTERS = ("examined_per_query",)

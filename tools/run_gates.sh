@@ -18,10 +18,11 @@
 # diffs the fresh BENCH_refresh.json against the committed baseline with
 # tools/check_bench_regression.py — fails on a >2x steady-state serving
 # regression, an outcome counter (matched, reconciled, recovered,
-# boundary_workers, evicted, store) that differs from the baseline or an
-# examined_per_query above it, a warm-refresh speedup below the 2x bar,
-# or an unchanged-prediction refresh above 1% of a solving one. Off by
-# default: it rebuilds the Release tree and takes minutes.
+# boundary_workers, evicted, store, pairs, components) that differs from
+# the baseline or an examined_per_query above it, a warm-refresh speedup
+# below the 2x bar, or an unchanged-prediction refresh above 1% of a
+# solving one. Off by default: it rebuilds the Release tree and takes
+# minutes.
 #
 # Usage: tools/run_gates.sh [gate-build-dir]
 set -euo pipefail
