@@ -3,18 +3,24 @@
 // online algorithm as the instance grows. POLAR/POLAR-OP must stay flat
 // (each arrival touches one guide node); SimpleGreedy's linear scan grows
 // with the number of waiting objects (its indexed row runs the retrieval
-// engine); GR re-matches per window.
+// engine); GR re-matches per window. BM_PolarOpCityDay runs POLAR-OP's
+// decision feed at city scale: one Beijing x0.5 day per session.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "baselines/gr_batch.h"
 #include "baselines/simple_greedy.h"
 #include "core/guide_generator.h"
 #include "core/polar.h"
 #include "core/polar_op.h"
+#include "gen/config.h"
+#include "gen/looped_trace.h"
 #include "gen/synthetic.h"
+#include "harness.h"
+#include "model/arrival_stream.h"
 
 namespace ftoa {
 namespace {
@@ -80,6 +86,47 @@ void BM_PolarOpPerObject(benchmark::State& state) {
   RunPerObject(state, polar_op, *workload.instance);
 }
 BENCHMARK(BM_PolarOpPerObject)->Arg(1000)->Arg(4000)->Arg(16000);
+
+/// Day 0 of the Beijing x0.5 looped trace under its bootstrap guide (the
+/// solve BM_GuideCity times), fed the way `ftoa serve` feeds a segment:
+/// one session per iteration, dispatch collection off.
+void BM_PolarOpCityDay(benchmark::State& state) {
+  LoopedTraceSource::Options trace;
+  trace.scale = 0.5;
+  const LoopedTraceSource source(BeijingProfile(), trace);
+  auto instance = source.FiniteInstance(1);
+  const CityProfile profile = BeijingProfile();
+  GuideOptions options;
+  options.engine = GuideOptions::Engine::kAuto;
+  options.worker_duration = profile.worker_duration;
+  options.task_duration = profile.task_duration;
+  auto guide = GuideGenerator(profile.velocity, options)
+                   .Generate(bench::BeijingHalfDayPrediction());
+  if (!instance.ok() || !guide.ok()) {
+    state.SkipWithError("Beijing day or guide failed");
+    return;
+  }
+  PolarOp polar_op(std::make_shared<const OfflineGuide>(std::move(*guide)));
+  const std::vector<ArrivalEvent> stream = BuildArrivalStream(*instance);
+  int64_t matched = 0;
+  for (auto _ : state) {
+    auto session = polar_op.StartSession(*instance);
+    session->set_collect_dispatches(false);
+    for (const ArrivalEvent& event : stream) {
+      if (event.kind == ObjectKind::kWorker) {
+        session->OnWorker(event.index, event.time);
+      } else {
+        session->OnTask(event.index, event.time);
+      }
+    }
+    matched = static_cast<int64_t>(session->Finish().assignment.size());
+    benchmark::DoNotOptimize(matched);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(stream.size()));
+  state.counters["matched"] = static_cast<double>(matched);
+}
+BENCHMARK(BM_PolarOpCityDay)->Unit(benchmark::kMillisecond);
 
 void BM_SimpleGreedyPerObject(benchmark::State& state) {
   const Workload workload = MakeWorkload(state.range(0));

@@ -1,7 +1,8 @@
 #include "core/guide.h"
 
 #include <cstddef>
-#include <numeric>
+#include <cstdio>
+#include <cstdlib>
 
 namespace ftoa {
 
@@ -20,14 +21,20 @@ namespace {
 
 GuideNodeId AppendNodes(TypeId type, int32_t count,
                         std::vector<GuideNode>* nodes,
-                        std::vector<GuideNodeId>* nodes_of_type) {
+                        GuideNodeRange* nodes_of_type) {
   const auto first = static_cast<GuideNodeId>(nodes->size());
+  if (nodes_of_type->empty()) {
+    nodes_of_type->first = first;
+  } else if (nodes_of_type->first + nodes_of_type->count != first) {
+    std::fprintf(stderr,
+                 "OfflineGuide: nodes of type %d added non-consecutively "
+                 "(its range ends at %d, the next node is %d)\n",
+                 type, nodes_of_type->first + nodes_of_type->count, first);
+    std::abort();
+  }
   nodes->resize(nodes->size() + static_cast<size_t>(count),
                 GuideNode{type, -1});
-  const size_t old_size = nodes_of_type->size();
-  nodes_of_type->resize(old_size + static_cast<size_t>(count));
-  std::iota(nodes_of_type->begin() + static_cast<std::ptrdiff_t>(old_size),
-            nodes_of_type->end(), first);
+  nodes_of_type->count += count;
   return first;
 }
 

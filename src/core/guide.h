@@ -20,6 +20,18 @@ namespace ftoa {
 /// Index of a guide node within its side's node vector.
 using GuideNodeId = int32_t;
 
+/// The ids of one type's nodes on one side of the guide: a type's nodes
+/// are added consecutively, so they are [first, first + count).
+struct GuideNodeRange {
+  GuideNodeId first = 0;
+  int32_t count = 0;
+
+  bool empty() const { return count == 0; }
+  int32_t size() const { return count; }
+  /// The `i`-th node of the type, 0 <= i < count.
+  GuideNodeId operator[](int32_t i) const { return first + i; }
+};
+
 /// One predicted node of the bipartite guide graph.
 struct GuideNode {
   TypeId type = -1;
@@ -51,7 +63,9 @@ class OfflineGuide {
   GuideNodeId AddTaskNode(TypeId type) { return AddTaskNodes(type, 1); }
 
   /// Appends `count` > 0 worker nodes of `type` with consecutive ids;
-  /// returns the first. A type's first call sizes its id list exactly.
+  /// returns the first. All of a type's nodes must be added back to back
+  /// (no other type's in between): a type's nodes form one id range, and
+  /// a call that would split it aborts.
   GuideNodeId AddWorkerNodes(TypeId type, int32_t count);
   /// Appends `count` > 0 task nodes of `type`; see AddWorkerNodes.
   GuideNodeId AddTaskNodes(TypeId type, int32_t count);
@@ -64,11 +78,11 @@ class OfflineGuide {
   const std::vector<GuideNode>& task_nodes() const { return task_nodes_; }
 
   /// Ids of worker nodes of a given type, in creation order.
-  const std::vector<GuideNodeId>& WorkerNodesOfType(TypeId type) const {
+  GuideNodeRange WorkerNodesOfType(TypeId type) const {
     return worker_nodes_by_type_[static_cast<size_t>(type)];
   }
   /// Ids of task nodes of a given type, in creation order.
-  const std::vector<GuideNodeId>& TaskNodesOfType(TypeId type) const {
+  GuideNodeRange TaskNodesOfType(TypeId type) const {
     return task_nodes_by_type_[static_cast<size_t>(type)];
   }
 
@@ -112,8 +126,8 @@ class OfflineGuide {
   double representative_slack_ = 0.0;
   std::vector<GuideNode> worker_nodes_;
   std::vector<GuideNode> task_nodes_;
-  std::vector<std::vector<GuideNodeId>> worker_nodes_by_type_;
-  std::vector<std::vector<GuideNodeId>> task_nodes_by_type_;
+  std::vector<GuideNodeRange> worker_nodes_by_type_;
+  std::vector<GuideNodeRange> task_nodes_by_type_;
   int64_t matched_pairs_ = 0;
 };
 

@@ -263,19 +263,11 @@ int64_t NodeLevelEdges(const PredictionMatrix& prediction,
 void GuideGenerator::InstantiateNodes(const PredictionMatrix& prediction,
                                       OfflineGuide* guide) const {
   const int num_types = prediction.spacetime().num_types();
-  first_worker_node_.assign(static_cast<size_t>(num_types), -1);
-  first_task_node_.assign(static_cast<size_t>(num_types), -1);
   for (TypeId type = 0; type < num_types; ++type) {
     const int32_t workers = prediction.workers_at(type);
-    if (workers > 0) {
-      first_worker_node_[static_cast<size_t>(type)] =
-          guide->AddWorkerNodes(type, workers);
-    }
+    if (workers > 0) guide->AddWorkerNodes(type, workers);
     const int32_t tasks = prediction.tasks_at(type);
-    if (tasks > 0) {
-      first_task_node_[static_cast<size_t>(type)] =
-          guide->AddTaskNodes(type, tasks);
-    }
+    if (tasks > 0) guide->AddTaskNodes(type, tasks);
   }
 }
 
@@ -328,8 +320,8 @@ Result<OfflineGuide> GuideGenerator::GenerateNodeLevel(
   std::vector<EdgeId> pair_edges;
   std::vector<std::pair<GuideNodeId, GuideNodeId>> pair_nodes;
   for (const auto& [wt, tt] : pairs) {
-    const GuideNodeId w0 = first_worker_node_[static_cast<size_t>(wt)];
-    const GuideNodeId r0 = first_task_node_[static_cast<size_t>(tt)];
+    const GuideNodeId w0 = guide.WorkerNodesOfType(wt).first;
+    const GuideNodeId r0 = guide.TaskNodesOfType(tt).first;
     const int32_t wc = prediction.workers_at(wt);
     const int32_t tc = prediction.tasks_at(tt);
     for (int32_t wi = 0; wi < wc; ++wi) {
@@ -792,8 +784,8 @@ Result<OfflineGuide> GuideGenerator::GenerateCompressed(
     if (flow <= 0) continue;
     const TypeId wt = pairs[k].worker_type;
     const TypeId tt = pairs[k].task_type;
-    const GuideNodeId w0 = first_worker_node_[static_cast<size_t>(wt)];
-    const GuideNodeId r0 = first_task_node_[static_cast<size_t>(tt)];
+    const GuideNodeId w0 = guide.WorkerNodesOfType(wt).first;
+    const GuideNodeId r0 = guide.TaskNodesOfType(tt).first;
     for (int64_t u = 0; u < flow; ++u) {
       const GuideNodeId w = w0 + worker_cursor[static_cast<size_t>(wt)]++;
       const GuideNodeId r = r0 + task_cursor[static_cast<size_t>(tt)]++;

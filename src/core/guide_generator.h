@@ -311,8 +311,8 @@ class GuideGenerator {
   void BuildDisk(const SpacetimeSpec& spacetime, CellId wcell,
                  const CandidateTable::TaskSlot& tslot,
                  CandidateTable::Disk* disk) const;
-  /// Adds the predicted nodes of every type to `guide`, type by type, and
-  /// records each type's first worker and task node id (-1 when none).
+  /// Adds the predicted nodes of every type to `guide`, type by type, so
+  /// each type's nodes form one id range on each side.
   void InstantiateNodes(const PredictionMatrix& prediction,
                         OfflineGuide* guide) const;
 
@@ -373,8 +373,6 @@ class GuideGenerator {
   mutable std::vector<int32_t> sparse_begin_;
   mutable std::vector<CellId> sparse_cells_;
   mutable CompressedScratch scratch_;
-  mutable std::vector<GuideNodeId> first_worker_node_;  // InstantiateNodes.
-  mutable std::vector<GuideNodeId> first_task_node_;
   mutable int64_t pair_enumerations_ = 0;
   mutable int32_t last_num_components_ = 0;
   mutable ApproxGuideReport last_approx_report_;

@@ -5,22 +5,14 @@
 #include <utility>
 #include <vector>
 
+#include "core/node_wait_lists.h"
 #include "retrieval/waiting_pool.h"
 
 namespace ftoa {
 
 namespace {
 
-struct WaitQueue {
-  std::vector<int32_t> items;
-  size_t head = 0;
-
-  bool empty() const { return head >= items.size(); }
-  void Push(int32_t id) { items.push_back(id); }
-  int32_t Pop() { return items[head++]; }
-};
-
-/// One POLAR-OP+G run: POLAR-OP's node queues plus the greedy-fallback
+/// One POLAR-OP+G run: POLAR-OP's node wait lists plus the greedy-fallback
 /// waiting pools, hoisted into session state. The pool backend is a
 /// template knob (GridWaitingPool = historical grid index;
 /// EngineWaitingPool = shared retrieval engine with pruning + stats);
@@ -34,9 +26,8 @@ class HybridPolarOpSession final : public AssignmentSessionBase {
       : AssignmentSessionBase(instance),
         guide_(std::move(guide)),
         options_(options),
-        waiting_at_worker_node_(
-            static_cast<size_t>(guide_->num_worker_nodes())),
-        waiting_at_task_node_(static_cast<size_t>(guide_->num_task_nodes())),
+        workers_at_node_(guide_->num_worker_nodes(), instance.num_workers()),
+        tasks_at_node_(guide_->num_task_nodes(), instance.num_tasks()),
         worker_type_cursor_(
             static_cast<size_t>(guide_->spacetime().num_types()), 0),
         task_type_cursor_(
@@ -59,31 +50,29 @@ class HybridPolarOpSession final : public AssignmentSessionBase {
 
     // --- Primary path: POLAR-OP's guide-based association. ---
     const TypeId type = st.TypeOf(w.location, w.start);
-    const auto& nodes = guide.WorkerNodesOfType(type);
+    const GuideNodeRange nodes = guide.WorkerNodesOfType(type);
     GuideNodeId node = -1;
     GuideNodeId partner = -1;
     if (!nodes.empty()) {
-      uint32_t& cursor = worker_type_cursor_[static_cast<size_t>(type)];
-      node = nodes[static_cast<size_t>(cursor++ % nodes.size())];
+      node = NextNodeRoundRobin(
+          nodes, &worker_type_cursor_[static_cast<size_t>(type)]);
       partner = guide.worker_nodes()[static_cast<size_t>(node)].partner;
     } else {
       ++trace_.ignored_workers;
     }
     if (partner != -1) {
-      WaitQueue& queue = waiting_at_task_node_[static_cast<size_t>(partner)];
-      while (!queue.empty()) {
-        const int32_t task_id = queue.Pop();
-        if (assignment_.IsTaskMatched(task_id)) continue;  // Fallback took it.
-        const Task& r = instance().task(task_id);
-        if (options_.check_liveness &&
-            !CanServe(w, r, velocity,
-                      FeasibilityPolicy::kDispatchAtWorkerStart)) {
-          continue;
-        }
-        assignment_.Add(w.id, r.id, time);
+      // Entries the fallback already matched are dropped on the way.
+      const int32_t task_id =
+          tasks_at_node_.TakeFirst(partner, [&](int32_t id) {
+            return !assignment_.IsTaskMatched(id) &&
+                   (!options_.check_liveness ||
+                    CanServe(w, instance().task(id), velocity,
+                             FeasibilityPolicy::kDispatchAtWorkerStart));
+          });
+      if (task_id != NodeWaitLists::kNone) {
+        assignment_.Add(w.id, task_id, time);
         waiting_tasks_.Erase(task_id);
         matched = true;
-        break;
       }
     }
 
@@ -114,7 +103,7 @@ class HybridPolarOpSession final : public AssignmentSessionBase {
 
     if (!matched) {
       if (node != -1 && partner != -1) {
-        waiting_at_worker_node_[static_cast<size_t>(node)].Push(w.id);
+        workers_at_node_.PushBack(node, w.id);
         if (collect_dispatches()) {
           const TypeId target_type =
               guide.task_nodes()[static_cast<size_t>(partner)].type;
@@ -134,32 +123,28 @@ class HybridPolarOpSession final : public AssignmentSessionBase {
     bool matched = false;
 
     const TypeId type = st.TypeOf(r.location, r.start);
-    const auto& nodes = guide.TaskNodesOfType(type);
+    const GuideNodeRange nodes = guide.TaskNodesOfType(type);
     GuideNodeId node = -1;
     GuideNodeId partner = -1;
     if (!nodes.empty()) {
-      uint32_t& cursor = task_type_cursor_[static_cast<size_t>(type)];
-      node = nodes[static_cast<size_t>(cursor++ % nodes.size())];
+      node = NextNodeRoundRobin(
+          nodes, &task_type_cursor_[static_cast<size_t>(type)]);
       partner = guide.task_nodes()[static_cast<size_t>(node)].partner;
     } else {
       ++trace_.ignored_tasks;
     }
     if (partner != -1) {
-      WaitQueue& queue =
-          waiting_at_worker_node_[static_cast<size_t>(partner)];
-      while (!queue.empty()) {
-        const int32_t worker_id = queue.Pop();
-        if (assignment_.IsWorkerMatched(worker_id)) continue;
-        const Worker& w = instance().worker(worker_id);
-        if (options_.check_liveness &&
-            !CanServe(w, r, velocity,
-                      FeasibilityPolicy::kDispatchAtWorkerStart)) {
-          continue;
-        }
-        assignment_.Add(w.id, r.id, time);
+      const int32_t worker_id =
+          workers_at_node_.TakeFirst(partner, [&](int32_t id) {
+            return !assignment_.IsWorkerMatched(id) &&
+                   (!options_.check_liveness ||
+                    CanServe(instance().worker(id), r, velocity,
+                             FeasibilityPolicy::kDispatchAtWorkerStart));
+          });
+      if (worker_id != NodeWaitLists::kNone) {
+        assignment_.Add(worker_id, r.id, time);
         waiting_workers_.Erase(worker_id);
         matched = true;
-        break;
       }
     }
 
@@ -187,7 +172,7 @@ class HybridPolarOpSession final : public AssignmentSessionBase {
 
     if (!matched) {
       if (node != -1 && partner != -1) {
-        waiting_at_task_node_[static_cast<size_t>(node)].Push(r.id);
+        tasks_at_node_.PushBack(node, r.id);
       }
       waiting_tasks_.Insert(r.id, r.location, r.start, r.Deadline());
     }
@@ -199,14 +184,12 @@ class HybridPolarOpSession final : public AssignmentSessionBase {
       return false;
     }
     guide_ = std::move(guide);
-    // Node queues and cursors follow the guide and restart empty. The
+    // Node wait lists and cursors follow the guide and restart empty. The
     // greedy-fallback waiting pools are guide-independent (keyed by object
-    // id and initial location), so objects dropped from a node queue stay
+    // id and initial location), so objects dropped from a node list stay
     // reachable through the fallback path.
-    waiting_at_worker_node_.assign(
-        static_cast<size_t>(guide_->num_worker_nodes()), WaitQueue{});
-    waiting_at_task_node_.assign(
-        static_cast<size_t>(guide_->num_task_nodes()), WaitQueue{});
+    workers_at_node_.Reset(guide_->num_worker_nodes());
+    tasks_at_node_.Reset(guide_->num_task_nodes());
     std::fill(worker_type_cursor_.begin(), worker_type_cursor_.end(), 0u);
     std::fill(task_type_cursor_.begin(), task_type_cursor_.end(), 0u);
     return true;
@@ -215,8 +198,8 @@ class HybridPolarOpSession final : public AssignmentSessionBase {
  private:
   std::shared_ptr<const OfflineGuide> guide_;
   PolarOptions options_;
-  std::vector<WaitQueue> waiting_at_worker_node_;
-  std::vector<WaitQueue> waiting_at_task_node_;
+  NodeWaitLists workers_at_node_;  // Indexed by worker node.
+  NodeWaitLists tasks_at_node_;    // Indexed by task node.
   std::vector<uint32_t> worker_type_cursor_;
   std::vector<uint32_t> task_type_cursor_;
   Pool waiting_workers_;

@@ -37,15 +37,15 @@ class PolarSession final : public AssignmentSessionBase {
     const SpacetimeSpec& st = guide.spacetime();
     const Worker& w = instance().worker(worker);
     const TypeId type = st.TypeOf(w.location, w.start);
-    const auto& nodes = guide.WorkerNodesOfType(type);
+    const GuideNodeRange nodes = guide.WorkerNodesOfType(type);
     int32_t& cursor = worker_type_cursor_[static_cast<size_t>(type)];
-    if (cursor >= static_cast<int32_t>(nodes.size())) {
+    if (cursor >= nodes.size()) {
       // No unoccupied node of this type: the object is ignored (the
       // prediction under-estimated this type).
       ++trace_.ignored_workers;
       return;
     }
-    const GuideNodeId node = nodes[static_cast<size_t>(cursor++)];
+    const GuideNodeId node = nodes[cursor++];
     worker_node_occupant_[static_cast<size_t>(node)] = w.id;
     const GuideNodeId partner =
         guide.worker_nodes()[static_cast<size_t>(node)].partner;
@@ -74,13 +74,13 @@ class PolarSession final : public AssignmentSessionBase {
     const SpacetimeSpec& st = guide.spacetime();
     const Task& r = instance().task(task);
     const TypeId type = st.TypeOf(r.location, r.start);
-    const auto& nodes = guide.TaskNodesOfType(type);
+    const GuideNodeRange nodes = guide.TaskNodesOfType(type);
     int32_t& cursor = task_type_cursor_[static_cast<size_t>(type)];
-    if (cursor >= static_cast<int32_t>(nodes.size())) {
+    if (cursor >= nodes.size()) {
       ++trace_.ignored_tasks;
       return;
     }
-    const GuideNodeId node = nodes[static_cast<size_t>(cursor++)];
+    const GuideNodeId node = nodes[cursor++];
     task_node_occupant_[static_cast<size_t>(node)] = r.id;
     const GuideNodeId partner =
         guide.task_nodes()[static_cast<size_t>(node)].partner;

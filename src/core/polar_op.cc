@@ -5,23 +5,13 @@
 #include <utility>
 #include <vector>
 
+#include "core/node_wait_lists.h"
+
 namespace ftoa {
 
 namespace {
 
-/// FIFO of objects waiting at a guide node, with O(1) push/pop via a head
-/// cursor (no element erasure).
-struct WaitQueue {
-  std::vector<int32_t> items;
-  size_t head = 0;
-
-  bool empty() const { return head >= items.size(); }
-  void Push(int32_t id) { items.push_back(id); }
-  int32_t Pop() { return items[head++]; }
-  int32_t Peek() const { return items[head]; }
-};
-
-/// One POLAR-OP run: the per-node wait queues and the round-robin cursors
+/// One POLAR-OP run: the per-node wait lists and the round-robin cursors
 /// of the old per-run loop, hoisted into session state.
 class PolarOpSession final : public AssignmentSessionBase {
  public:
@@ -33,11 +23,8 @@ class PolarOpSession final : public AssignmentSessionBase {
         options_(options),
         // Unmatched objects waiting at each guide node ("associated"
         // objects that have not yet been paired).
-        waiting_at_worker_node_(
-            static_cast<size_t>(guide_->num_worker_nodes())),
-        waiting_at_task_node_(static_cast<size_t>(guide_->num_task_nodes())),
-        // Round-robin cursor per type: nodes are reused, so arrivals cycle
-        // over all nodes of the type (line 3: "a node of o's type").
+        workers_at_node_(guide_->num_worker_nodes(), instance.num_workers()),
+        tasks_at_node_(guide_->num_task_nodes(), instance.num_tasks()),
         worker_type_cursor_(
             static_cast<size_t>(guide_->spacetime().num_types()), 0),
         task_type_cursor_(
@@ -48,42 +35,35 @@ class PolarOpSession final : public AssignmentSessionBase {
     const SpacetimeSpec& st = guide.spacetime();
     const Worker& w = instance().worker(worker);
     const TypeId type = st.TypeOf(w.location, w.start);
-    const auto& nodes = guide.WorkerNodesOfType(type);
+    const GuideNodeRange nodes = guide.WorkerNodesOfType(type);
     if (nodes.empty()) {
       // No node of this type exists in the guide: the object is ignored.
       ++trace_.ignored_workers;
       return;
     }
-    uint32_t& cursor = worker_type_cursor_[static_cast<size_t>(type)];
-    const GuideNodeId node =
-        nodes[static_cast<size_t>(cursor++ % nodes.size())];
+    const GuideNodeId node = NextNodeRoundRobin(
+        nodes, &worker_type_cursor_[static_cast<size_t>(type)]);
     const GuideNodeId partner =
         guide.worker_nodes()[static_cast<size_t>(node)].partner;
     if (partner == -1) return;  // Stays in place; never matched by Ĝf.
-    WaitQueue& queue = waiting_at_task_node_[static_cast<size_t>(partner)];
-    bool matched = false;
-    while (!queue.empty()) {
-      const int32_t task_id = queue.Peek();
-      const Task& r = instance().task(task_id);
-      if (options_.check_liveness &&
-          !CanServe(w, r, instance().velocity(),
-                    FeasibilityPolicy::kDispatchAtWorkerStart)) {
-        queue.Pop();  // Expired waiting task; discard and keep looking.
-        continue;
-      }
-      queue.Pop();
-      assignment_.Add(w.id, r.id, time);
-      matched = true;
-      break;
+    // Under liveness checks, waiting tasks this worker cannot serve are
+    // discarded as expired.
+    const int32_t task_id =
+        tasks_at_node_.TakeFirst(partner, [&](int32_t id) {
+          return !options_.check_liveness ||
+                 CanServe(w, instance().task(id), instance().velocity(),
+                          FeasibilityPolicy::kDispatchAtWorkerStart);
+        });
+    if (task_id != NodeWaitLists::kNone) {
+      assignment_.Add(w.id, task_id, time);
+      return;
     }
-    if (!matched) {
-      waiting_at_worker_node_[static_cast<size_t>(node)].Push(w.id);
-      if (collect_dispatches()) {
-        const TypeId target_type =
-            guide.task_nodes()[static_cast<size_t>(partner)].type;
-        trace_.dispatches.push_back(DispatchRecord{
-            w.id, st.RepresentativeLocation(target_type), time});
-      }
+    workers_at_node_.PushBack(node, w.id);
+    if (collect_dispatches()) {
+      const TypeId target_type =
+          guide.task_nodes()[static_cast<size_t>(partner)].type;
+      trace_.dispatches.push_back(
+          DispatchRecord{w.id, st.RepresentativeLocation(target_type), time});
     }
   }
 
@@ -92,36 +72,29 @@ class PolarOpSession final : public AssignmentSessionBase {
     const SpacetimeSpec& st = guide.spacetime();
     const Task& r = instance().task(task);
     const TypeId type = st.TypeOf(r.location, r.start);
-    const auto& nodes = guide.TaskNodesOfType(type);
+    const GuideNodeRange nodes = guide.TaskNodesOfType(type);
     if (nodes.empty()) {
       ++trace_.ignored_tasks;
       return;
     }
-    uint32_t& cursor = task_type_cursor_[static_cast<size_t>(type)];
-    const GuideNodeId node =
-        nodes[static_cast<size_t>(cursor++ % nodes.size())];
+    const GuideNodeId node = NextNodeRoundRobin(
+        nodes, &task_type_cursor_[static_cast<size_t>(type)]);
     const GuideNodeId partner =
         guide.task_nodes()[static_cast<size_t>(node)].partner;
     if (partner == -1) return;  // Waits until its deadline; never matched.
-    WaitQueue& queue = waiting_at_worker_node_[static_cast<size_t>(partner)];
-    bool matched = false;
-    while (!queue.empty()) {
-      const int32_t worker_id = queue.Peek();
-      const Worker& w = instance().worker(worker_id);
-      if (options_.check_liveness &&
-          !CanServe(w, r, instance().velocity(),
-                    FeasibilityPolicy::kDispatchAtWorkerStart)) {
-        queue.Pop();  // The waiting worker has left the platform.
-        continue;
-      }
-      queue.Pop();
-      assignment_.Add(w.id, r.id, time);
-      matched = true;
-      break;
+    // Under liveness checks, waiting workers that cannot serve this task
+    // are discarded as gone from the platform.
+    const int32_t worker_id =
+        workers_at_node_.TakeFirst(partner, [&](int32_t id) {
+          return !options_.check_liveness ||
+                 CanServe(instance().worker(id), r, instance().velocity(),
+                          FeasibilityPolicy::kDispatchAtWorkerStart);
+        });
+    if (worker_id != NodeWaitLists::kNone) {
+      assignment_.Add(worker_id, r.id, time);
+      return;
     }
-    if (!matched) {
-      waiting_at_task_node_[static_cast<size_t>(node)].Push(r.id);
-    }
+    tasks_at_node_.PushBack(node, r.id);
   }
 
   bool SwapGuide(std::shared_ptr<const OfflineGuide> guide) override {
@@ -130,13 +103,11 @@ class PolarOpSession final : public AssignmentSessionBase {
       return false;
     }
     guide_ = std::move(guide);
-    // Wait queues hang off guide nodes; with the node set replaced, the
+    // Wait lists hang off guide nodes; with the node set replaced, the
     // still-waiting objects are released (they re-enter only if the caller
     // replays them, as the serving harness's carryover does).
-    waiting_at_worker_node_.assign(
-        static_cast<size_t>(guide_->num_worker_nodes()), WaitQueue{});
-    waiting_at_task_node_.assign(
-        static_cast<size_t>(guide_->num_task_nodes()), WaitQueue{});
+    workers_at_node_.Reset(guide_->num_worker_nodes());
+    tasks_at_node_.Reset(guide_->num_task_nodes());
     std::fill(worker_type_cursor_.begin(), worker_type_cursor_.end(), 0u);
     std::fill(task_type_cursor_.begin(), task_type_cursor_.end(), 0u);
     return true;
@@ -145,8 +116,8 @@ class PolarOpSession final : public AssignmentSessionBase {
  private:
   std::shared_ptr<const OfflineGuide> guide_;
   PolarOptions options_;
-  std::vector<WaitQueue> waiting_at_worker_node_;
-  std::vector<WaitQueue> waiting_at_task_node_;
+  NodeWaitLists workers_at_node_;  // Indexed by worker node.
+  NodeWaitLists tasks_at_node_;    // Indexed by task node.
   std::vector<uint32_t> worker_type_cursor_;
   std::vector<uint32_t> task_type_cursor_;
 };

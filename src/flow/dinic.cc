@@ -32,6 +32,46 @@ bool DinicSolver::Bfs(const FlowGraph& g, NodeId source, NodeId sink) {
   return level_[static_cast<size_t>(sink)] >= 0;
 }
 
+// Keeps in the level graph only the nodes that reach the sink along it: a
+// walk back from the sink over residual arcs whose tail lies one level
+// lower marks them, and every other node the BFS queued loses its level.
+// The DFS would dead-end in exactly those nodes, since a phase's
+// augmentations only remove level-increasing arcs.
+void DinicSolver::PruneToSink(const FlowGraph& g, NodeId sink) {
+  const EdgeId* start = g.start().data();
+  const FlowGraph::Arc* arcs = g.arcs().data();
+  const EdgeId* partner = g.partner().data();
+  if (reaches_sink_.size() < level_.size()) {
+    reaches_sink_.resize(level_.size(), 0);
+  }
+  back_queue_.clear();
+  back_queue_.push_back(sink);
+  reaches_sink_[static_cast<size_t>(sink)] = 1;
+  for (size_t qi = 0; qi < back_queue_.size(); ++qi) {
+    const NodeId v = back_queue_[qi];
+    const int32_t below = level_[static_cast<size_t>(v)] - 1;
+    if (below < 0) continue;  // The source: nothing lies below it.
+    for (EdgeId p = start[v]; p < start[v + 1]; ++p) {
+      const NodeId u = arcs[p].to;
+      // Arc p runs v -> u; its partner is the arc u -> v.
+      if (level_[static_cast<size_t>(u)] == below &&
+          !reaches_sink_[static_cast<size_t>(u)] &&
+          arcs[partner[p]].cap > 0) {
+        reaches_sink_[static_cast<size_t>(u)] = 1;
+        back_queue_.push_back(u);
+      }
+    }
+  }
+  // Every marked node was queued by the BFS, so this also clears the marks.
+  for (const NodeId u : queue_) {
+    if (reaches_sink_[static_cast<size_t>(u)]) {
+      reaches_sink_[static_cast<size_t>(u)] = 0;
+    } else {
+      level_[static_cast<size_t>(u)] = -1;
+    }
+  }
+}
+
 // Iterative blocking-flow DFS along level-increasing arcs.
 int64_t DinicSolver::BlockingPath(FlowGraph& g, NodeId source, NodeId sink,
                                   int64_t limit) {
@@ -92,7 +132,10 @@ int64_t DinicSolver::Solve(FlowGraph* graph, NodeId source, NodeId sink) {
     iter_.resize(n);
   }
   int64_t total = 0;
-  while (Bfs(g, source, sink)) {
+  for (int64_t phase = 0; Bfs(g, source, sink); ++phase) {
+    // The first phase's DFS reaches the sink from most nodes, so a pruning
+    // walk there costs more arc reads than it saves.
+    if (phase > 0) PruneToSink(g, sink);
     std::copy(g.start().begin(), g.start().end() - 1, iter_.begin());
     while (true) {
       const int64_t pushed =

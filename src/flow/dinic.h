@@ -12,11 +12,14 @@
 // leaves every per-edge flow unchanged (docs/flow_engines.md, "Max-flow
 // graph layout"). Each BFS resets the levels of the solved graph's nodes
 // only, so one solver reused on a small graph after a large one pays for
-// the small one.
+// the small one. From the second phase on, the level graph is pruned to
+// the nodes that reach the sink along it before the DFS runs, which skips
+// only DFS branches that would dead-end and so finds the same paths.
 
 #ifndef FTOA_FLOW_DINIC_H_
 #define FTOA_FLOW_DINIC_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "flow/graph.h"
@@ -35,6 +38,7 @@ class DinicSolver {
 
  private:
   bool Bfs(const FlowGraph& g, NodeId source, NodeId sink);
+  void PruneToSink(const FlowGraph& g, NodeId sink);
   int64_t BlockingPath(FlowGraph& g, NodeId source, NodeId sink,
                        int64_t limit);
 
@@ -47,6 +51,8 @@ class DinicSolver {
   std::vector<EdgeId> iter_;
   std::vector<NodeId> queue_;
   std::vector<Frame> stack_;
+  std::vector<NodeId> back_queue_;     // PruneToSink's walk.
+  std::vector<uint8_t> reaches_sink_;  // PruneToSink marks; 0 between.
 };
 
 /// One-shot convenience wrapper around DinicSolver.

@@ -1,9 +1,15 @@
 #include "model/assignment.h"
 
+#include <algorithm>
+
 namespace ftoa {
 
 Assignment::Assignment(size_t num_workers, size_t num_tasks)
-    : worker_match_(num_workers, -1), task_match_(num_tasks, -1) {}
+    : worker_match_(num_workers, -1), task_match_(num_tasks, -1) {
+  // A matching has at most min(|W|, |R|) pairs: reserving them once keeps
+  // Add, and so every online decision, free of heap allocation.
+  pairs_.reserve(std::min(num_workers, num_tasks));
+}
 
 Status Assignment::Add(WorkerId worker, TaskId task, double time) {
   if (worker < 0 || static_cast<size_t>(worker) >= worker_match_.size()) {

@@ -34,7 +34,7 @@ echo "== bench_micro_flow (Dijkstra+potentials, engine sweep, arenas, matcher)"
 echo "== bench_micro_perobject (per-arrival cost of the online algorithms)"
 "$BUILD/bench_micro_perobject" \
     --benchmark_min_time=0.05 \
-    --benchmark_filter='.*/1000$|.*/4000$' \
+    --benchmark_filter='.*/1000$|.*/4000$|BM_PolarOpCityDay' \
     --benchmark_context=nproc="$(nproc)",build_type=Release \
     --benchmark_out="$ROOT/BENCH_perobject.json" \
     --benchmark_out_format=json
