@@ -10,9 +10,10 @@ namespace ftoa {
 namespace {
 
 /// Engine-backed variant: candidate search through the shared retrieval
-/// engine, with deadline/window pruning and per-query stats. Nearest
-/// answers are canonical (distance, id), so the assignment is bit-identical
-/// to the linear scan.
+/// engine, with deadline/window pruning and per-query stats. Each decision
+/// first expires both pools at its time, so the walks see live entries
+/// only. Nearest answers are canonical (distance, id), so the assignment is
+/// bit-identical to the linear scan.
 class EngineGreedySession final : public AssignmentSessionBase {
  public:
   EngineGreedySession(const Instance& instance, SimpleGreedyOptions options)
@@ -24,6 +25,7 @@ class EngineGreedySession final : public AssignmentSessionBase {
                 instance.velocity()} {}
 
   void OnWorker(WorkerId worker, double time) override {
+    ExpireBefore(time);
     const double velocity = instance().velocity();
     const Worker& w = instance().worker(worker);
     // Feasible tasks must have started within MaxTaskDuration of now
@@ -46,6 +48,7 @@ class EngineGreedySession final : public AssignmentSessionBase {
   }
 
   void OnTask(TaskId task, double time) override {
+    ExpireBefore(time);
     const double velocity = instance().velocity();
     const Task& r = instance().task(task);
     // Sr < Sw + Dw forces Sw > Sr - Dw >= Sr - MaxWorkerDuration.
@@ -66,6 +69,11 @@ class EngineGreedySession final : public AssignmentSessionBase {
   }
 
  private:
+  void ExpireBefore(double time) {
+    waiting_workers_.ExpireBefore(time);
+    waiting_tasks_.ExpireBefore(time);
+  }
+
   SimpleGreedyOptions options_;
   EngineWaitingPool waiting_workers_;
   EngineWaitingPool waiting_tasks_;

@@ -190,7 +190,10 @@ class TgoaSession final : public AssignmentSessionBase {
 
   /// Call after each arrival: runs the periodic lazy expiry that keeps the
   /// pools (and the matcher) small, then advances the counter. Expired ids
-  /// are erased in ascending id order — canonical across backends.
+  /// are erased in ascending id order — canonical across backends. The
+  /// pools' own ExpireBefore is not used: the matcher must drop exactly the
+  /// ids the pool drops, in this order, and ExpireBefore erases in
+  /// deadline order without reporting the ids.
   void FinishEvent(double now) {
     if ((event_index_ & 1023u) == 0u) {
       SweepExpired(

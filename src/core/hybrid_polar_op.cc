@@ -35,13 +35,14 @@ class HybridPolarOpSession final : public AssignmentSessionBase {
         // Greedy fallback state: every unmatched waiting object is pooled
         // at its *initial* location. Entries are erased when matched (via
         // either path); expired entries are filtered out by the feasibility
-        // predicate (and pruned up front by the engine backend).
+        // predicate (and erased at each decision by the engine backend).
         waiting_workers_(guide_->spacetime().grid(), &trace_.retrieval),
         waiting_tasks_(guide_->spacetime().grid(), &trace_.retrieval),
         limits_{instance.MaxTaskDuration(), instance.MaxWorkerDuration(),
                 instance.velocity()} {}
 
   void OnWorker(WorkerId worker, double time) override {
+    ExpireBefore(time);
     const OfflineGuide& guide = *guide_;
     const SpacetimeSpec& st = guide.spacetime();
     const double velocity = instance().velocity();
@@ -116,6 +117,7 @@ class HybridPolarOpSession final : public AssignmentSessionBase {
   }
 
   void OnTask(TaskId task, double time) override {
+    ExpireBefore(time);
     const OfflineGuide& guide = *guide_;
     const SpacetimeSpec& st = guide.spacetime();
     const double velocity = instance().velocity();
@@ -196,6 +198,11 @@ class HybridPolarOpSession final : public AssignmentSessionBase {
   }
 
  private:
+  void ExpireBefore(double time) {
+    waiting_workers_.ExpireBefore(time);
+    waiting_tasks_.ExpireBefore(time);
+  }
+
   std::shared_ptr<const OfflineGuide> guide_;
   PolarOptions options_;
   NodeWaitLists workers_at_node_;  // Indexed by worker node.

@@ -54,4 +54,11 @@ CityProfile HangzhouProfile() {
   return profile;
 }
 
+Result<CityProfile> CityProfileByName(const std::string& name) {
+  if (name == "beijing") return BeijingProfile();
+  if (name == "hangzhou") return HangzhouProfile();
+  return Status::NotFound("unknown city '" + name +
+                          "' (valid: beijing, hangzhou)");
+}
+
 }  // namespace ftoa

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <string>
 
+#include "util/result.h"
 #include "util/status.h"
 
 namespace ftoa {
@@ -78,6 +79,10 @@ struct CityProfile {
 /// Built-in profiles approximating Table 3's two cities.
 CityProfile BeijingProfile();
 CityProfile HangzhouProfile();
+
+/// The built-in profile called `name` ("beijing" or "hangzhou"); NotFound,
+/// listing both, for any other name.
+Result<CityProfile> CityProfileByName(const std::string& name);
 
 }  // namespace ftoa
 

@@ -1,17 +1,35 @@
 #include "retrieval/candidate_engine.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace ftoa {
 
 CandidateStore::CandidateStore(const GridSpec& grid)
     : grid_(grid),
       buckets_(static_cast<size_t>(grid.num_cells())),
-      dead_(static_cast<size_t>(grid.num_cells()), 0) {}
+      live_(static_cast<size_t>(grid.num_cells()), 0) {}
 
 void CandidateStore::Insert(const RetrievalCandidate& candidate) {
-  if (Contains(candidate.id)) Erase(candidate.id);
+  if (candidate.id < 0 ||
+      candidate.id > std::numeric_limits<int32_t>::max()) {
+    std::fprintf(stderr,
+                 "CandidateStore: id %lld is not a dense non-negative "
+                 "instance id\n",
+                 static_cast<long long>(candidate.id));
+    std::abort();
+  }
+  const size_t index = static_cast<size_t>(candidate.id);
+  if (index >= locator_.size()) {
+    locator_.resize(index + 1);
+  } else if (locator_[index].cell >= 0) {
+    Erase(candidate.id);
+  }
   const CellId cell = grid_.CellOf(candidate.location);
   std::vector<RetrievalCandidate>& bucket =
       buckets_[static_cast<size_t>(cell)];
+  ++live_[static_cast<size_t>(cell)];
+  ++size_;
   // Arrival-ordered inserts append; out-of-order inserts pay a sorted
   // insertion that keeps the (start, id) invariant (tombstones keep their
   // start, so they never break the order).
@@ -20,8 +38,7 @@ void CandidateStore::Insert(const RetrievalCandidate& candidate) {
     return a.start < b.start || (a.start == b.start && a.id < b.id);
   };
   if (bucket.empty() || !before(candidate, bucket.back())) {
-    locator_[candidate.id] =
-        Slot{cell, static_cast<int32_t>(bucket.size())};
+    locator_[index] = Slot{cell, static_cast<int32_t>(bucket.size())};
     bucket.push_back(candidate);
     return;
   }
@@ -29,31 +46,30 @@ void CandidateStore::Insert(const RetrievalCandidate& candidate) {
       std::upper_bound(bucket.begin(), bucket.end(), candidate, before);
   const int32_t offset = static_cast<int32_t>(pos - bucket.begin());
   bucket.insert(pos, candidate);
-  locator_[candidate.id] = Slot{cell, offset};
+  locator_[index] = Slot{cell, offset};
   // Entries after the insertion point shifted by one.
   for (size_t i = static_cast<size_t>(offset) + 1; i < bucket.size(); ++i) {
     if (bucket[i].id >= 0) {
-      locator_[bucket[i].id].offset = static_cast<int32_t>(i);
+      locator_[static_cast<size_t>(bucket[i].id)].offset =
+          static_cast<int32_t>(i);
     }
   }
 }
 
 bool CandidateStore::Erase(int64_t id) {
-  const auto it = locator_.find(id);
-  if (it == locator_.end()) return false;
-  const Slot slot = it->second;
-  locator_.erase(it);
+  if (!Contains(id)) return false;
+  Slot& slot = locator_[static_cast<size_t>(id)];
+  const CellId cell = slot.cell;
   std::vector<RetrievalCandidate>& bucket =
-      buckets_[static_cast<size_t>(slot.cell)];
+      buckets_[static_cast<size_t>(cell)];
   bucket[static_cast<size_t>(slot.offset)].id = -1;
-  int32_t& dead = dead_[static_cast<size_t>(slot.cell)];
-  ++dead;
+  slot.cell = -1;
+  --size_;
+  const int32_t live = --live_[static_cast<size_t>(cell)];
   // Compact once half the bucket is tombstones (and it is worth the walk):
   // scans stay O(live) amortized and the sort order is preserved.
-  if (dead >= 8 &&
-      static_cast<size_t>(dead) * 2 >= bucket.size()) {
-    CompactBucket(slot.cell);
-  }
+  const size_t dead = bucket.size() - static_cast<size_t>(live);
+  if (dead >= 8 && dead * 2 >= bucket.size()) CompactBucket(cell);
   return true;
 }
 
@@ -64,11 +80,11 @@ void CandidateStore::CompactBucket(CellId cell) {
   for (size_t read = 0; read < bucket.size(); ++read) {
     if (bucket[read].id < 0) continue;
     bucket[write] = bucket[read];
-    locator_[bucket[write].id].offset = static_cast<int32_t>(write);
+    locator_[static_cast<size_t>(bucket[write].id)].offset =
+        static_cast<int32_t>(write);
     ++write;
   }
   bucket.resize(write);
-  dead_[static_cast<size_t>(cell)] = 0;
 }
 
 }  // namespace ftoa

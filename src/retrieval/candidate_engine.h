@@ -9,7 +9,10 @@
 //    compacts a bucket when half of it is dead. The sort order is what
 //    buys the per-cell *arrival-time binary search*: a query with a start
 //    window [lo, hi] touches only the bucket span that can pass the
-//    deadline predicate.
+//    deadline predicate. Each cell keeps its live-entry count, and every
+//    walk skips a cell whose count is 0 with one load, before the radius
+//    bound or the binary search. Entries are located through a vector
+//    indexed by id, so ids must be dense non-negative instance ids.
 //  * CandidateCursor — reusable per-session query state (top-k buffer,
 //    ring walk scratch, stats sink). One cursor per session amortizes all
 //    allocation across that session's decisions; cursors are independent,
@@ -42,7 +45,6 @@
 #include <cstdint>
 #include <limits>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -82,18 +84,33 @@ class CandidateStore {
 
   /// Inserts an entry (O(1) amortized when starts arrive in nondecreasing
   /// order per cell — the arrival-stream case). Replaces any live entry
-  /// with the same id.
+  /// with the same id. The id indexes the store's locator, so it must be a
+  /// dense non-negative instance id; an id outside [0, INT32_MAX] aborts.
   void Insert(const RetrievalCandidate& candidate);
 
   /// Removes an entry by id (tombstone; offsets of other entries stay
   /// valid). Returns false when absent.
   bool Erase(int64_t id);
 
+  /// The live entry stored under `id`, or nullptr.
+  const RetrievalCandidate* Find(int64_t id) const {
+    if (id < 0 || static_cast<size_t>(id) >= locator_.size()) return nullptr;
+    const Slot slot = locator_[static_cast<size_t>(id)];
+    if (slot.cell < 0) return nullptr;
+    return &buckets_[static_cast<size_t>(slot.cell)]
+                    [static_cast<size_t>(slot.offset)];
+  }
+
   /// True iff `id` is currently stored.
-  bool Contains(int64_t id) const { return locator_.count(id) > 0; }
+  bool Contains(int64_t id) const { return Find(id) != nullptr; }
 
   /// Number of live entries.
-  size_t size() const { return locator_.size(); }
+  size_t size() const { return size_; }
+
+  /// Live entries in `cell`'s bucket (its tombstones not counted).
+  int32_t live(CellId cell) const {
+    return live_[static_cast<size_t>(cell)];
+  }
 
   /// Invokes `fn(const RetrievalCandidate&)` for every live entry, in
   /// (cell id, bucket position) order — deterministic given the same
@@ -120,15 +137,17 @@ class CandidateStore {
 
   void CompactBucket(CellId cell);
 
+  /// Where an id's entry sits; cell -1 when the id is not stored.
   struct Slot {
-    int32_t cell;
-    int32_t offset;
+    int32_t cell = -1;
+    int32_t offset = 0;
   };
 
   GridSpec grid_;
   std::vector<std::vector<RetrievalCandidate>> buckets_;
-  std::vector<int32_t> dead_;  // Tombstones per bucket.
-  std::unordered_map<int64_t, Slot> locator_;
+  std::vector<int32_t> live_;  // Live entries per bucket.
+  std::vector<Slot> locator_;  // Indexed by id.
+  size_t size_ = 0;
 };
 
 /// Reusable per-session query state over one CandidateStore. Not
@@ -191,7 +210,7 @@ class CandidateCursor {
     const auto scan_cell = [&](int cx, int cy) {
       if (!grid.ValidCell(cx, cy)) return;
       const CellId cell = grid.CellAt(cx, cy);
-      if (!admit_cell(cell)) return;
+      if (store_->live(cell) == 0 || !admit_cell(cell)) return;
       // Radius lower bound: skip cells that cannot beat the current tail.
       if (grid.DistanceToCell(origin, cell) > Bound(k, max_distance)) return;
       ScanCell(cell, origin, max_distance, k, query_time, window, filter,
@@ -248,6 +267,7 @@ class CandidateCursor {
     const GridSpec& grid = store_->grid();
     cell_order_.clear();
     for (const CellId cell : cells) {
+      if (store_->live(cell) == 0) continue;
       const double d = grid.DistanceToCell(origin, cell);
       if (d <= max_distance) cell_order_.emplace_back(d, cell);
     }
@@ -304,9 +324,9 @@ class CandidateCursor {
     for (int cy = cy_lo; cy <= cy_hi; ++cy) {
       for (int cx = cx_lo; cx <= cx_hi; ++cx) {
         const CellId cell = grid.CellAt(cx, cy);
+        if (store_->live(cell) == 0) continue;
         if (grid.DistanceToCell(origin, cell) > radius) continue;
         const std::vector<RetrievalCandidate>& bucket = store_->bucket(cell);
-        if (bucket.empty()) continue;
         ++cells;
         auto it = std::lower_bound(bucket.begin(), bucket.end(), window.lo,
                                    [](const RetrievalCandidate& e,
@@ -355,13 +375,13 @@ class CandidateCursor {
 
   /// TopK's scan of one cell's bucket, shared by the ring walk and the
   /// cell-list query: the arrival-time binary search, then per entry the
-  /// deadline prune, the kth-best prune, `filter`, and Offer.
+  /// deadline prune, the kth-best prune, `filter`, and Offer. Both callers
+  /// have already skipped the cell if it holds no live entry.
   template <typename FilterFn>
   void ScanCell(CellId cell, Point origin, double max_distance, size_t k,
                 double query_time, StartWindow window, FilterFn& filter,
                 QueryCounts* counts) {
     const std::vector<RetrievalCandidate>& bucket = store_->bucket(cell);
-    if (bucket.empty()) return;
     ++counts->cells;
     // Arrival-time binary search: the bucket is (start, id)-sorted, so the
     // window maps to one contiguous span.

@@ -30,6 +30,8 @@ struct RetrievalStats {
   /// deadline, beyond the current distance bound, or worse than the
   /// current top-k tail) before the caller's filter ran.
   int64_t candidates_pruned = 0;
+  /// Entries a waiting pool's ExpireBefore erased (deadline passed).
+  int64_t expired = 0;
 
   /// Per-query cells-visited histogram. Bucket b counts queries that
   /// visited at most kCellsBucketBound(b) cells; the last bucket is
@@ -66,6 +68,7 @@ struct RetrievalStats {
     cells_visited += other.cells_visited;
     candidates_examined += other.candidates_examined;
     candidates_pruned += other.candidates_pruned;
+    expired += other.expired;
     max_cells_visited = std::max(max_cells_visited, other.max_cells_visited);
     for (int b = 0; b < kNumCellsBuckets; ++b) {
       cells_visited_hist[static_cast<size_t>(b)] +=

@@ -105,6 +105,19 @@ Result<std::unique_ptr<ServiceHarness>> ServiceHarness::Create(
         "ServiceHarness: velocity must be finite and positive");
   }
   FTOA_RETURN_NOT_OK(LoopedTraceSource::CheckOptions(profile, trace));
+  if (resolved.num_shards < 0) {
+    return Status::InvalidArgument("ServiceHarness: num_shards is negative");
+  }
+  if (resolved.max_queue_depth < 0 || resolved.max_live_objects < 0) {
+    return Status::InvalidArgument(
+        "ServiceHarness: max_queue_depth and max_live_objects must be "
+        "nonnegative (0 = unlimited)");
+  }
+  if (!(resolved.slo_p99_ms >= 0.0 && std::isfinite(resolved.slo_p99_ms))) {
+    return Status::InvalidArgument(
+        "ServiceHarness: slo_p99_ms must be finite and nonnegative "
+        "(0 = off)");
+  }
   resolved.analytical_slice = std::max(0, resolved.analytical_slice);
 
   resolved.windows_per_segment =

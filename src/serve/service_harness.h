@@ -84,7 +84,8 @@ struct ServiceOptions {
   /// "simple-greedy" when no usable guide exists).
   std::string algorithm = "polar-op";
 
-  /// Sharding of each segment's session (sim/sharded_dispatcher).
+  /// Sharding of each segment's session (sim/sharded_dispatcher); 0 runs
+  /// one shard, a negative count fails Create.
   int num_shards = 1;
   int shard_threads = 1;
   bool reconcile = false;
@@ -124,19 +125,21 @@ struct ServiceOptions {
   /// refresher thread. Only meaningful with background_refresh.
   int analytical_slice = 0;
 
-  /// Backpressure SLO on the per-window p99 decision latency; <= 0
-  /// disables the latency trigger (keeps replays deterministic in tests).
+  /// Backpressure SLO on the per-window p99 decision latency; 0 disables
+  /// the latency trigger (keeps replays deterministic in tests). Negative
+  /// or non-finite values fail Create.
   double slo_p99_ms = 0.0;
 
   /// When the latency SLO trips, this fraction of the next window's
   /// offered batch is shed (oldest deadline first).
   double overload_shed_fraction = 0.5;
 
-  /// Per-window admission cap on the offered batch; 0 = unlimited.
+  /// Per-window admission cap on the offered batch; 0 = unlimited,
+  /// negative fails Create.
   int64_t max_queue_depth = 0;
 
   /// Cap on simultaneously live (admitted, unexpired, unmatched) objects;
-  /// admission beyond it sheds. 0 = unlimited.
+  /// admission beyond it sheds. 0 = unlimited, negative fails Create.
   int64_t max_live_objects = 0;
 
   /// Guide staleness (windows since publish) beyond which a segment runs

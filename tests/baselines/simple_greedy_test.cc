@@ -4,7 +4,10 @@
 
 #include <string>
 
+#include "gen/config.h"
+#include "gen/looped_trace.h"
 #include "gen/synthetic.h"
+#include "model/arrival_stream.h"
 #include "test_util.h"
 
 namespace ftoa {
@@ -128,6 +131,52 @@ TEST_P(SimpleGreedyEquivalenceTest, IndexedVariantMatchesLinearScan) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimpleGreedyEquivalenceTest,
                          ::testing::Range<uint64_t>(1, 9));
+
+// The engine session expires both pools at every decision. Every object
+// left unmatched was pooled at arrival and either expired or still waits,
+// so the pools hold only entries with deadline >= the last decision time
+// exactly when ExpireBefore erased every unmatched object whose deadline
+// is earlier. The run also stays pair-for-pair equal to the linear scan.
+void ExpectPoolsHoldOnlyLiveEntries(const Instance& instance,
+                                    const std::string& label) {
+  const std::vector<ArrivalEvent> stream = BuildArrivalStream(instance);
+  ASSERT_FALSE(stream.empty()) << label;
+  const double last_time = stream.back().time;
+
+  SimpleGreedy engine(
+      SimpleGreedyOptions{.retrieval = RetrievalMode::kEngine});
+  SimpleGreedy linear(
+      SimpleGreedyOptions{.retrieval = RetrievalMode::kLinear});
+  RunTrace run_trace;
+  const Assignment assignment = engine.Run(instance, &run_trace);
+  testing::ExpectSamePairs(assignment, linear.Run(instance), label);
+
+  int64_t dead_unmatched = 0;
+  for (const Worker& w : instance.workers()) {
+    if (!assignment.IsWorkerMatched(w.id) && w.Deadline() < last_time) {
+      ++dead_unmatched;
+    }
+  }
+  for (const Task& r : instance.tasks()) {
+    if (!assignment.IsTaskMatched(r.id) && r.Deadline() < last_time) {
+      ++dead_unmatched;
+    }
+  }
+  EXPECT_GT(dead_unmatched, 0) << label;
+  EXPECT_EQ(run_trace.retrieval.expired, dead_unmatched) << label;
+}
+
+TEST(SimpleGreedyTest, EnginePoolsHoldOnlyLiveEntries) {
+  // Example 1's last arrivals are tasks: r2 and r3 expire at task
+  // decisions, after the last worker arrived.
+  ExpectPoolsHoldOnlyLiveEntries(MakeExample1Instance(), "Example 1");
+  LoopedTraceSource::Options trace;
+  trace.scale = 0.1;
+  const auto day =
+      LoopedTraceSource(HangzhouProfile(), trace).FiniteInstance(1);
+  ASSERT_TRUE(day.ok()) << day.status().ToString();
+  ExpectPoolsHoldOnlyLiveEntries(*day, "Hangzhou x0.1 day");
+}
 
 }  // namespace
 }  // namespace ftoa

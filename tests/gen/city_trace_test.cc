@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 namespace ftoa {
 namespace {
@@ -97,6 +98,21 @@ TEST(CityTraceTest, BuiltInProfilesDiffer) {
   // Beijing: more tasks than workers; Hangzhou: the reverse (Table 3).
   EXPECT_GT(beijing.tasks_per_day, beijing.workers_per_day);
   EXPECT_LT(hangzhou.tasks_per_day, hangzhou.workers_per_day);
+}
+
+TEST(CityTraceTest, ProfilesAreFoundByNameOnly) {
+  for (const std::string name : {"beijing", "hangzhou"}) {
+    const auto profile = CityProfileByName(name);
+    ASSERT_TRUE(profile.ok()) << name;
+    EXPECT_EQ(profile->name, name);
+  }
+  for (const std::string name : {"paris", "hangzou", "Beijing", ""}) {
+    const auto missing = CityProfileByName(name);
+    ASSERT_FALSE(missing.ok()) << name;
+    EXPECT_TRUE(missing.status().IsNotFound());
+    EXPECT_NE(missing.status().message().find("valid: beijing, hangzhou"),
+              std::string::npos);
+  }
 }
 
 TEST(CityTraceTest, WeatherIsBoundedAndVaried) {

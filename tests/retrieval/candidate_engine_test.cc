@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "retrieval/stats.h"
+#include "retrieval/waiting_pool.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -561,6 +562,145 @@ TEST(CandidateEngineStress, TopKMatchesLinearOracle) {
     EXPECT_EQ(store.size(), live.size());
     EXPECT_GT(stats.queries, 0);
   }
+}
+
+// A cell whose entries are all tombstones is skipped like an empty one by
+// every walk: no bound, no binary search, not counted as visited.
+TEST(CandidateCursorTest, TombstoneOnlyCellsAreNotVisited) {
+  CandidateStore store(MakeGrid());
+  // Three erased entries stay as tombstones (too few to compact).
+  for (int64_t id = 0; id < 3; ++id) {
+    store.Insert(Entry(id, 5.0, 5.0 + static_cast<double>(id), 0.0, 10.0));
+  }
+  for (int64_t id = 0; id < 3; ++id) ASSERT_TRUE(store.Erase(id));
+  store.Insert(Entry(3, 15.0, 5.0, 0.0, 10.0));
+  const CellId origin_cell = store.grid().CellOf({5.0, 5.0});
+  ASSERT_EQ(store.bucket(origin_cell).size(), 3u);
+  EXPECT_EQ(store.live(origin_cell), 0);
+
+  RetrievalStats stats;
+  CandidateCursor cursor(&store, &stats);
+  EXPECT_EQ(
+      cursor.Nearest({5.0, 5.0}, 50.0, 0.0, StartWindow{}, AcceptAll).id, 3);
+  EXPECT_EQ(stats.cells_visited, 1);
+  const std::vector<CellId> cells = {origin_cell,
+                                     store.grid().CellOf({15.0, 5.0})};
+  const auto& hits = cursor.TopK({5.0, 5.0}, 50.0, 1, 0.0, StartWindow{},
+                                 cells, AcceptAll);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].candidate.id, 3);
+  EXPECT_EQ(stats.cells_visited, 2);
+  int found = 0;
+  cursor.ForEachInDisk({5.0, 5.0}, 50.0, 0.0, StartWindow{},
+                       [&](const RetrievalCandidate&, double) { ++found; });
+  EXPECT_EQ(found, 1);
+  EXPECT_EQ(stats.cells_visited, 3);
+}
+
+// The live-count oracle: after a random history of inserts, erases,
+// overwrites and expiries, every cell's count equals a recount of its
+// bucket's non-tombstone entries, and the counts sum to size().
+TEST(CandidateStoreTest, LiveCountsMatchRecountAfterRandomHistory) {
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    Rng rng(seed * 104729 + 17);
+    EngineWaitingPool pool(MakeGrid(), nullptr);
+    const CandidateStore& store = pool.store();
+    double now = 0.0;
+    for (int op = 0; op < 3000; ++op) {
+      const double roll = rng.NextDouble();
+      const int64_t id = static_cast<int64_t>(rng.NextBounded(300));
+      if (roll < 0.55) {
+        // Lattice points: many entries share a cell; starts around now.
+        const double start = now + rng.NextDouble(-2.0, 2.0);
+        pool.Insert(id, {5.0 * static_cast<double>(rng.NextBounded(21)),
+                         5.0 * static_cast<double>(rng.NextBounded(21))},
+                    start, start + rng.NextDouble(0.0, 6.0));
+      } else if (roll < 0.8) {
+        pool.Erase(id);
+      } else {
+        now += rng.NextDouble(0.0, 0.5);
+        pool.ExpireBefore(now);
+      }
+      if (op % 100 != 99) continue;
+      size_t total = 0;
+      for (CellId cell = 0; cell < store.grid().num_cells(); ++cell) {
+        int32_t recount = 0;
+        for (const RetrievalCandidate& entry : store.bucket(cell)) {
+          if (entry.id >= 0) ++recount;
+        }
+        ASSERT_EQ(store.live(cell), recount)
+            << "seed " << seed << " op " << op << " cell " << cell;
+        total += static_cast<size_t>(recount);
+      }
+      ASSERT_EQ(total, store.size()) << "seed " << seed << " op " << op;
+    }
+  }
+}
+
+// ExpireBefore's contract: strict `<`, like the queries' deadline prune, so
+// an entry whose deadline equals `now` stays stored and matchable.
+TEST(EngineWaitingPoolTest, ExpireBeforeKeepsDeadlineEqualToNow) {
+  RetrievalStats stats;
+  EngineWaitingPool pool(MakeGrid(), &stats);
+  pool.Insert(1, {5.0, 5.0}, 0.0, 3.0);
+  pool.Insert(2, {6.0, 5.0}, 0.0, 2.999);
+  pool.Insert(3, {7.0, 5.0}, 0.0, 8.0);
+  pool.ExpireBefore(3.0);
+  EXPECT_TRUE(pool.Contains(1));
+  EXPECT_FALSE(pool.Contains(2));
+  EXPECT_TRUE(pool.Contains(3));
+  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_EQ(stats.expired, 1);
+  EXPECT_EQ(pool.Nearest({5.0, 5.0}, 50.0, 3.0, StartWindow{},
+                         [](int64_t, double) { return true; }),
+            1);
+  pool.ExpireBefore(3.0);  // Same instant again: nothing more goes.
+  EXPECT_TRUE(pool.Contains(1));
+  pool.ExpireBefore(std::nextafter(3.0, 4.0));
+  EXPECT_FALSE(pool.Contains(1));
+  EXPECT_EQ(stats.expired, 2);
+}
+
+// Heap records outlive their entries: an id erased since (matched) is
+// skipped, and an id re-inserted with another deadline goes at its own.
+TEST(EngineWaitingPoolTest, ExpireBeforeFollowsErasedAndReinsertedIds) {
+  RetrievalStats stats;
+  EngineWaitingPool pool(MakeGrid(), &stats);
+  pool.ExpireBefore(0.0);
+  pool.Insert(1, {5.0, 5.0}, 0.0, 2.0);
+  pool.Insert(2, {6.0, 5.0}, 0.0, 2.0);
+  pool.Insert(3, {7.0, 5.0}, 0.0, 9.0);
+  ASSERT_TRUE(pool.Erase(2));
+  pool.Insert(1, {5.0, 6.0}, 1.0, 6.0);  // Later deadline.
+  pool.Insert(3, {7.0, 6.0}, 1.0, 4.0);  // Earlier deadline.
+  pool.ExpireBefore(5.0);
+  EXPECT_TRUE(pool.Contains(1));
+  EXPECT_FALSE(pool.Contains(2));
+  EXPECT_FALSE(pool.Contains(3));
+  EXPECT_EQ(stats.expired, 1);
+  pool.ExpireBefore(10.0);
+  EXPECT_EQ(pool.size(), 0u);
+  EXPECT_EQ(stats.expired, 2);
+}
+
+// The first call queues what the pool already holds.
+TEST(EngineWaitingPoolTest, FirstExpireBeforeCoversEarlierInserts) {
+  EngineWaitingPool pool(MakeGrid(), nullptr);
+  pool.Insert(4, {5.0, 5.0}, 0.0, 1.0);
+  pool.Insert(5, {6.0, 5.0}, 0.0, 7.0);
+  pool.ExpireBefore(2.0);
+  EXPECT_FALSE(pool.Contains(4));
+  EXPECT_TRUE(pool.Contains(5));
+  pool.Insert(6, {7.0, 5.0}, 2.0, 3.0);
+  pool.ExpireBefore(4.0);
+  EXPECT_FALSE(pool.Contains(6));
+  EXPECT_TRUE(pool.Contains(5));
+}
+
+TEST(CandidateStoreDeathTest, NegativeIdAborts) {
+  CandidateStore store(MakeGrid());
+  EXPECT_DEATH(store.Insert(Entry(-1, 5.0, 5.0, 0.0, 1.0)),
+               "id -1 is not a dense non-negative instance id");
 }
 
 }  // namespace

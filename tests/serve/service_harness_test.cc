@@ -288,6 +288,52 @@ TEST(ServiceHarnessTest, RejectsNonPositiveOrNonFiniteVelocity) {
   }
 }
 
+/// Expects Create to reject `options` with an InvalidArgument naming
+/// `field`.
+void ExpectOptionRejected(const ServiceOptions& options,
+                          const std::string& field) {
+  const auto rejected = ServiceHarness::Create(
+      SmallCity(), LoopedTraceSource::Options{}, options);
+  ASSERT_FALSE(rejected.ok()) << field;
+  EXPECT_TRUE(rejected.status().IsInvalidArgument()) << rejected.status();
+  EXPECT_NE(rejected.status().message().find(field), std::string::npos)
+      << rejected.status();
+}
+
+TEST(ServiceHarnessTest, RejectsNegativeShardCount) {
+  ServiceOptions options;
+  options.num_shards = -3;
+  ExpectOptionRejected(options, "num_shards");
+  options.num_shards = 0;  // 0 keeps its meaning: one shard.
+  EXPECT_EQ(MakeHarness(options)->options().num_shards, 1);
+}
+
+TEST(ServiceHarnessTest, RejectsNegativeMaxQueueDepth) {
+  ServiceOptions options;
+  options.max_queue_depth = -1;
+  ExpectOptionRejected(options, "max_queue_depth");
+}
+
+TEST(ServiceHarnessTest, RejectsNegativeMaxLiveObjects) {
+  ServiceOptions options;
+  options.max_live_objects = -5;
+  ExpectOptionRejected(options, "max_live_objects");
+}
+
+TEST(ServiceHarnessTest, RejectsNegativeOrNonFiniteSlo) {
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    ServiceOptions options;
+    options.slo_p99_ms = bad;
+    ExpectOptionRejected(options, "slo_p99_ms");
+  }
+  ServiceOptions off;  // 0 keeps its meaning: no latency trigger.
+  off.slo_p99_ms = 0.0;
+  auto harness = MakeHarness(off);
+  ASSERT_TRUE(harness->RunWindows(6).ok());
+  EXPECT_EQ(harness->totals().shed, 0);
+}
+
 /// Expects Create to reject `scale` on the Beijing profile with an
 /// InvalidArgument that mentions the trace scale.
 void ExpectScaleRejected(double scale) {

@@ -243,6 +243,7 @@ inline void ExpectSameRetrievalStats(const RetrievalStats& a,
   EXPECT_EQ(a.cells_visited, b.cells_visited) << label;
   EXPECT_EQ(a.candidates_examined, b.candidates_examined) << label;
   EXPECT_EQ(a.candidates_pruned, b.candidates_pruned) << label;
+  EXPECT_EQ(a.expired, b.expired) << label;
   EXPECT_EQ(a.max_cells_visited, b.max_cells_visited) << label;
   EXPECT_EQ(a.cells_visited_hist, b.cells_visited_hist) << label;
 }
