@@ -168,7 +168,38 @@ Result<FaultInjector> FaultInjector::Parse(const std::string& spec,
     FTOA_ASSIGN_OR_RETURN(FaultSpec fault, ParseEntry(entry));
     injector.faults_.push_back(std::move(fault));
   }
+  // Overlapping entries combine, so the caps bound the combined value. A
+  // window's active entries of one kind all cover the latest begin among
+  // them, and factors and stalls never shrink the combination, so the
+  // begin windows of that kind are the only candidates for the maximum.
+  for (const FaultSpec& at : injector.faults_) {
+    const int64_t window = at.begin_window;
+    if (at.name == "flash" &&
+        injector.FlashCrowdFactor(window) > kMaxFlashFactor) {
+      return Status::InvalidArgument(
+          "fault spec: combined flash factor of window " +
+          std::to_string(window) + " exceeds " +
+          std::to_string(static_cast<int>(kMaxFlashFactor)));
+    }
+    if (at.name != "slow-shard") continue;
+    for (const FaultSpec& lane : injector.faults_) {
+      if (lane.name == "slow-shard" &&
+          injector.SlowShardStallMs(window, lane.shard) > kMaxStallMs) {
+        return Status::InvalidArgument(
+            "fault spec: combined slow-shard stall of window " +
+            std::to_string(window) + " exceeds " +
+            std::to_string(static_cast<int>(kMaxStallMs)) + " ms");
+      }
+    }
+  }
   return injector;
+}
+
+bool FaultInjector::HasLaneFaults() const {
+  for (const FaultSpec& fault : faults_) {
+    if (fault.name == "slow-shard" || fault.name == "drop-batch") return true;
+  }
+  return false;
 }
 
 double FaultInjector::SlowShardStallMs(int64_t window, int shard) const {

@@ -8,12 +8,16 @@
 //
 //   slow-shard   a shard's decisions stall (params: shard = shard index,
 //                -1 = every shard, default -1; stall-ms = stall per
-//                decision, default 5).
+//                decision, default 5). Overlapping entries add up; the
+//                combined stall of one shard in one window is at most
+//                kMaxStallMs.
 //   guide-fail   background guide refreshes fail (param: count = how many
 //                attempts fail inside the range, default 1).
 //   flash        flash crowd — arrival volume multiplies (param:
 //                factor >= 1, default 3; the harness clones admitted
-//                arrivals with seeded jitter).
+//                arrivals with seeded jitter). Overlapping entries
+//                multiply; the combined factor of one window is at most
+//                kMaxFlashFactor.
 //   drop-batch   a staged handoff batch is dropped before it reaches the
 //                shard (params: shard, default -1 = any; prob = drop
 //                probability per batch from the seeded RNG, default 1).
@@ -51,14 +55,27 @@ struct FaultSpec {
 /// point. Default-constructed = no faults (every query benign).
 class FaultInjector {
  public:
+  /// Largest combined flash factor of any window: the harness clones a
+  /// window's batch up to factor * base arrivals.
+  static constexpr double kMaxFlashFactor = 100.0;
+  /// Largest combined per-decision stall of one shard in one window (one
+  /// minute); the harness adds it to a decision's latency in nanoseconds.
+  static constexpr double kMaxStallMs = 60000.0;
+
   FaultInjector() = default;
 
   /// Parses a fault plan. The empty string yields a no-fault injector.
+  /// A plan whose combined flash factor or stall exceeds its cap in some
+  /// window is rejected with InvalidArgument.
   static Result<FaultInjector> Parse(const std::string& spec,
                                      uint64_t seed = 0);
 
   bool empty() const { return faults_.empty(); }
   const std::vector<FaultSpec>& faults() const { return faults_; }
+
+  /// True when some fault acts per shard lane (slow-shard, drop-batch):
+  /// only then does the harness need each event's lane.
+  bool HasLaneFaults() const;
 
   /// Per-decision stall (ms) for `shard` in `window`; 0 when unaffected.
   /// Overlapping slow-shard entries add up.

@@ -8,6 +8,7 @@
 #include "core/algorithm_registry.h"
 #include "prediction/dataset.h"
 #include "prediction/registry.h"
+#include "sim/metrics.h"
 #include "sim/sharded_dispatcher.h"
 #include "util/memory_tracker.h"
 #include "util/stopwatch.h"
@@ -615,39 +616,51 @@ Status ServiceHarness::ReplaySegment() {
 
   // Replay with AdvanceTo at every window boundary; mid-segment guide
   // publishes hot-swap at their boundary; injected handoff drops skip
-  // whole (window, lane) batches; latency is measured per fed event.
+  // whole (window, lane) batches; latency is timed for one fed event in
+  // kLatencySamplePeriod by its ordinal in the window.
   size_t cursor = 0;
   size_t swap_cursor = 0;
   std::vector<char> lane_dropped(static_cast<size_t>(options_.num_shards), 0);
+  const bool lane_faults = faults_.HasLaneFaults();
   std::vector<std::vector<int64_t>> latency_ns(
       static_cast<size_t>(segment.end - segment.begin));
-  Stopwatch stopwatch;
   const auto feed_until = [&](double rel_bound, int64_t window) {
-    const size_t metrics_index = static_cast<size_t>(window - segment.begin);
+    WindowMetrics& metrics = windows_[static_cast<size_t>(window)];
+    std::vector<int64_t>& sample =
+        latency_ns[static_cast<size_t>(window - segment.begin)];
     for (; cursor < objects.size() && objects[cursor].rel_time < rel_bound;
          ++cursor) {
       const SpineEntry& object = objects[cursor];
+      const int32_t id = local_id[cursor];
       // The fault lane is the shard that would really receive the event —
       // the session router's assignment over the session-local id — so an
       // injected drop-batch fault hits one actual shard's handoff, not a
-      // synthetic stream-id stripe.
-      const int lane = session->router().Route(object.kind, local_id[cursor],
-                                               object.location);
+      // synthetic stream-id stripe. Only lane faults read it.
+      const int lane =
+          lane_faults ? session->router().Route(object.kind, id,
+                                                object.location)
+                      : 0;
       if (lane_dropped[static_cast<size_t>(lane)]) {
-        ++windows_[static_cast<size_t>(window)].dropped_arrivals;
+        ++metrics.dropped_arrivals;
         ++totals_.dropped_arrivals;
         continue;
       }
-      stopwatch.Restart();
-      if (object.kind == ObjectKind::kWorker) {
-        session->OnWorker(local_id[cursor], object.rel_time);
-      } else {
-        session->OnTask(local_id[cursor], object.rel_time);
+      const auto decide = [&] {
+        if (object.kind == ObjectKind::kWorker) {
+          session->OnWorker(id, object.rel_time);
+        } else {
+          session->OnTask(id, object.rel_time);
+        }
+      };
+      if ((metrics.decisions++ % kLatencySamplePeriod) != 0) {
+        decide();
+        continue;
       }
-      const double stall_ms = faults_.SlowShardStallMs(window, lane);
-      latency_ns[metrics_index].push_back(
-          stopwatch.ElapsedNanos() +
-          static_cast<int64_t>(stall_ms * 1e6));
+      const Stopwatch clock;
+      decide();
+      sample.push_back(clock.ElapsedNanos() +
+                       static_cast<int64_t>(
+                           faults_.SlowShardStallMs(window, lane) * 1e6));
     }
   };
 
@@ -706,7 +719,7 @@ Status ServiceHarness::ReplaySegment() {
     WindowMetrics& metrics = windows_[static_cast<size_t>(window)];
     std::vector<int64_t>& sample =
         latency_ns[static_cast<size_t>(window - segment.begin)];
-    metrics.decisions = static_cast<int64_t>(sample.size());
+    metrics.latency_samples = static_cast<int64_t>(sample.size());
     metrics.p50_ms = PercentileMs(&sample, 50.0);
     metrics.p99_ms = PercentileMs(&sample, 99.0);
     if (!sample.empty()) {

@@ -50,9 +50,10 @@
 //
 // Admission control: per window the harness sheds deterministically,
 // oldest deadline first, whenever the offered batch exceeds
-// max_queue_depth, the last completed window's p99 exceeded slo_p99_ms
-// (backpressure; the signal lags by up to one segment because latency is
-// measured at replay), or admitting would exceed max_live_objects.
+// max_queue_depth, the last completed window's sampled p99 exceeded
+// slo_p99_ms (backpressure; the signal lags by up to one segment because
+// latency is measured at replay), or admitting would exceed
+// max_live_objects.
 
 #ifndef FTOA_SERVE_SERVICE_HARNESS_H_
 #define FTOA_SERVE_SERVICE_HARNESS_H_
@@ -184,12 +185,17 @@ struct WindowMetrics {
   int64_t cells_visited_p50 = 0;
   int64_t cells_visited_p99 = 0;
 
-  /// Harness-side per-decision latency over the window's fed events
-  /// (includes injected slow-lane stalls). Nearest-rank percentiles.
+  /// Harness-side decision latency of the window's fed events: a 1-in-
+  /// kLatencySamplePeriod systematic sample by the decision's ordinal in
+  /// the window (0, 8, 16, ...), so a window with a decision has a sample.
+  /// Nearest-rank percentiles over the sample; injected slow-lane stalls
+  /// are added to each sampled decision. `decisions` counts every fed
+  /// event exactly; `latency_samples` == ceil(decisions / 8).
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   double max_ms = 0.0;
   int64_t decisions = 0;
+  int64_t latency_samples = 0;
 
   int64_t live_objects = 0;  ///< Live gauge at the end of admission.
   int64_t evicted = 0;       ///< Expired-unmatched objects popped this window.
@@ -394,7 +400,8 @@ class ServiceHarness {
   int64_t expired_up_to_ = 0;
 
   Segment segment_;
-  double last_known_p99_ms_ = 0.0;  ///< From the last replayed window.
+  /// Sampled p99 of the last replayed window (the SLO signal).
+  double last_known_p99_ms_ = 0.0;
 
   /// Rotation spine (see SpineEntry) and the day its rel_times are
   /// relative to (-1 before the first rotation).

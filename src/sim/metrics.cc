@@ -23,6 +23,7 @@ double PercentileNanos(std::vector<int64_t>& latencies, double quantile) {
 void FillDecisionLatencies(std::vector<int64_t>& latency_ns,
                            RunMetrics* metrics) {
   metrics->decisions = static_cast<int64_t>(latency_ns.size());
+  metrics->latency_samples = metrics->decisions;
   metrics->busy_seconds =
       static_cast<double>(std::accumulate(latency_ns.begin(),
                                           latency_ns.end(), int64_t{0})) *
@@ -56,6 +57,7 @@ RunMetrics MergeShardRunMetrics(const std::vector<RunMetrics>& shards) {
     merged.dispatched_workers += shard.dispatched_workers;
     merged.ignored_objects += shard.ignored_objects;
     merged.decisions += shard.decisions;
+    merged.latency_samples += shard.latency_samples;
     merged.reconciled_pairs += shard.reconciled_pairs;
     merged.guide_swaps += shard.guide_swaps;
     merged.decision_latency_p50_ns = std::max(merged.decision_latency_p50_ns,

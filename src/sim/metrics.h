@@ -10,6 +10,13 @@
 
 namespace ftoa {
 
+/// Systematic latency sampling period of the serving paths: the sharded
+/// dispatcher (per shard) and the service harness (per window) time every
+/// Nth decision by its ordinal, starting with the first, and keep the
+/// decision count exact. Two clock reads per ~100 ns decision would
+/// otherwise cost more than the decision itself.
+inline constexpr int64_t kLatencySamplePeriod = 8;
+
 /// The outcome of running one algorithm on one instance.
 struct RunMetrics {
   std::string algorithm;        ///< Display name.
@@ -42,6 +49,11 @@ struct RunMetrics {
   // the algorithm's AssignmentSession arrival by arrival and measures each
   // decision — the production dispatcher's latency axis).
   int64_t decisions = 0;                 ///< Arrivals fed to the session.
+  /// Decisions individually timed: the sample the latency fields and
+  /// busy_seconds come from. Equal to `decisions` on the runner's streaming
+  /// path; ceil(decisions / kLatencySamplePeriod) per shard of a sharded
+  /// run.
+  int64_t latency_samples = 0;
   double decision_latency_p50_ns = 0.0;  ///< Median per-decision latency.
   double decision_latency_p99_ns = 0.0;  ///< Tail per-decision latency.
   double decision_latency_max_ns = 0.0;  ///< Worst single decision.
@@ -67,8 +79,9 @@ struct RunMetrics {
   }
 };
 
-/// Fills `decisions`, `busy_seconds`, and the decision_latency percentile
-/// fields of `metrics` from a raw per-decision latency sample, using the
+/// Fills `decisions`, `latency_samples`, `busy_seconds`, and the
+/// decision_latency percentile fields of `metrics` from a raw per-decision
+/// latency sample (every decision timed), using the
 /// nearest-rank percentile definition. Destructive: the sample is reordered
 /// in place (nth_element). An empty sample leaves the fields at 0.
 void FillDecisionLatencies(std::vector<int64_t>& latency_ns,
@@ -77,7 +90,7 @@ void FillDecisionLatencies(std::vector<int64_t>& latency_ns,
 /// Aggregates per-shard RunMetrics into the merged metrics of one sharded
 /// run (sim/sharded_dispatcher). The chosen merge semantics, field by field:
 ///
-///  * Counter fields (matching_size, decisions, strict_*,
+///  * Counter fields (matching_size, decisions, latency_samples, strict_*,
 ///    dispatched_workers, ignored_objects, reconciled_pairs) and
 ///    peak_memory_bytes are *summed*. For concurrently-running shards the
 ///    summed heap peak is an upper bound on the true process peak (shard

@@ -9,17 +9,6 @@
 
 namespace ftoa {
 
-namespace {
-
-/// Every Nth decision per shard is individually timed (systematic sampling
-/// by per-shard decision ordinal — deterministic, thread-count
-/// independent); RunMetrics::decisions stays exact and busy_seconds is
-/// extrapolated from the sample. Timing every decision would cost two
-/// clock reads per ~100ns decision on the serving path.
-constexpr int64_t kLatencySamplePeriod = 8;
-
-}  // namespace
-
 // ----------------------------------------------------------------- session --
 
 ShardedSession::ShardedSession(const Instance& instance,
@@ -64,13 +53,43 @@ void ShardedSession::OnTask(TaskId task, double time) {
 }
 
 void ShardedSession::Route(ObjectKind kind, int32_t id, double time) {
-  const Point location = kind == ObjectKind::kWorker
-                             ? instance_->worker(id).location
-                             : instance_->task(id).location;
-  const int target = router_->Route(kind, id, location);
+  int target = 0;
+  if (shards_.size() > 1) {
+    const Point location = kind == ObjectKind::kWorker
+                               ? instance_->worker(id).location
+                               : instance_->task(id).location;
+    target = router_->Route(kind, id, location);
+  }
+  Shard& shard = *shards_[static_cast<size_t>(target)];
+  if (pool_ == nullptr) {
+    // Inline mode: straight into the shard session, no Op in between.
+    Decide(shard, kind, id, time);
+    return;
+  }
   const Op::Kind op_kind =
       kind == ObjectKind::kWorker ? Op::Kind::kWorker : Op::Kind::kTask;
-  Stage(*shards_[static_cast<size_t>(target)], Op{op_kind, id, time, {}});
+  Stage(shard, Op{op_kind, id, time, {}});
+}
+
+void ShardedSession::Decide(Shard& shard, ObjectKind kind, int32_t id,
+                            double time) {
+  const auto decide = [&] {
+    if (kind == ObjectKind::kWorker) {
+      shard.session->OnWorker(id, time);
+    } else {
+      shard.session->OnTask(id, time);
+    }
+  };
+  // Systematic latency sampling by per-shard decision ordinal: the sampled
+  // set depends only on the shard's event order, never on threads or
+  // batching.
+  if ((shard.decisions++ % kLatencySamplePeriod) != 0) {
+    decide();
+    return;
+  }
+  const Stopwatch clock;
+  decide();
+  shard.latency_ns.push_back(clock.ElapsedNanos());
 }
 
 void ShardedSession::AdvanceTo(double time) {
@@ -145,26 +164,11 @@ void ShardedSession::FlushStaging(Shard& shard) {
 void ShardedSession::Apply(Shard& shard, const Op& op) {
   switch (op.kind) {
     case Op::Kind::kWorker:
-    case Op::Kind::kTask: {
-      // Systematic latency sampling by per-shard decision ordinal: the
-      // sampled set depends only on the shard's event order, never on
-      // threads or batching.
-      const bool sampled = (shard.decisions++ % kLatencySamplePeriod) == 0;
-      if (sampled) {
-        Stopwatch clock;
-        if (op.kind == Op::Kind::kWorker) {
-          shard.session->OnWorker(op.id, op.time);
-        } else {
-          shard.session->OnTask(op.id, op.time);
-        }
-        shard.latency_ns.push_back(clock.ElapsedNanos());
-      } else if (op.kind == Op::Kind::kWorker) {
-        shard.session->OnWorker(op.id, op.time);
-      } else {
-        shard.session->OnTask(op.id, op.time);
-      }
+      Decide(shard, ObjectKind::kWorker, op.id, op.time);
       break;
-    }
+    case Op::Kind::kTask:
+      Decide(shard, ObjectKind::kTask, op.id, op.time);
+      break;
     case Op::Kind::kAdvance:
       shard.session->AdvanceTo(op.time);
       break;
@@ -272,9 +276,9 @@ Result<ShardedRunResult> ShardedSession::Finish() {
     FillDecisionLatencies(shard.latency_ns, &metrics);
     // The latency trace is a 1-in-N systematic sample: the decision count
     // stays exact and the busy time extrapolates from the sampled share.
-    if (!shard.latency_ns.empty()) {
+    if (metrics.latency_samples > 0) {
       metrics.busy_seconds *= static_cast<double>(shard.decisions) /
-                              static_cast<double>(shard.latency_ns.size());
+                              static_cast<double>(metrics.latency_samples);
     }
     metrics.decisions = shard.decisions;
     metrics.guide_swaps = shard.guide_swaps;

@@ -10,7 +10,8 @@
 // cross-shard matches the partition forfeits.
 //
 // Execution model: with num_threads <= 1 every routed arrival is fed
-// inline on the calling thread. With num_threads > 1 each shard is an
+// inline on the calling thread, as a direct call into its shard session
+// (no staged op, no dispatch switch). With num_threads > 1 each shard is an
 // actor fed in *batches*: routed arrivals accumulate in a caller-side
 // per-shard staging buffer (no lock — only the caller touches it) and are
 // handed to the shard's queue as one batch via a double-buffer swap under
@@ -147,10 +148,11 @@ class ShardedSession {
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const ShardRouter& router() const { return *router_; }
 
-  /// Routes the arrival to its shard session (inline, or into the shard's
-  /// staging buffer in threaded mode). The per-decision latency recorded
-  /// for the arrival is the shard session's decision time, measured on the
-  /// thread that applies it.
+  /// Routes the arrival to its shard session: a direct call in inline
+  /// mode, the shard's staging buffer in threaded mode. With one shard the
+  /// router is not consulted. Every kLatencySamplePeriod-th decision of a
+  /// shard (sim/metrics.h) is timed on the thread that applies it; the
+  /// decision count stays exact.
   void OnWorker(WorkerId worker, double time);
   void OnTask(TaskId task, double time);
 
@@ -182,7 +184,8 @@ class ShardedSession {
  private:
   friend class ShardedDispatcher;
 
-  /// One queued session call (threaded mode).
+  /// One staged session call: every call in threaded mode, only the
+  /// broadcasts (advance, flush, guide swap) in inline mode.
   struct Op {
     enum class Kind : uint8_t {
       kWorker,
@@ -222,6 +225,8 @@ class ShardedSession {
                  const ShardedOptions& options);
 
   void Route(ObjectKind kind, int32_t id, double time);
+  /// Feeds one arrival to the shard session, timing the sampled ordinals.
+  void Decide(Shard& shard, ObjectKind kind, int32_t id, double time);
   /// Applies inline, or stages and hands off a full batch.
   void Stage(Shard& shard, Op op);
   /// Hands the staged batch to the shard queue (one lock, double-buffer

@@ -140,6 +140,29 @@ TEST(FaultInjectorTest, MalformedSpecsAreRejected) {
     EXPECT_TRUE(FaultInjector::Parse(spec).status().IsInvalidArgument())
         << spec;
   }
+  // Finite but huge: the clone target and the stall in nanoseconds would
+  // overflow. The caps hold for the combined value of one window (and one
+  // shard), so moderate overlapping entries are rejected too.
+  for (const char* spec :
+       {"flash@0-1:factor=1e300", "slow-shard@0-1:stall-ms=1e300",
+        "flash@0-1:factor=101", "slow-shard@0-1:stall-ms=60001",
+        "flash@0-3:factor=20,flash@2-5:factor=20",
+        "slow-shard@0-9:stall-ms=40000,"
+        "slow-shard@5-5:shard=2:stall-ms=40000",
+        "slow-shard@5-5:shard=2:stall-ms=40000,"
+        "slow-shard@0-9:stall-ms=40000"}) {
+    const Status status = FaultInjector::Parse(spec).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << spec;
+    EXPECT_NE(status.message().find("exceeds"), std::string::npos) << spec;
+  }
+  // At the caps, or combining only across windows or shards: accepted.
+  for (const char* spec :
+       {"flash@0-1:factor=100", "slow-shard@0-1:stall-ms=60000",
+        "flash@0-1:factor=20,flash@2-3:factor=20",
+        "slow-shard@0-1:shard=0:stall-ms=40000,"
+        "slow-shard@0-1:shard=1:stall-ms=40000"}) {
+    EXPECT_TRUE(FaultInjector::Parse(spec).ok()) << spec;
+  }
 }
 
 }  // namespace

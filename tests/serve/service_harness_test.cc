@@ -12,6 +12,7 @@
 
 #include "gen/config.h"
 #include "oracles/reference_serve_loop.h"
+#include "sim/metrics.h"
 
 namespace ftoa {
 namespace {
@@ -183,6 +184,52 @@ TEST(ServiceHarnessTest, DroppedHandoffBatchesAreRedeliveredNextSegment) {
   ASSERT_TRUE(reference->RunWindows(6).ok());
   EXPECT_GT(harness->totals().matched, 0);
   EXPECT_LE(harness->totals().matched, reference->totals().matched);
+}
+
+TEST(ServiceHarnessTest, SampledStallTripsTheSloAndShedsTheNextWindows) {
+  // One window per segment: window w's sampled p99 is the SLO signal of
+  // window w + 1's admission. The injected stall is added to every sampled
+  // decision (never slept), so it alone lifts p99 far past the SLO, while
+  // real decisions stay far below it.
+  ServiceOptions options;
+  options.windows_per_segment = 1;
+  options.slo_p99_ms = 200.0;
+  options.faults = "slow-shard@2-4:stall-ms=1000";
+  auto stalled = MakeHarness(options);
+  ASSERT_TRUE(stalled->RunWindows(12).ok());
+
+  ServiceOptions clean = options;
+  clean.faults.clear();
+  auto reference = MakeHarness(clean);
+  ASSERT_TRUE(reference->RunWindows(12).ok());
+
+  for (const auto* harness : {stalled.get(), reference.get()}) {
+    for (const WindowMetrics& window : harness->windows()) {
+      EXPECT_EQ(window.latency_samples,
+                (window.decisions + kLatencySamplePeriod - 1) /
+                    kLatencySamplePeriod)
+          << "window " << window.window;
+    }
+  }
+  for (const WindowMetrics& window : stalled->windows()) {
+    const bool stalled_window = window.window >= 2 && window.window <= 4;
+    if (stalled_window) {
+      ASSERT_GT(window.decisions, 0) << "window " << window.window;
+      EXPECT_GE(window.p99_ms, 1000.0) << "window " << window.window;
+    }
+    const bool after_stall = window.window >= 3 && window.window <= 5;
+    EXPECT_EQ(window.overloaded, after_stall) << "window " << window.window;
+    if (after_stall) {
+      EXPECT_GT(window.shed, 0) << "window " << window.window;
+    } else {
+      EXPECT_EQ(window.shed, 0) << "window " << window.window;
+    }
+  }
+  EXPECT_GT(stalled->totals().shed, 0);
+  EXPECT_EQ(reference->totals().shed, 0);
+  for (const WindowMetrics& window : reference->windows()) {
+    EXPECT_FALSE(window.overloaded) << "window " << window.window;
+  }
 }
 
 TEST(ServiceHarnessTest, ShardedServiceIsDeterministicAcrossThreadCounts) {

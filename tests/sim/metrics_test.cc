@@ -37,6 +37,22 @@ TEST(MergeShardRunMetricsTest, GuideSwapsSumAcrossShards) {
   EXPECT_EQ(MergeShardRunMetrics(shards).guide_swaps, 5);
 }
 
+TEST(MergeShardRunMetricsTest, LatencySamplesSumAcrossShards) {
+  // A fully timed run samples every decision; a sharded shard samples one
+  // in kLatencySamplePeriod. The merge sums both counts independently.
+  std::vector<int64_t> latencies = {30, 10, 20};
+  RunMetrics timed;
+  FillDecisionLatencies(latencies, &timed);
+  EXPECT_EQ(timed.decisions, 3);
+  EXPECT_EQ(timed.latency_samples, 3);
+
+  RunMetrics sampled = ShardMetrics(0.1, 17, 1);
+  sampled.latency_samples = 3;  // Ordinals 0, 8 and 16 of 17.
+  const RunMetrics merged = MergeShardRunMetrics({timed, sampled});
+  EXPECT_EQ(merged.decisions, 20);
+  EXPECT_EQ(merged.latency_samples, 6);
+}
+
 // The PR-5 regression: dispatcher Run / sim runner re-measure the wall clock
 // of the whole sharded replay and used to assign it straight into
 // elapsed_seconds, destroying the merged critical-path max. SetWallClock

@@ -227,6 +227,54 @@ TEST_P(ShardedDispatcherTest, HandoffBatchSizeDoesNotChangeTheMergedOutput) {
   }
 }
 
+TEST_P(ShardedDispatcherTest, InlineDirectPathCountsLikeTheThreadedPath) {
+  // Inline mode calls the shard sessions directly (and skips the router at
+  // one shard); the threaded actors apply staged ops. Both must count every
+  // decision per shard and time the same 1-in-kLatencySamplePeriod sample.
+  const Universe universe = MakeFuzzUniverse(41, ArrivalPattern::kBursty);
+  const int64_t objects = static_cast<int64_t>(
+      universe.instance.num_workers() + universe.instance.num_tasks());
+  for (const int num_shards : {1, 4}) {
+    std::vector<ShardedRunResult> runs;
+    for (const int num_threads : {1, 4}) {
+      ShardedOptions options;
+      options.algorithm = GetParam();
+      options.num_shards = num_shards;
+      options.num_threads = num_threads;
+      auto dispatcher = ShardedDispatcher::Create(options, universe.deps);
+      ASSERT_TRUE(dispatcher.ok()) << dispatcher.status().ToString();
+      auto result = (*dispatcher)->Run(universe.instance);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      runs.push_back(std::move(*result));
+    }
+    const std::string label =
+        std::string(GetParam()) + " shards=" + std::to_string(num_shards);
+    const ShardedRunResult& direct = runs[0];
+    const ShardedRunResult& threaded = runs[1];
+    ExpectIdenticalRun(direct.assignment, direct.trace, threaded.assignment,
+                       threaded.trace, label);
+    EXPECT_EQ(direct.metrics.decisions, objects) << label;
+    EXPECT_EQ(threaded.metrics.decisions, objects) << label;
+    ASSERT_EQ(direct.shard_metrics.size(), threaded.shard_metrics.size());
+    int64_t samples = 0;
+    for (size_t s = 0; s < direct.shard_metrics.size(); ++s) {
+      const RunMetrics& shard = direct.shard_metrics[s];
+      EXPECT_EQ(shard.decisions, threaded.shard_metrics[s].decisions)
+          << label << " shard " << s;
+      EXPECT_EQ(shard.latency_samples,
+                (shard.decisions + kLatencySamplePeriod - 1) /
+                    kLatencySamplePeriod)
+          << label << " shard " << s;
+      EXPECT_EQ(shard.latency_samples,
+                threaded.shard_metrics[s].latency_samples)
+          << label << " shard " << s;
+      samples += shard.latency_samples;
+    }
+    EXPECT_EQ(direct.metrics.latency_samples, samples) << label;
+    EXPECT_EQ(threaded.metrics.latency_samples, samples) << label;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, ShardedDispatcherTest,
                          ::testing::Values("simple-greedy", "gr", "tgoa",
                                            "polar", "polar-op", "polar-op-g",

@@ -521,6 +521,8 @@ int CmdServe(int argc, char** argv) {
     return 1;
   }
 
+  // p99 ms/smp: sampled decision-latency p99 and its sample count (one
+  // decision in kLatencySamplePeriod is timed; see docs/service_harness.md).
   // rq/exam/c50/c99: retrieval-engine queries, candidates examined, and
   // per-query cells-visited percentiles of the segment rotated at that
   // window (all zero under --retrieval=linear and between rotations).
@@ -529,7 +531,7 @@ int CmdServe(int argc, char** argv) {
   // republished without a solve (U), and reused/total components ("-"
   // between publishes).
   std::printf(
-      "window day  offered admitted shed drop match  p99 ms   live "
+      "window day  offered admitted shed drop match  p99 ms   smp   live "
       "evict epoch age      rq    exam c50  c99   rfr ms WC   reuse "
       "flags\n");
   for (const WindowMetrics& w : (*harness)->windows()) {
@@ -541,13 +543,14 @@ int CmdServe(int argc, char** argv) {
                     static_cast<long long>(w.refresh_components_total));
     }
     std::printf(
-        "%6lld %3lld  %7lld %8lld %4lld %4lld %5lld %7.3f %6lld %5lld "
-        "%5lld %3lld %7lld %7lld %3lld %4lld %8.2f %2s %7s %s%s\n",
+        "%6lld %3lld  %7lld %8lld %4lld %4lld %5lld %7.3f %5lld %6lld "
+        "%5lld %5lld %3lld %7lld %7lld %3lld %4lld %8.2f %2s %7s %s%s\n",
         static_cast<long long>(w.window), static_cast<long long>(w.day),
         static_cast<long long>(w.offered),
         static_cast<long long>(w.admitted), static_cast<long long>(w.shed),
         static_cast<long long>(w.dropped_arrivals),
         static_cast<long long>(w.matched), w.p99_ms,
+        static_cast<long long>(w.latency_samples),
         static_cast<long long>(w.live_objects),
         static_cast<long long>(w.evicted),
         static_cast<long long>(w.guide_epoch),
