@@ -1,9 +1,10 @@
 // E14 — google-benchmark microbenchmark backing the paper's O(1)
 // complexity claim (Sections 5.1-5.2): per-arrival processing cost of each
 // online algorithm as the instance grows. POLAR/POLAR-OP must stay flat
-// (each arrival touches one guide node); SimpleGreedy's linear scan grows
-// with the number of waiting objects (its indexed row runs the retrieval
-// engine); GR re-matches per window. BM_PolarOpCityDay runs POLAR-OP's
+// (each arrival touches one guide node); SimpleGreedy searches the waiting
+// objects on the retrieval engine, whose ring walk grows with their
+// density but not linearly with their number, as the paper's scan did;
+// GR re-matches per window. BM_PolarOpCityDay runs POLAR-OP's
 // decision feed at city scale: one Beijing x0.5 day per session.
 
 #include <benchmark/benchmark.h>
@@ -134,16 +135,6 @@ void BM_SimpleGreedyPerObject(benchmark::State& state) {
   RunPerObject(state, greedy, *workload.instance);
 }
 BENCHMARK(BM_SimpleGreedyPerObject)->Arg(1000)->Arg(4000)->Arg(16000);
-
-/// The production indexed path: candidate search on the shared retrieval
-/// engine (RetrievalMode::kEngine).
-void BM_SimpleGreedyIndexedPerObject(benchmark::State& state) {
-  const Workload workload = MakeWorkload(state.range(0));
-  SimpleGreedy greedy(
-      SimpleGreedyOptions{.retrieval = RetrievalMode::kEngine});
-  RunPerObject(state, greedy, *workload.instance);
-}
-BENCHMARK(BM_SimpleGreedyIndexedPerObject)->Arg(1000)->Arg(4000)->Arg(16000);
 
 void BM_GrPerObject(benchmark::State& state) {
   const Workload workload = MakeWorkload(state.range(0));

@@ -1,13 +1,13 @@
-// Candidate-retrieval engine benchmark: per-decision cost of the ported
-// online algorithms under --retrieval=engine vs the historical linear
-// scan, as the live-object count grows over a fixed service region (the
-// paper's Figure 4b axis — a city densifying through the day). The linear
-// scan pays the whole waiting set per decision, so its per-decision cost
-// grows linearly with N; the engine's best-first ring walk stops at the
-// first ring that cannot beat the current best, so a denser index
-// *shortens* the walk and its per-decision cost grows sublinearly — the
-// curve BENCH_retrieval.json records (cells-visited percentiles come
-// straight from the engine's own RetrievalStats). The approx-guide series
+// Candidate-retrieval engine benchmark: per-decision cost of the online
+// algorithms that search candidates spatially (simple-greedy, TGOA), as the
+// live-object count grows over a fixed service region (the paper's Figure
+// 4b axis — a city densifying through the day). The paper's linear scan
+// pays the whole waiting set per decision, so its cost grows linearly with
+// N; the engine's best-first ring walk stops at the first ring that cannot
+// beat the current best, so a denser index *shortens* the walk and its
+// per-decision cost grows sublinearly — the curve BENCH_retrieval.json
+// records (cells-visited percentiles come straight from the engine's own
+// RetrievalStats). The approx-guide series
 // measures the generation-time saving and the matched-utility gap of
 // sampled type-pair networks against the exact guide, with the per-run
 // certified loss bound alongside. BM_SimpleGreedyCityDay runs the engine
@@ -60,15 +60,12 @@ SyntheticConfig ConfigForSize(int64_t objects) {
   return config;
 }
 
-void RunDecisionThroughput(benchmark::State& state,
-                           const std::string& algorithm_name,
-                           RetrievalMode mode) {
+void BM_RetrievalEngine(benchmark::State& state,
+                        const std::string& algorithm_name) {
   const int64_t objects = state.range(0);
   const auto instance =
       DieUnless(GenerateSyntheticInstance(ConfigForSize(objects)));
-  AlgorithmDeps deps;
-  deps.retrieval = mode;
-  const auto algorithm = DieUnless(CreateAlgorithm(algorithm_name, deps));
+  const auto algorithm = DieUnless(CreateAlgorithm(algorithm_name));
   int64_t decisions = 0;
   RunTrace trace;
   int64_t matched = 0;
@@ -82,7 +79,7 @@ void RunDecisionThroughput(benchmark::State& state,
   }
   state.SetItemsProcessed(decisions);  // items/s = decisions per second.
   state.counters["matched"] = static_cast<double>(matched);
-  if (mode == RetrievalMode::kEngine && trace.retrieval.queries > 0) {
+  if (trace.retrieval.queries > 0) {
     state.counters["cells_p50"] =
         static_cast<double>(trace.retrieval.CellsVisitedPercentile(0.50));
     state.counters["cells_p99"] =
@@ -93,15 +90,6 @@ void RunDecisionThroughput(benchmark::State& state,
   }
 }
 
-void BM_RetrievalEngine(benchmark::State& state, const std::string& name) {
-  RunDecisionThroughput(state, name, RetrievalMode::kEngine);
-}
-void BM_RetrievalLinear(benchmark::State& state, const std::string& name) {
-  RunDecisionThroughput(state, name, RetrievalMode::kLinear);
-}
-
-// 1000 and 4000 bracket the engine-vs-linear crossover that `ftoa serve`'s
-// retrieval auto-pick is fitted from (tools/ftoa_cli.cc).
 BENCHMARK_CAPTURE(BM_RetrievalEngine, simple_greedy, "simple-greedy")
     ->Arg(1000)
     ->Arg(2000)
@@ -109,19 +97,9 @@ BENCHMARK_CAPTURE(BM_RetrievalEngine, simple_greedy, "simple-greedy")
     ->Arg(8000)
     ->Arg(32000)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_RetrievalLinear, simple_greedy, "simple-greedy")
-    ->Arg(1000)
-    ->Arg(2000)
-    ->Arg(4000)
-    ->Arg(8000)
-    ->Arg(32000)
-    ->Unit(benchmark::kMillisecond);
-// TGOA recomputes a matching per arrival; keep its sweep short.
+// TGOA adds an augmenting-path search per second-phase arrival; keep its
+// sweep short.
 BENCHMARK_CAPTURE(BM_RetrievalEngine, tgoa, "tgoa")
-    ->Arg(2000)
-    ->Arg(8000)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_RetrievalLinear, tgoa, "tgoa")
     ->Arg(2000)
     ->Arg(8000)
     ->Unit(benchmark::kMillisecond);
@@ -133,8 +111,7 @@ void BM_SimpleGreedyCityDay(benchmark::State& state) {
   trace.scale = 0.7;
   const Instance instance = DieUnless(
       LoopedTraceSource(HangzhouProfile(), trace).FiniteInstance(1));
-  SimpleGreedy greedy(
-      SimpleGreedyOptions{.retrieval = RetrievalMode::kEngine});
+  SimpleGreedy greedy;
   const std::vector<ArrivalEvent> stream = BuildArrivalStream(instance);
   int64_t matched = 0;
   for (auto _ : state) {

@@ -24,9 +24,9 @@ namespace {
 //
 // Everything order-sensitive is canonicalized (candidate ids sorted
 // before matcher edges are added, expiry sweeps erase in id order), so
-// the run is bit-identical across waiting-pool backends — the
-// engine-vs-reference contract of tests/retrieval/retrieval_mode_test.cc.
-template <typename Pool>
+// the run does not depend on the pool's enumeration order — the contract
+// tests/retrieval/retrieval_mode_test.cc pins against the grid-pool
+// oracle.
 class TgoaSession final : public AssignmentSessionBase {
  public:
   TgoaSession(const Instance& inst, const TgoaOptions& options)
@@ -150,7 +150,7 @@ class TgoaSession final : public AssignmentSessionBase {
   /// Joins the waiting pool: node slot plus candidate edges against the
   /// opposite waiting side (computed once; feasibility never changes).
   /// Edges are added in ascending counterpart id — a canonical order,
-  /// independent of the pool backend's enumeration.
+  /// independent of the pool's enumeration.
   int32_t EnterWorker(const Worker& w) {
     const int32_t lslot = matcher_.AddLeft();
     worker_slot_[static_cast<size_t>(w.id)] = lslot;
@@ -190,7 +190,7 @@ class TgoaSession final : public AssignmentSessionBase {
 
   /// Call after each arrival: runs the periodic lazy expiry that keeps the
   /// pools (and the matcher) small, then advances the counter. Expired ids
-  /// are erased in ascending id order — canonical across backends. The
+  /// are erased in ascending id order, whatever the pool's enumeration. The
   /// pools' own ExpireBefore is not used: the matcher must drop exactly the
   /// ids the pool drops, in this order, and ExpireBefore erases in
   /// deadline order without reporting the ids.
@@ -217,8 +217,8 @@ class TgoaSession final : public AssignmentSessionBase {
   }
 
   template <typename DeadlineFn, typename OnEraseFn>
-  void SweepExpired(Pool& pool, double now, DeadlineFn&& deadline_of,
-                    OnEraseFn&& on_erase) {
+  void SweepExpired(EngineWaitingPool& pool, double now,
+                    DeadlineFn&& deadline_of, OnEraseFn&& on_erase) {
     scratch_ids_.clear();
     pool.ForEachId([&](int64_t id) {
       if (deadline_of(id) < now) scratch_ids_.push_back(id);
@@ -233,8 +233,8 @@ class TgoaSession final : public AssignmentSessionBase {
   TgoaOptions options_;
   size_t greedy_phase_;
   size_t event_index_ = 0;
-  Pool waiting_workers_;
-  Pool waiting_tasks_;
+  EngineWaitingPool waiting_workers_;
+  EngineWaitingPool waiting_tasks_;
   ReachLimits limits_;
   std::vector<int64_t> scratch_ids_;
 
@@ -252,11 +252,7 @@ Tgoa::Tgoa(TgoaOptions options) : options_(options) {}
 
 std::unique_ptr<AssignmentSession> Tgoa::StartSession(
     const Instance& instance) {
-  if (options_.retrieval == RetrievalMode::kEngine) {
-    return std::make_unique<TgoaSession<EngineWaitingPool>>(instance,
-                                                            options_);
-  }
-  return std::make_unique<TgoaSession<GridWaitingPool>>(instance, options_);
+  return std::make_unique<TgoaSession>(instance, options_);
 }
 
 }  // namespace ftoa

@@ -11,15 +11,15 @@
 // direct predecessor. The predecessor's main practical weakness —
 // recomputing a maximum matching per arrival in the second phase — is
 // removed: one incremental matcher is carried across the whole run, so each
-// second-phase arrival costs one augmenting-path search. The historical
-// rebuild-per-arrival trial survives as a test oracle
+// second-phase arrival costs one augmenting-path search. Both waiting pools
+// search the shared retrieval engine (retrieval/waiting_pool.h). The
+// rebuild-per-arrival trial, on a grid-index pool, is a test oracle
 // (tests/oracles/rebuild_tgoa).
 
 #ifndef FTOA_BASELINES_TGOA_H_
 #define FTOA_BASELINES_TGOA_H_
 
 #include "core/online_algorithm.h"
-#include "retrieval/mode.h"
 
 namespace ftoa {
 
@@ -31,13 +31,6 @@ struct TgoaOptions {
   /// Pair feasibility; wait-in-place semantics by default, matching the
   /// model of [26] (workers do not relocate).
   FeasibilityPolicy policy = FeasibilityPolicy::kDispatchAtAssignmentTime;
-
-  /// kEngine backs both waiting pools with the shared retrieval engine
-  /// (deadline/time-window pruning, per-query stats in the RunTrace)
-  /// instead of the raw grid index. Candidate enumeration is canonicalized
-  /// (id-sorted) before any matcher sees it, so the assignment is
-  /// bit-identical across modes.
-  RetrievalMode retrieval = RetrievalMode::kLinear;
 };
 
 /// The TGOA baseline.

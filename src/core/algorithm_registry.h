@@ -17,6 +17,7 @@
 #include "core/guide.h"
 #include "core/online_algorithm.h"
 #include "core/polar.h"
+#include "retrieval/mode.h"
 #include "util/result.h"
 
 namespace ftoa {
@@ -34,11 +35,11 @@ struct AlgorithmDeps {
   TgoaOptions tgoa_options;
   GrBatchOptions gr_options;
 
-  /// Master candidate-retrieval switch (the CLI's --retrieval flag). When
-  /// set to kEngine it overrides the per-algorithm option structs above for
-  /// every algorithm that scans candidates spatially (simple-greedy, tgoa,
-  /// polar-op-g); kLinear (the default) leaves the structs untouched.
-  RetrievalMode retrieval = RetrievalMode::kLinear;
+  /// Read by nothing: every algorithm searches candidates on the retrieval
+  /// engine. Kept single-valued only because the end-to-end benchmark
+  /// driver (bench/e2e/ftoa_e2e.cc) assigns it; delete it with that
+  /// driver's next edit.
+  RetrievalMode retrieval = RetrievalMode::kEngine;
 };
 
 /// Canonical names of all registered algorithms, in the paper's evaluation

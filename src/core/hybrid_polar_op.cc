@@ -13,11 +13,10 @@ namespace ftoa {
 namespace {
 
 /// One POLAR-OP+G run: POLAR-OP's node wait lists plus the greedy-fallback
-/// waiting pools, hoisted into session state. The pool backend is a
-/// template knob (GridWaitingPool = historical grid index;
-/// EngineWaitingPool = shared retrieval engine with pruning + stats);
-/// Nearest answers are canonical either way, so runs are bit-identical.
-template <typename Pool>
+/// waiting pools on the shared retrieval engine, hoisted into session
+/// state. Nearest answers are canonical (distance, id), so runs are
+/// bit-identical to the grid-index fallback of
+/// tests/oracles/vector_queue_polar_op.
 class HybridPolarOpSession final : public AssignmentSessionBase {
  public:
   HybridPolarOpSession(const Instance& instance,
@@ -34,8 +33,7 @@ class HybridPolarOpSession final : public AssignmentSessionBase {
             static_cast<size_t>(guide_->spacetime().num_types()), 0),
         // Greedy fallback state: every unmatched waiting object is pooled
         // at its *initial* location. Entries are erased when matched (via
-        // either path); expired entries are filtered out by the feasibility
-        // predicate (and erased at each decision by the engine backend).
+        // either path) and, once expired, at the next decision.
         waiting_workers_(guide_->spacetime().grid(), &trace_.retrieval),
         waiting_tasks_(guide_->spacetime().grid(), &trace_.retrieval),
         limits_{instance.MaxTaskDuration(), instance.MaxWorkerDuration(),
@@ -209,8 +207,8 @@ class HybridPolarOpSession final : public AssignmentSessionBase {
   NodeWaitLists tasks_at_node_;    // Indexed by task node.
   std::vector<uint32_t> worker_type_cursor_;
   std::vector<uint32_t> task_type_cursor_;
-  Pool waiting_workers_;
-  Pool waiting_tasks_;
+  EngineWaitingPool waiting_workers_;
+  EngineWaitingPool waiting_tasks_;
   ReachLimits limits_;
 };
 
@@ -222,12 +220,7 @@ HybridPolarOp::HybridPolarOp(std::shared_ptr<const OfflineGuide> guide,
 
 std::unique_ptr<AssignmentSession> HybridPolarOp::StartSession(
     const Instance& instance) {
-  if (options_.retrieval == RetrievalMode::kEngine) {
-    return std::make_unique<HybridPolarOpSession<EngineWaitingPool>>(
-        instance, guide_, options_);
-  }
-  return std::make_unique<HybridPolarOpSession<GridWaitingPool>>(
-      instance, guide_, options_);
+  return std::make_unique<HybridPolarOpSession>(instance, guide_, options_);
 }
 
 }  // namespace ftoa

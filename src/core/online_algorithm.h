@@ -50,9 +50,9 @@ struct RunTrace {
   /// batched baselines (TGOA, GR).
   int64_t matcher_augment_searches = 0;
 
-  /// Candidate-retrieval instrumentation, populated by sessions running
-  /// with RetrievalMode::kEngine (their cursors write straight into this
-  /// sink). All-zero for the reference scan paths.
+  /// Candidate-retrieval instrumentation, populated by the sessions that
+  /// search candidates spatially (SimpleGreedy, TGOA, POLAR-OP+G; their
+  /// cursors write straight into this sink). All-zero for the rest.
   RetrievalStats retrieval;
 
   /// Accumulates `other` into this trace (dispatches appended, counters

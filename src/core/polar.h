@@ -5,7 +5,9 @@
 // node's partner is already occupied, match immediately; otherwise a worker
 // is dispatched toward the partner's area and a task waits in place.
 // Competitive ratio (1 - 1/e)^2 ~ 0.4 under the i.i.d. model (Theorem 1);
-// O(1) processing per arrival.
+// O(1) processing per arrival. No POLAR-family session scans candidates
+// spatially except HybridPolarOp's greedy fallback, which searches the
+// shared retrieval engine (retrieval/waiting_pool.h).
 
 #ifndef FTOA_CORE_POLAR_H_
 #define FTOA_CORE_POLAR_H_
@@ -14,7 +16,6 @@
 
 #include "core/guide.h"
 #include "core/online_algorithm.h"
-#include "retrieval/mode.h"
 
 namespace ftoa {
 
@@ -25,13 +26,6 @@ struct PolarOptions {
   /// analysis assumes guide-feasible pairs always realize ("guide-trust");
   /// the liveness check is a strictly-safer variant used in ablations.
   bool check_liveness = false;
-
-  /// Backend of HybridPolarOp's greedy-fallback candidate scans. kEngine
-  /// uses the shared retrieval engine (deadline/time-window pruning plus
-  /// per-query stats in the RunTrace); the fallback's nearest answers are
-  /// canonical under both backends, so the assignment is bit-identical.
-  /// Plain POLAR / POLAR-OP have no spatial scans and ignore this.
-  RetrievalMode retrieval = RetrievalMode::kLinear;
 };
 
 /// The POLAR algorithm. Sessions share the (immutable) guide.

@@ -1,38 +1,18 @@
-// Which candidate-search backend a ported algorithm uses for its waiting
-// pools. The modes are output-equivalent by contract — the engine's queries
-// answer the same canonical (distance, id)-ordered candidate sets as the
-// historical scans — so the flag trades running time, never assignments
-// (property-tested in tests/retrieval/retrieval_mode_test.cc).
+// The candidate-retrieval backend: a single value. Every spatial candidate
+// search in src/ runs on the shared engine (retrieval/candidate_engine.h,
+// through retrieval/waiting_pool.h), so nothing in the library reads this
+// type. It survives only as the type of two fields, AlgorithmDeps::
+// retrieval and ServiceOptions::retrieval, which the end-to-end benchmark
+// driver (bench/e2e/ftoa_e2e.cc) still assigns; both go with the driver's
+// next edit.
 
 #ifndef FTOA_RETRIEVAL_MODE_H_
 #define FTOA_RETRIEVAL_MODE_H_
 
-#include <string>
-#include <vector>
-
-#include "util/result.h"
-
 namespace ftoa {
 
-/// Candidate-search backend selector (`ftoa run --retrieval=...`).
-enum class RetrievalMode {
-  /// The pre-engine reference paths: SimpleGreedy's paper-faithful linear
-  /// scan, and the direct grid-index scans of TGOA and the POLAR fallback.
-  kLinear,
-  /// The shared top-k engine (retrieval/candidate_engine.h): best-first
-  /// expanding-ring search with deadline/time-window pruning and per-query
-  /// stats, identical output.
-  kEngine,
-};
-
-/// Canonical CLI spellings, in declaration order: linear, engine.
-std::vector<std::string> AllRetrievalModeNames();
-
-/// Canonical name of a mode ("linear" / "engine").
-std::string RetrievalModeName(RetrievalMode mode);
-
-/// Parses a canonical name; NotFound (listing the valid set) otherwise.
-Result<RetrievalMode> ParseRetrievalMode(const std::string& name);
+/// The one candidate-search backend: the shared top-k engine.
+enum class RetrievalMode { kEngine };
 
 }  // namespace ftoa
 

@@ -15,21 +15,16 @@
 
 namespace ftoa {
 
-namespace {
-
-/// Nearest-rank percentile of an unsorted nanosecond sample, in ms.
-double PercentileMs(std::vector<int64_t>* sample, double pct) {
-  if (sample->empty()) return 0.0;
-  const size_t rank = static_cast<size_t>(
-      std::ceil(pct / 100.0 * static_cast<double>(sample->size())));
-  const size_t index = (rank == 0 ? 0 : rank - 1);
-  std::nth_element(sample->begin(),
-                   sample->begin() + static_cast<ptrdiff_t>(index),
-                   sample->end());
-  return static_cast<double>((*sample)[index]) / 1e6;
+void WindowMetrics::FillLatencies(std::vector<int64_t>& sample_ns) {
+  latency_samples = static_cast<int64_t>(sample_ns.size());
+  p50_ms = static_cast<double>(NearestRankPercentile(sample_ns, 0.50)) / 1e6;
+  p99_ms = static_cast<double>(NearestRankPercentile(sample_ns, 0.99)) / 1e6;
+  if (!sample_ns.empty()) {
+    max_ms = static_cast<double>(
+                 *std::max_element(sample_ns.begin(), sample_ns.end())) /
+             1e6;
+  }
 }
-
-}  // namespace
 
 ServiceHarness::ServiceHarness(LoopedTraceSource source,
                                ServiceOptions options, FaultInjector faults)
@@ -598,7 +593,6 @@ Status ServiceHarness::ReplaySegment() {
   // or guide-free greedy.
   AlgorithmDeps deps;
   deps.guide = segment.start_guide.guide;
-  deps.retrieval = options_.retrieval;
   const std::string name =
       segment.degraded ? "simple-greedy" : options_.algorithm;
   FTOA_ASSIGN_OR_RETURN(std::unique_ptr<OnlineAlgorithm> algorithm,
@@ -717,16 +711,8 @@ Status ServiceHarness::ReplaySegment() {
 
   for (int64_t window = segment.begin; window < segment.end; ++window) {
     WindowMetrics& metrics = windows_[static_cast<size_t>(window)];
-    std::vector<int64_t>& sample =
-        latency_ns[static_cast<size_t>(window - segment.begin)];
-    metrics.latency_samples = static_cast<int64_t>(sample.size());
-    metrics.p50_ms = PercentileMs(&sample, 50.0);
-    metrics.p99_ms = PercentileMs(&sample, 99.0);
-    if (!sample.empty()) {
-      metrics.max_ms = static_cast<double>(
-                           *std::max_element(sample.begin(), sample.end())) /
-                       1e6;
-    }
+    metrics.FillLatencies(
+        latency_ns[static_cast<size_t>(window - segment.begin)]);
     last_known_p99_ms_ = metrics.p99_ms;
   }
 

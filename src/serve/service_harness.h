@@ -91,12 +91,13 @@ struct ServiceOptions {
   int shard_threads = 1;
   bool reconcile = false;
 
-  /// Candidate-retrieval backend of the served algorithms (the CLI's
-  /// --retrieval flag). kEngine routes every spatial candidate scan —
-  /// including the degraded-greedy rung's — through the shared retrieval
-  /// engine and surfaces its per-query stats in the rotation window's
-  /// WindowMetrics. Assignments are bit-identical across modes.
-  RetrievalMode retrieval = RetrievalMode::kLinear;
+  /// Read by nothing: every served algorithm, the degraded-greedy rung
+  /// included, searches candidates on the retrieval engine and surfaces
+  /// its per-query stats in the rotation window's WindowMetrics. Kept
+  /// single-valued only because the end-to-end benchmark driver
+  /// (bench/e2e/ftoa_e2e.cc) assigns it; delete it with that driver's next
+  /// edit.
+  RetrievalMode retrieval = RetrievalMode::kEngine;
 
   /// Windows per session segment; 0 = a full day (slots_per_day). Clamped
   /// to [1, slots_per_day] — segments never cross a day boundary.
@@ -178,8 +179,8 @@ struct WindowMetrics {
   int64_t reconciled = 0;
 
   /// Candidate-retrieval stats of the rotated segment (attributed to the
-  /// rotation window, like `matched`). All-zero in linear mode and for
-  /// non-rotation windows.
+  /// rotation window, like `matched`). All-zero for non-rotation windows
+  /// and for algorithms that search no candidates spatially.
   int64_t retrieval_queries = 0;
   int64_t candidates_examined = 0;
   int64_t cells_visited_p50 = 0;
@@ -196,6 +197,10 @@ struct WindowMetrics {
   double max_ms = 0.0;
   int64_t decisions = 0;
   int64_t latency_samples = 0;
+
+  /// Sets latency_samples and p50/p99/max from the window's nanosecond
+  /// sample (sim/metrics.h's NearestRankPercentile; reorders the sample).
+  void FillLatencies(std::vector<int64_t>& sample_ns);
 
   int64_t live_objects = 0;  ///< Live gauge at the end of admission.
   int64_t evicted = 0;       ///< Expired-unmatched objects popped this window.

@@ -1,24 +1,23 @@
 #include "sim/metrics.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <numeric>
 
 namespace ftoa {
 
-namespace {
-
-/// Nearest-rank percentile of an unsorted latency sample (destructive).
-double PercentileNanos(std::vector<int64_t>& latencies, double quantile) {
-  if (latencies.empty()) return 0.0;
-  const size_t rank = std::min(
-      latencies.size() - 1,
-      static_cast<size_t>(quantile * static_cast<double>(latencies.size())));
-  std::nth_element(latencies.begin(), latencies.begin() + rank,
-                   latencies.end());
-  return static_cast<double>(latencies[rank]);
+int64_t NearestRankPercentile(std::vector<int64_t>& sample,
+                              double quantile) {
+  if (sample.empty()) return 0;
+  const size_t rank = static_cast<size_t>(
+      std::ceil(quantile * static_cast<double>(sample.size())));
+  const size_t index = std::clamp<size_t>(rank, 1, sample.size()) - 1;
+  std::nth_element(sample.begin(),
+                   sample.begin() + static_cast<std::ptrdiff_t>(index),
+                   sample.end());
+  return sample[index];
 }
-
-}  // namespace
 
 void FillDecisionLatencies(std::vector<int64_t>& latency_ns,
                            RunMetrics* metrics) {
@@ -28,8 +27,10 @@ void FillDecisionLatencies(std::vector<int64_t>& latency_ns,
       static_cast<double>(std::accumulate(latency_ns.begin(),
                                           latency_ns.end(), int64_t{0})) *
       1e-9;
-  metrics->decision_latency_p50_ns = PercentileNanos(latency_ns, 0.50);
-  metrics->decision_latency_p99_ns = PercentileNanos(latency_ns, 0.99);
+  metrics->decision_latency_p50_ns =
+      static_cast<double>(NearestRankPercentile(latency_ns, 0.50));
+  metrics->decision_latency_p99_ns =
+      static_cast<double>(NearestRankPercentile(latency_ns, 0.99));
   if (!latency_ns.empty()) {
     metrics->decision_latency_max_ns = static_cast<double>(
         *std::max_element(latency_ns.begin(), latency_ns.end()));

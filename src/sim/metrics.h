@@ -17,6 +17,15 @@ namespace ftoa {
 /// otherwise cost more than the decision itself.
 inline constexpr int64_t kLatencySamplePeriod = 8;
 
+/// Nearest-rank percentile of an unsorted sample: the value at sorted
+/// index ceil(quantile * n) - 1, the smallest value with at least that
+/// fraction of the sample at or below it (over 1..100, p50 = 50 and
+/// p99 = 99). 0 for an empty sample. Destructive: the sample is reordered
+/// in place (nth_element). Every latency percentile of the serving paths
+/// (RunMetrics, WindowMetrics) comes from here.
+int64_t NearestRankPercentile(std::vector<int64_t>& sample,
+                              double quantile);
+
 /// The outcome of running one algorithm on one instance.
 struct RunMetrics {
   std::string algorithm;        ///< Display name.
@@ -81,9 +90,9 @@ struct RunMetrics {
 
 /// Fills `decisions`, `latency_samples`, `busy_seconds`, and the
 /// decision_latency percentile fields of `metrics` from a raw per-decision
-/// latency sample (every decision timed), using the
-/// nearest-rank percentile definition. Destructive: the sample is reordered
-/// in place (nth_element). An empty sample leaves the fields at 0.
+/// latency sample (every decision timed), using NearestRankPercentile.
+/// Destructive: the sample is reordered in place. An empty sample leaves
+/// the fields at 0.
 void FillDecisionLatencies(std::vector<int64_t>& latency_ns,
                            RunMetrics* metrics);
 

@@ -8,6 +8,7 @@
 #include "gen/looped_trace.h"
 #include "gen/synthetic.h"
 #include "model/arrival_stream.h"
+#include "oracles/linear_simple_greedy.h"
 #include "test_util.h"
 
 namespace ftoa {
@@ -81,17 +82,10 @@ TEST(SimpleGreedyTest, WorkerArrivingAfterTaskCanMatch) {
   EXPECT_EQ(greedy.Run(instance).size(), 1u);
 }
 
-TEST(SimpleGreedyTest, NamesReflectVariant) {
-  EXPECT_EQ(SimpleGreedy().name(), "SimpleGreedy");
-  EXPECT_EQ(
-      SimpleGreedy(SimpleGreedyOptions{.retrieval = RetrievalMode::kEngine})
-          .name(),
-      "SimpleGreedy-Eng");
-}
-
-// Property: the paper's linear scan and the indexed variant (the shared
-// retrieval engine) produce identical assignments under either policy
-// (they implement the same rule with the same (distance, id) tie-break).
+// Property: the paper's linear scan (the oracle) and the production
+// session on the shared retrieval engine produce identical assignments
+// under either policy (they implement the same rule with the same
+// (distance, id) tie-break).
 // The linear scan has no radius at all, so this also pins the engine's
 // FeasibleReach radius: a reach that cut off a feasible pair would change
 // a pair here.
@@ -116,10 +110,8 @@ TEST_P(SimpleGreedyEquivalenceTest, IndexedVariantMatchesLinearScan) {
         (policy == FeasibilityPolicy::kDispatchAtWorkerStart
              ? " worker-start"
              : " assignment-time");
-    SimpleGreedy linear(SimpleGreedyOptions{
-        .retrieval = RetrievalMode::kLinear, .policy = policy});
-    SimpleGreedy indexed(SimpleGreedyOptions{
-        .retrieval = RetrievalMode::kEngine, .policy = policy});
+    testing::LinearSimpleGreedy linear(SimpleGreedyOptions{.policy = policy});
+    SimpleGreedy indexed(SimpleGreedyOptions{.policy = policy});
     const Assignment a = linear.Run(*instance);
     const Assignment b = indexed.Run(*instance);
     testing::ExpectSamePairs(a, b, label);
@@ -143,10 +135,8 @@ void ExpectPoolsHoldOnlyLiveEntries(const Instance& instance,
   ASSERT_FALSE(stream.empty()) << label;
   const double last_time = stream.back().time;
 
-  SimpleGreedy engine(
-      SimpleGreedyOptions{.retrieval = RetrievalMode::kEngine});
-  SimpleGreedy linear(
-      SimpleGreedyOptions{.retrieval = RetrievalMode::kLinear});
+  SimpleGreedy engine;
+  testing::LinearSimpleGreedy linear;
   RunTrace run_trace;
   const Assignment assignment = engine.Run(instance, &run_trace);
   testing::ExpectSamePairs(assignment, linear.Run(instance), label);

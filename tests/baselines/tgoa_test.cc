@@ -106,34 +106,29 @@ TEST(TgoaTest, IncrementalMatchesRebuildOnRandomWorkloads) {
       config.seed = seed;
       const auto instance = GenerateSyntheticInstance(config);
       ASSERT_TRUE(instance.ok());
-      // Both policies, on both retrieval backends: production takes its
-      // query radius from FeasibleReach, the oracle keeps the global
+      // Both policies: production searches the engine over the
+      // FeasibleReach radius, the oracle a grid index over the global
       // MaxFeasibleDistance radius, so a reach that cut off a feasible
       // pair would change a pair here.
       for (const FeasibilityPolicy policy :
            {FeasibilityPolicy::kDispatchAtAssignmentTime,
             FeasibilityPolicy::kDispatchAtWorkerStart}) {
-        for (const RetrievalMode retrieval :
-             {RetrievalMode::kLinear, RetrievalMode::kEngine}) {
-          TgoaOptions options;
-          options.policy = policy;
-          options.retrieval = retrieval;
-          const std::string label =
-              "seed " + std::to_string(seed) + " Dr " +
-              std::to_string(task_duration) +
-              (policy == FeasibilityPolicy::kDispatchAtWorkerStart
-                   ? " worker-start "
-                   : " assignment-time ") +
-              RetrievalModeName(retrieval);
-          Tgoa incremental(options);
-          testing::RebuildTgoa rebuild(options);
-          RunTrace inc_trace;
-          const Assignment a = incremental.Run(*instance, &inc_trace);
-          const Assignment b = rebuild.Run(*instance);
-          testing::ExpectSamePairs(a, b, label);
-          EXPECT_TRUE(a.Validate(*instance, policy).ok()) << label;
-          EXPECT_GT(inc_trace.matcher_augment_searches, 0) << label;
-        }
+        TgoaOptions options;
+        options.policy = policy;
+        const std::string label =
+            "seed " + std::to_string(seed) + " Dr " +
+            std::to_string(task_duration) +
+            (policy == FeasibilityPolicy::kDispatchAtWorkerStart
+                 ? " worker-start"
+                 : " assignment-time");
+        Tgoa incremental(options);
+        testing::RebuildTgoa rebuild(options);
+        RunTrace inc_trace;
+        const Assignment a = incremental.Run(*instance, &inc_trace);
+        const Assignment b = rebuild.Run(*instance);
+        testing::ExpectSamePairs(a, b, label);
+        EXPECT_TRUE(a.Validate(*instance, policy).ok()) << label;
+        EXPECT_GT(inc_trace.matcher_augment_searches, 0) << label;
       }
     }
   }

@@ -291,10 +291,16 @@ TEST(AlgorithmRegistryTest, GuideRequirementIsEnforced) {
 
 TEST(AlgorithmRegistryTest, DepsOptionsReachTheAlgorithms) {
   AlgorithmDeps deps;
-  deps.simple_greedy_options.retrieval = RetrievalMode::kEngine;
-  auto greedy = CreateAlgorithm("simple-greedy", deps);
-  ASSERT_TRUE(greedy.ok());
-  EXPECT_EQ((*greedy)->name(), "SimpleGreedy-Eng");
+  deps.simple_greedy_options.policy =
+      FeasibilityPolicy::kDispatchAtWorkerStart;
+  deps.tgoa_options.policy = FeasibilityPolicy::kDispatchAtWorkerStart;
+  for (const char* name : {"simple-greedy", "tgoa"}) {
+    auto algorithm = CreateAlgorithm(name, deps);
+    ASSERT_TRUE(algorithm.ok()) << name;
+    EXPECT_EQ((*algorithm)->feasibility_policy(),
+              FeasibilityPolicy::kDispatchAtWorkerStart)
+        << name;
+  }
 }
 
 }  // namespace

@@ -145,25 +145,20 @@ TEST(WaitListOracleTest, HybridPolarOpMatchesVectorQueueSessions) {
   int64_t matched = 0;
   for (const Scenario& s : Scenarios()) {
     for (const bool liveness : {false, true}) {
-      for (const RetrievalMode mode :
-           {RetrievalMode::kLinear, RetrievalMode::kEngine}) {
-        const std::string label =
-            s.label + (liveness ? " liveness" : " guide-trust") +
-            (mode == RetrievalMode::kEngine ? " engine" : " linear");
-        PolarOptions options;
-        options.check_liveness = liveness;
-        options.retrieval = mode;
-        HybridPolarOp production(s.guide, options);
-        testing::VectorQueueHybridPolarOp oracle(s.guide, options);
-        const SessionResult got =
-            Feed(production, s.instance, s.swap_at, s.swap_to);
-        const SessionResult want =
-            Feed(oracle, s.instance, s.swap_at, s.swap_to);
-        ExpectIdenticalRun(got.assignment, got.trace, want.assignment,
-                           want.trace, label);
-        if (::testing::Test::HasFailure()) return;
-        matched += static_cast<int64_t>(got.assignment.size());
-      }
+      const std::string label =
+          s.label + (liveness ? " liveness" : " guide-trust");
+      PolarOptions options;
+      options.check_liveness = liveness;
+      HybridPolarOp production(s.guide, options);
+      testing::VectorQueueHybridPolarOp oracle(s.guide, options);
+      const SessionResult got =
+          Feed(production, s.instance, s.swap_at, s.swap_to);
+      const SessionResult want =
+          Feed(oracle, s.instance, s.swap_at, s.swap_to);
+      ExpectIdenticalRun(got.assignment, got.trace, want.assignment,
+                         want.trace, label);
+      if (::testing::Test::HasFailure()) return;
+      matched += static_cast<int64_t>(got.assignment.size());
     }
   }
   EXPECT_GT(matched, 0);

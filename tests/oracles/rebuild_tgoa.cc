@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "flow/hopcroft_karp.h"
-#include "retrieval/waiting_pool.h"
+#include "oracles/grid_waiting_pool.h"
 
 namespace ftoa {
 namespace testing {
@@ -281,10 +281,6 @@ class TgoaRebuildSession final : public TgoaSessionBase<Pool> {
 
 std::unique_ptr<AssignmentSession> RebuildTgoa::StartSession(
     const Instance& instance) {
-  if (options_.retrieval == RetrievalMode::kEngine) {
-    return std::make_unique<TgoaRebuildSession<EngineWaitingPool>>(instance,
-                                                                   options_);
-  }
   return std::make_unique<TgoaRebuildSession<GridWaitingPool>>(instance,
                                                                options_);
 }

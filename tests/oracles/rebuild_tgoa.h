@@ -4,9 +4,10 @@
 // edges of the whole waiting pool and solves a fresh Hopcroft-Karp
 // instance; the newcomer is committed when it is matched there. The
 // production session must commit as many pairs on every instance (the
-// partners may differ between equally large matchings). Both waiting-pool
-// backends are supported, so the oracle can also pin engine-vs-linear
-// bit-identity of the rebuild trial.
+// partners may differ between equally large matchings). Its waiting pools
+// are the pre-engine grid index (oracles/grid_waiting_pool.h) searched over
+// the global MaxFeasibleDistance radius, so agreeing with it also pins the
+// production session's engine pools and FeasibleReach radius.
 
 #ifndef FTOA_TESTS_ORACLES_REBUILD_TGOA_H_
 #define FTOA_TESTS_ORACLES_REBUILD_TGOA_H_

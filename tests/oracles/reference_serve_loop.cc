@@ -157,7 +157,6 @@ class ReferenceLoop {
 
     AlgorithmDeps deps;
     deps.guide = start_guide;
-    deps.retrieval = options_.retrieval;
     FTOA_ASSIGN_OR_RETURN(
         std::unique_ptr<OnlineAlgorithm> algorithm,
         CreateAlgorithm(degraded ? "simple-greedy" : options_.algorithm,

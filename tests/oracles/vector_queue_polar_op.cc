@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "retrieval/waiting_pool.h"
+#include "oracles/grid_waiting_pool.h"
 
 namespace ftoa {
 namespace testing {

@@ -1,19 +1,28 @@
-// The retrieval flag's contract: `--retrieval=engine` trades running time,
-// never assignments. Every algorithm that scans candidates spatially must
-// produce a bit-identical run (assignment, dispatches, matcher counters)
-// under the engine and under its historical linear/grid scan, across the
-// adversarial arrival patterns and under sharding. The *Stress* suite
-// widens the sweep under `ctest -L stress`.
-
-#include "retrieval/mode.h"
+// The one-backend contract: every algorithm that searches candidates
+// spatially runs on the retrieval engine, and must commit exactly what its
+// pre-engine reference commits. Each production session is pinned against
+// its oracle in tests/oracles/:
+//
+//   simple-greedy  the paper's linear scan (linear_simple_greedy)
+//   tgoa           the rebuild-per-arrival trial on the grid-index pool
+//                  (rebuild_tgoa); same pairs, but its matcher counters
+//                  are its own
+//   polar-op-g     the vector-queue hybrid on the grid-index pool
+//                  (vector_queue_polar_op); same pairs and trace
+//
+// across the adversarial arrival patterns, both feasibility policies, and
+// unsharded, one-shard and four-shard runs. The *Stress* suite widens the
+// sweep under `ctest -L stress`.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "core/algorithm_registry.h"
+#include "oracles/linear_simple_greedy.h"
 #include "oracles/rebuild_tgoa.h"
+#include "oracles/vector_queue_polar_op.h"
 #include "sim/sharded_dispatcher.h"
 #include "test_util.h"
 
@@ -24,92 +33,79 @@ using ftoa::testing::AllArrivalPatterns;
 using ftoa::testing::ArrivalPattern;
 using ftoa::testing::ArrivalPatternName;
 using ftoa::testing::ExpectIdenticalRun;
+using ftoa::testing::ExpectSamePairs;
 using ftoa::testing::FuzzUniverse;
 using ftoa::testing::MakeFuzzUniverse;
 using ftoa::testing::StressIterations;
 
-/// The algorithms whose candidate scans the engine backs (the registry's
-/// master-switch set).
+/// The algorithms whose candidate searches run on the engine.
 const char* const kPortedAlgorithms[] = {"simple-greedy", "tgoa",
                                          "polar-op-g"};
 
-TEST(RetrievalModeTest, NamesParseAndRoundTrip) {
-  EXPECT_EQ(AllRetrievalModeNames(),
-            (std::vector<std::string>{"linear", "engine"}));
-  for (const RetrievalMode mode :
-       {RetrievalMode::kLinear, RetrievalMode::kEngine}) {
-    const auto parsed = ParseRetrievalMode(RetrievalModeName(mode));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, mode);
+/// The pre-engine reference of a ported algorithm, configured from `deps`
+/// exactly as the registry configures the production one.
+std::unique_ptr<OnlineAlgorithm> MakeOracle(const std::string& name,
+                                            const AlgorithmDeps& deps) {
+  if (name == "simple-greedy") {
+    return std::make_unique<testing::LinearSimpleGreedy>(
+        deps.simple_greedy_options);
   }
-  const auto bogus = ParseRetrievalMode("quadtree");
-  ASSERT_FALSE(bogus.ok());
-  EXPECT_NE(bogus.status().ToString().find("linear"), std::string::npos);
-  EXPECT_NE(bogus.status().ToString().find("engine"), std::string::npos);
+  if (name == "tgoa") {
+    return std::make_unique<testing::RebuildTgoa>(deps.tgoa_options);
+  }
+  return std::make_unique<testing::VectorQueueHybridPolarOp>(
+      deps.guide, deps.polar_options);
 }
 
-TEST(RetrievalModeTest, EngineModePopulatesTraceStatsLinearDoesNot) {
-  const FuzzUniverse universe =
-      MakeFuzzUniverse(3, ArrivalPattern::kShuffledIds);
-  for (const char* name : kPortedAlgorithms) {
-    AlgorithmDeps deps = universe.deps;
-    deps.retrieval = RetrievalMode::kEngine;
-    auto engine = CreateAlgorithm(name, deps);
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    RunTrace engine_trace;
-    (*engine)->Run(universe.instance, &engine_trace);
-    EXPECT_GT(engine_trace.retrieval.queries, 0) << name;
-
-    deps.retrieval = RetrievalMode::kLinear;
-    auto linear = CreateAlgorithm(name, deps);
-    ASSERT_TRUE(linear.ok()) << linear.status().ToString();
-    RunTrace linear_trace;
-    (*linear)->Run(universe.instance, &linear_trace);
-    EXPECT_EQ(linear_trace.retrieval.queries, 0) << name;
+/// Production vs oracle equality for `name`: the rebuild trial counts no
+/// matcher augment searches, so TGOA compares pairs only.
+void ExpectSameOutcome(const std::string& name, const Assignment& production,
+                       const RunTrace& production_trace,
+                       const Assignment& oracle, const RunTrace& oracle_trace,
+                       const std::string& label) {
+  if (name == "tgoa") {
+    ExpectSamePairs(production, oracle, label);
+  } else {
+    ExpectIdenticalRun(production, production_trace, oracle, oracle_trace,
+                       label);
   }
 }
 
-TEST(RetrievalModeTest, MasterSwitchNeverClobbersExplicitStructSettings) {
-  // kLinear at the deps level must leave a per-struct kEngine choice
-  // intact — tests and embedders that configure the option structs
-  // directly keep what they asked for.
-  const FuzzUniverse universe =
-      MakeFuzzUniverse(4, ArrivalPattern::kAlternating);
-  AlgorithmDeps deps = universe.deps;
-  deps.retrieval = RetrievalMode::kLinear;
-  deps.tgoa_options.retrieval = RetrievalMode::kEngine;
-  auto algorithm = CreateAlgorithm("tgoa", deps);
-  ASSERT_TRUE(algorithm.ok());
-  RunTrace trace;
-  (*algorithm)->Run(universe.instance, &trace);
-  EXPECT_GT(trace.retrieval.queries, 0);
-}
+/// Unsharded, then through the sharded dispatcher at one shard and at four
+/// reconciled shards: production and oracle must agree each time.
+void ExpectProductionMatchesOracle(const std::string& name,
+                                   const AlgorithmDeps& deps,
+                                   const Instance& instance,
+                                   const std::string& label) {
+  auto production = CreateAlgorithm(name, deps);
+  ASSERT_TRUE(production.ok()) << production.status().ToString();
+  const std::unique_ptr<OnlineAlgorithm> oracle = MakeOracle(name, deps);
 
-void ExpectEngineMatchesLinear(const std::string& name,
-                               const AlgorithmDeps& base_deps,
-                               const Instance& instance,
-                               const std::string& label) {
-  AlgorithmDeps linear_deps = base_deps;
-  linear_deps.retrieval = RetrievalMode::kLinear;
-  AlgorithmDeps engine_deps = base_deps;
-  engine_deps.retrieval = RetrievalMode::kEngine;
-
-  auto linear = CreateAlgorithm(name, linear_deps);
-  auto engine = CreateAlgorithm(name, engine_deps);
-  ASSERT_TRUE(linear.ok()) << linear.status().ToString();
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-
-  RunTrace linear_trace;
-  RunTrace engine_trace;
-  const Assignment a = (*linear)->Run(instance, &linear_trace);
-  const Assignment b = (*engine)->Run(instance, &engine_trace);
-  ExpectIdenticalRun(a, linear_trace, b, engine_trace, label);
+  RunTrace production_trace;
+  RunTrace oracle_trace;
+  const Assignment a = (*production)->Run(instance, &production_trace);
+  const Assignment b = oracle->Run(instance, &oracle_trace);
+  ExpectSameOutcome(name, a, production_trace, b, oracle_trace, label);
   // Object-level deadline feasibility, for the algorithms that promise it
   // (polar-op-g's guide-trust pairs are type-representative feasible only;
   // the sharded suite documents that carve-out).
   if (name != "polar-op-g") {
-    EXPECT_TRUE(a.Validate(instance, (*linear)->feasibility_policy()).ok())
+    EXPECT_TRUE(a.Validate(instance, (*production)->feasibility_policy()).ok())
         << label;
+  }
+
+  for (const int shards : {1, 4}) {
+    ShardedOptions options;
+    options.num_shards = shards;
+    options.reconcile = shards > 1;
+    ShardedDispatcher production_shards(production->get(), options);
+    ShardedDispatcher oracle_shards(oracle.get(), options);
+    auto x = production_shards.Run(instance);
+    auto y = oracle_shards.Run(instance);
+    ASSERT_TRUE(x.ok()) << x.status().ToString();
+    ASSERT_TRUE(y.ok()) << y.status().ToString();
+    ExpectSameOutcome(name, x->assignment, x->trace, y->assignment, y->trace,
+                      label + " shards " + std::to_string(shards));
   }
 }
 
@@ -128,7 +124,7 @@ TEST_P(RetrievalEquivalenceTest, EngineRunIsBitIdenticalToLinear) {
         AlgorithmDeps deps = universe.deps;
         deps.simple_greedy_options.policy = policy;
         deps.tgoa_options.policy = policy;
-        ExpectEngineMatchesLinear(
+        ExpectProductionMatchesOracle(
             GetParam(), deps, universe.instance,
             std::string(GetParam()) + " " + ArrivalPatternName(pattern) +
                 " seed " + std::to_string(seed) +
@@ -143,61 +139,71 @@ TEST_P(RetrievalEquivalenceTest, EngineRunIsBitIdenticalToLinear) {
 INSTANTIATE_TEST_SUITE_P(PortedAlgorithms, RetrievalEquivalenceTest,
                          ::testing::ValuesIn(kPortedAlgorithms));
 
+TEST(RetrievalModeTest, EngineModePopulatesTraceStatsLinearDoesNot) {
+  // The engine's cursors account every query into the run trace; the
+  // oracles' scans are deliberately uninstrumented.
+  const FuzzUniverse universe =
+      MakeFuzzUniverse(3, ArrivalPattern::kShuffledIds);
+  for (const char* name : kPortedAlgorithms) {
+    auto engine = CreateAlgorithm(name, universe.deps);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    RunTrace engine_trace;
+    (*engine)->Run(universe.instance, &engine_trace);
+    EXPECT_GT(engine_trace.retrieval.queries, 0) << name;
+
+    RunTrace oracle_trace;
+    MakeOracle(name, universe.deps)->Run(universe.instance, &oracle_trace);
+    EXPECT_EQ(oracle_trace.retrieval.queries, 0) << name;
+  }
+}
+
 TEST(RetrievalModeTest, TgoaRebuildModeIsAlsoBitIdentical) {
-  // The rebuild-per-arrival oracle enumerates its waiting sets through the
-  // pool too; the canonical id-sorted enumeration must hold there as well,
-  // and its utility must equal the production session's in both modes.
+  // The rebuild trial enumerates its waiting sets through the grid pool
+  // over the global radius; the production session's id-sorted
+  // enumeration of engine pools over FeasibleReach must give the same
+  // pairs, and the engine must have answered queries.
   for (const uint64_t seed : {5u, 6u}) {
     const FuzzUniverse universe =
         MakeFuzzUniverse(seed, ArrivalPattern::kBursty);
     const std::string label = "tgoa-rebuild seed " + std::to_string(seed);
-    TgoaOptions linear_options = universe.deps.tgoa_options;
-    linear_options.retrieval = RetrievalMode::kLinear;
-    TgoaOptions engine_options = linear_options;
-    engine_options.retrieval = RetrievalMode::kEngine;
-    testing::RebuildTgoa linear(linear_options);
-    testing::RebuildTgoa engine(engine_options);
-    RunTrace linear_trace;
-    RunTrace engine_trace;
-    const Assignment a = linear.Run(universe.instance, &linear_trace);
-    const Assignment b = engine.Run(universe.instance, &engine_trace);
-    ExpectIdenticalRun(a, linear_trace, b, engine_trace, label);
-    EXPECT_GT(engine_trace.retrieval.queries, 0) << label;
-    testing::ExpectSamePairs(Tgoa(engine_options).Run(universe.instance), b,
-                             label + " production vs oracle");
+    RunTrace production_trace;
+    const Assignment a = Tgoa(universe.deps.tgoa_options)
+                             .Run(universe.instance, &production_trace);
+    const Assignment b =
+        testing::RebuildTgoa(universe.deps.tgoa_options).Run(universe.instance);
+    ExpectSamePairs(a, b, label);
+    EXPECT_GT(production_trace.retrieval.queries, 0) << label;
+    EXPECT_GT(a.size(), 0u) << label;
   }
 }
 
 TEST(RetrievalModeTest, ShardedRunsAgreeAcrossModes) {
-  // Per-shard sessions on the engine, merged and reconciled, must still
-  // equal the linear sharded run — the reconciler itself always runs on
-  // the engine, so its stats show up in both traces.
+  // Three reconciled shards on two threads: the shard sessions run
+  // concurrently, and the reconciler (always on the engine) sees the same
+  // merged assignment from production and oracle sessions.
   const FuzzUniverse universe =
       MakeFuzzUniverse(9, ArrivalPattern::kShuffledIds);
   for (const char* name : kPortedAlgorithms) {
     ShardedOptions options;
-    options.algorithm = name;
     options.num_shards = 3;
+    options.num_threads = 2;
     options.reconcile = true;
-    AlgorithmDeps linear_deps = universe.deps;
-    linear_deps.retrieval = RetrievalMode::kLinear;
-    AlgorithmDeps engine_deps = universe.deps;
-    engine_deps.retrieval = RetrievalMode::kEngine;
-    auto linear = ShardedDispatcher::Create(options, linear_deps);
-    auto engine = ShardedDispatcher::Create(options, engine_deps);
-    ASSERT_TRUE(linear.ok()) << linear.status().ToString();
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    auto a = (*linear)->Run(universe.instance);
-    auto b = (*engine)->Run(universe.instance);
+    auto production = CreateAlgorithm(name, universe.deps);
+    ASSERT_TRUE(production.ok()) << production.status().ToString();
+    const std::unique_ptr<OnlineAlgorithm> oracle =
+        MakeOracle(name, universe.deps);
+    auto a = ShardedDispatcher(production->get(), options)
+                 .Run(universe.instance);
+    auto b = ShardedDispatcher(oracle.get(), options).Run(universe.instance);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
-    ExpectIdenticalRun(a->assignment, a->trace, b->assignment, b->trace,
-                       std::string("sharded ") + name);
-    EXPECT_GT(b->trace.retrieval.queries, 0) << name;
+    ExpectSameOutcome(name, a->assignment, a->trace, b->assignment, b->trace,
+                      std::string("sharded ") + name);
+    EXPECT_GT(a->trace.retrieval.queries, b->trace.retrieval.queries) << name;
   }
 }
 
-// Widened engine-vs-linear sweep: every ported algorithm against every
+// Widened production-vs-oracle sweep: every ported algorithm against every
 // arrival pattern across FTOA_STRESS_ITERS seeds (tools/run_stress.sh).
 TEST(RetrievalModeStress, EngineMatchesLinearAcrossFuzzUniverses) {
   const int iterations = StressIterations(2);
@@ -206,7 +212,7 @@ TEST(RetrievalModeStress, EngineMatchesLinearAcrossFuzzUniverses) {
     for (const ArrivalPattern pattern : AllArrivalPatterns()) {
       const FuzzUniverse universe = MakeFuzzUniverse(seed, pattern, 90, 90);
       for (const char* name : kPortedAlgorithms) {
-        ExpectEngineMatchesLinear(
+        ExpectProductionMatchesOracle(
             name, universe.deps, universe.instance,
             std::string(name) + " " + ArrivalPatternName(pattern) +
                 " stress seed " + std::to_string(seed));

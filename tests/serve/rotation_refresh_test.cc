@@ -127,7 +127,6 @@ TEST(RotationEquivalenceTest, SpineMatchesRebuildWithEngineAndReconcile) {
   options.num_shards = 3;
   options.shard_threads = 2;
   options.reconcile = true;
-  options.retrieval = RetrievalMode::kEngine;
   options.windows_per_segment = 2;
   options.refresh_period_windows = 3;
   options.analytical_slice = 1;
@@ -147,7 +146,6 @@ TEST(RotationEquivalenceTest, ReconciledCountsTheDispatchersRecoveredPairs) {
   options.num_shards = 4;
   options.shard_threads = 2;
   options.reconcile = true;
-  options.retrieval = RetrievalMode::kEngine;
   options.windows_per_segment = 2;
   auto harness = MakeHarness(options);
   ASSERT_TRUE(harness->RunWindows(18).ok());

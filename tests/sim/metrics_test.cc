@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "serve/service_harness.h"
+
 namespace ftoa {
 namespace {
 
@@ -15,6 +17,36 @@ RunMetrics ShardMetrics(double busy, int64_t decisions, int64_t matches) {
   m.decisions = decisions;
   m.matching_size = matches;
   return m;
+}
+
+TEST(NearestRankPercentileTest, RunAndWindowMetricsAgreeOverOneToHundred) {
+  // One definition for both serving paths: over the samples 1..100 the
+  // nearest-rank p50 is 50 and p99 is 99 (not the maximum), whether the
+  // dispatcher's RunMetrics or the harness's WindowMetrics reports it.
+  std::vector<int64_t> ns(100);
+  for (size_t i = 0; i < ns.size(); ++i) {
+    ns[i] = static_cast<int64_t>((i * 37) % 100 + 1);  // 1..100, shuffled.
+  }
+  std::vector<int64_t> ms_in_ns = ns;
+  for (int64_t& value : ms_in_ns) value *= 1000000;
+
+  RunMetrics run;
+  FillDecisionLatencies(ns, &run);
+  EXPECT_DOUBLE_EQ(run.decision_latency_p50_ns, 50.0);
+  EXPECT_DOUBLE_EQ(run.decision_latency_p99_ns, 99.0);
+  EXPECT_DOUBLE_EQ(run.decision_latency_max_ns, 100.0);
+
+  WindowMetrics window;
+  window.FillLatencies(ms_in_ns);
+  EXPECT_EQ(window.latency_samples, 100);
+  EXPECT_DOUBLE_EQ(window.p50_ms, 50.0);
+  EXPECT_DOUBLE_EQ(window.p99_ms, 99.0);
+  EXPECT_DOUBLE_EQ(window.max_ms, 100.0);
+
+  std::vector<int64_t> one = {7};
+  EXPECT_EQ(NearestRankPercentile(one, 0.99), 7);
+  std::vector<int64_t> none;
+  EXPECT_EQ(NearestRankPercentile(none, 0.5), 0);
 }
 
 TEST(MergeShardRunMetricsTest, CriticalPathIsMaxShardTime) {

@@ -26,8 +26,8 @@
 // over the looped city trace: rolling eviction, live guide refresh with
 // hot-swap and a degradation ladder, fault injection (--faults, the
 // serve/fault_injector spec grammar), and SLO-driven admission control —
-// printing one metrics line per window plus lifetime totals. Unknown
-// serve flags are rejected listing the valid set.
+// printing one metrics line per window plus lifetime totals. `run` and
+// `serve` reject an unknown flag, listing the valid set.
 // `algos` lists every algorithm the registry knows. The guide for
 // POLAR-family algorithms is derived from the instance's own realized
 // counts unless --prediction points at a second instance file whose counts
@@ -49,7 +49,6 @@
 #include "gen/synthetic.h"
 #include "model/io.h"
 #include "prediction/registry.h"
-#include "retrieval/mode.h"
 #include "serve/service_harness.h"
 #include "sim/runner.h"
 #include "sim/sharded_dispatcher.h"
@@ -116,10 +115,25 @@ class ArgMap {
   }
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
 
-  std::vector<std::string> Keys() const {
-    std::vector<std::string> keys;
-    for (const auto& entry : values_) keys.push_back(entry.first);
-    return keys;
+  /// False, after printing "<command>: unknown flag --KEY (valid: ...)",
+  /// when a flag outside `valid` was given. A mistyped flag silently
+  /// ignored would run a different configuration than the one asked for.
+  bool OnlyFlags(const char* command,
+                 const std::vector<std::string>& valid) const {
+    for (const auto& entry : values_) {
+      if (std::find(valid.begin(), valid.end(), entry.first) != valid.end()) {
+        continue;
+      }
+      std::string listed;
+      for (const std::string& flag : valid) {
+        if (!listed.empty()) listed += ", ";
+        listed += "--" + flag;
+      }
+      std::fprintf(stderr, "%s: unknown flag --%s (valid: %s)\n", command,
+                   entry.first.c_str(), listed.c_str());
+      return false;
+    }
+    return true;
   }
 
  private:
@@ -137,8 +151,7 @@ int Usage() {
       "  ftoa run --instance=FILE --algorithm=NAME [--prediction=FILE]\n"
       "       [--strict] [--stream] [--dr=F] [--dw=F]\n"
       "       [--shards=K] [--shard-threads=N] [--router=%s]\n"
-      "       [--handoff-batch=N] [--reconcile]\n"
-      "       [--retrieval=%s] [--approx-guide[=RATE]]\n"
+      "       [--handoff-batch=N] [--reconcile] [--approx-guide[=RATE]]\n"
       "       [--flow-engine=%s]\n"
       "       (NAME: %s)\n"
       "  ftoa serve [--city=beijing|hangzhou] [--scale=F] [--windows=N]\n"
@@ -148,16 +161,13 @@ int Usage() {
       "       [--max-queue-depth=N] [--max-live-objects=N]\n"
       "       [--max-guide-age=N] [--faults=SPEC] [--fault-seed=N]\n"
       "       [--loop-days=N] [--reconcile]\n"
-      "       [--retrieval=%s (default: auto by workload)]\n"
       "       [--refresh-mode=%s] [--refresh-predictor=%s]\n"
       "       [--analytical-slice=N]\n"
       "  ftoa algos\n"
       "  ftoa inspect --instance=FILE\n",
       Join(AllShardRouterNames(), "|").c_str(),
-      Join(AllRetrievalModeNames(), "|").c_str(),
       Join(AllFlowEngineNames(), "|").c_str(),
       Join(AllAlgorithmNames(), " | ").c_str(),
-      Join(AllRetrievalModeNames(), "|").c_str(),
       Join(AllGuideRefreshModeNames(), "|").c_str(),
       Join(AllPredictorNames(), "|").c_str());
   return 2;
@@ -225,6 +235,12 @@ int CmdGenerate(int argc, char** argv) {
 
 int CmdRun(int argc, char** argv) {
   const ArgMap args(argc, argv, 2);
+  if (!args.OnlyFlags("run", {"instance", "algorithm", "prediction",
+                              "strict", "stream", "dr", "dw", "shards",
+                              "shard-threads", "router", "handoff-batch",
+                              "reconcile", "approx-guide", "flow-engine"})) {
+    return 2;
+  }
   const std::string path = args.Get("instance");
   const std::string algorithm_name = args.Get("algorithm", "polar-op");
   if (path.empty()) {
@@ -240,16 +256,6 @@ int CmdRun(int argc, char** argv) {
 
   // Guide-based algorithms need a prediction.
   AlgorithmDeps deps;
-  {
-    const auto retrieval = ParseRetrievalMode(args.Get("retrieval", "linear"));
-    if (!retrieval.ok()) {
-      // NotFound carries the valid-name set (AllRetrievalModeNames).
-      std::fprintf(stderr, "run: %s\n",
-                   retrieval.status().ToString().c_str());
-      return 2;
-    }
-    deps.retrieval = *retrieval;
-  }
   if (AlgorithmNeedsGuide(algorithm_name)) {
     PredictionMatrix prediction = PredictionMatrix::FromInstance(*instance);
     const std::string prediction_path = args.Get("prediction");
@@ -382,28 +388,14 @@ int CmdRun(int argc, char** argv) {
 
 int CmdServe(int argc, char** argv) {
   const ArgMap args(argc, argv, 2);
-  // Serve is the long-running mode: a typo'd SLO flag silently ignored
-  // would change production behavior, so unknown flags are hard errors.
-  static const std::vector<std::string> kServeFlags = {
-      "city",       "scale",          "loop-days",
-      "windows",    "algorithm",      "shards",
-      "shard-threads", "windows-per-segment", "refresh-period",
-      "background-refresh", "slo-p99-ms", "max-queue-depth",
-      "max-live-objects", "max-guide-age", "faults",
-      "fault-seed", "reconcile",      "retrieval",
-      "refresh-mode", "refresh-predictor", "analytical-slice"};
-  for (const std::string& key : args.Keys()) {
-    if (std::find(kServeFlags.begin(), kServeFlags.end(), key) ==
-        kServeFlags.end()) {
-      std::string valid;
-      for (const std::string& flag : kServeFlags) {
-        if (!valid.empty()) valid += ", ";
-        valid += "--" + flag;
-      }
-      std::fprintf(stderr, "serve: unknown flag --%s (valid: %s)\n",
-                   key.c_str(), valid.c_str());
-      return 2;
-    }
+  if (!args.OnlyFlags(
+          "serve", {"city", "scale", "loop-days", "windows", "algorithm",
+                    "shards", "shard-threads", "windows-per-segment",
+                    "refresh-period", "background-refresh", "slo-p99-ms",
+                    "max-queue-depth", "max-live-objects", "max-guide-age",
+                    "faults", "fault-seed", "reconcile", "refresh-mode",
+                    "refresh-predictor", "analytical-slice"})) {
+    return 2;
   }
 
   auto city = CityProfileByName(args.Get("city", "beijing"));
@@ -421,7 +413,6 @@ int CmdServe(int argc, char** argv) {
   LoopedTraceSource::Options trace;
   trace.scale = args.GetDouble("scale", 0.05);
   trace.loop_days = args.GetInt32("loop-days", 0);
-  // Checked before the retrieval probe below builds a source from it.
   if (const Status scale = LoopedTraceSource::CheckOptions(profile, trace);
       !scale.ok()) {
     std::fprintf(stderr, "serve: %s\n", scale.ToString().c_str());
@@ -453,58 +444,6 @@ int CmdServe(int argc, char** argv) {
   }
   options.refresh_predictor = args.Get("refresh-predictor");
   options.analytical_slice = args.GetInt32("analytical-slice", 0);
-  std::string retrieval_note;
-  if (args.Has("retrieval")) {
-    const auto retrieval = ParseRetrievalMode(args.Get("retrieval"));
-    if (!retrieval.ok()) {
-      std::fprintf(stderr, "serve: %s\n",
-                   retrieval.status().ToString().c_str());
-      return 2;
-    }
-    options.retrieval = *retrieval;
-  } else {
-    // No --retrieval: pick the backend from the measured workload. By
-    // Little's law the steady-state live population is sum(durations) /
-    // day_horizon over one source day; the engine's expanding-ring search
-    // beats the linear scans once the live set is dense enough per grid
-    // cell. Crossover fitted from BENCH_retrieval.json (simple-greedy,
-    // 30x30 grid, 24 slots, Dr = 2, Dw = 3, 4 cores): linear wins at 2000
-    // objects per side (7.3 vs 7.9 ms), the engine at 4000 (14.5 vs
-    // 28.0 ms). Log-log interpolation puts the crossover at ~2150 per
-    // side, which the same Little's law turns into 2150 * 5 / 24 ~ 450
-    // live objects, 0.5 per cell. Those were the numbers before the
-    // engine's store dropped expired entries and skipped empty cells;
-    // since then the engine wins at every size BENCH_retrieval.json
-    // records, so this pick is due for deletion with the linear mode.
-    constexpr double kEngineCrossoverPerCell = 0.5;
-    const LoopedTraceSource probe(profile, trace);
-    auto day0 = probe.ArrivalsForDay(0);
-    if (!day0.ok()) {
-      std::fprintf(stderr, "serve: %s\n", day0.status().ToString().c_str());
-      return 2;
-    }
-    double duration_sum = 0.0;
-    for (const StreamArrival& arrival : *day0) {
-      duration_sum += arrival.duration;
-    }
-    const SpacetimeSpec day_spec = probe.DaySpacetime();
-    const double cells = static_cast<double>(day_spec.grid().cells_x()) *
-                         static_cast<double>(day_spec.grid().cells_y());
-    const double live_per_cell =
-        duration_sum / std::max(1.0, probe.day_horizon()) /
-        std::max(1.0, cells);
-    options.retrieval = live_per_cell >= kEngineCrossoverPerCell
-                            ? RetrievalMode::kEngine
-                            : RetrievalMode::kLinear;
-    char note[160];
-    std::snprintf(note, sizeof(note),
-                  "auto: %s (est %.1f live objects/cell, engine crossover "
-                  "%.1f; see BENCH_retrieval.json)",
-                  RetrievalModeName(options.retrieval).c_str(),
-                  live_per_cell, kEngineCrossoverPerCell);
-    retrieval_note = note;
-  }
-
   auto harness = ServiceHarness::Create(profile, trace, options);
   if (!harness.ok()) {
     // NotFound/InvalidArgument carry the valid algorithm / fault sets.
@@ -512,26 +451,25 @@ int CmdServe(int argc, char** argv) {
                  harness.status().ToString().c_str());
     return 2;
   }
-  if (!retrieval_note.empty()) {
-    std::printf("retrieval      %s\n", retrieval_note.c_str());
-  }
   const Status run = (*harness)->RunWindows(windows);
   if (!run.ok()) {
     std::fprintf(stderr, "serve failed: %s\n", run.ToString().c_str());
     return 1;
   }
 
-  // p99 ms/smp: sampled decision-latency p99 and its sample count (one
-  // decision in kLatencySamplePeriod is timed; see docs/service_harness.md).
-  // rq/exam/c50/c99: retrieval-engine queries, candidates examined, and
-  // per-query cells-visited percentiles of the segment rotated at that
-  // window (all zero under --retrieval=linear and between rotations).
+  // p99 us/smp: sampled decision-latency p99 in microseconds (a decision
+  // takes well under one, so milliseconds would print 0.000) and its sample
+  // count (one decision in kLatencySamplePeriod is timed; see
+  // docs/service_harness.md). rq/exam/c50/c99: retrieval-engine queries,
+  // candidates examined, and per-query cells-visited percentiles of the
+  // segment rotated at that window (zero between rotations, and for
+  // algorithms that search no candidates spatially).
   // rfr ms/WC/reuse: solve wall time of the refresh cycle whose publish
   // landed at that window, warm (W), cold (C) or unchanged prediction
   // republished without a solve (U), and reused/total components ("-"
   // between publishes).
   std::printf(
-      "window day  offered admitted shed drop match  p99 ms   smp   live "
+      "window day  offered admitted shed drop match  p99 us   smp   live "
       "evict epoch age      rq    exam c50  c99   rfr ms WC   reuse "
       "flags\n");
   for (const WindowMetrics& w : (*harness)->windows()) {
@@ -543,13 +481,13 @@ int CmdServe(int argc, char** argv) {
                     static_cast<long long>(w.refresh_components_total));
     }
     std::printf(
-        "%6lld %3lld  %7lld %8lld %4lld %4lld %5lld %7.3f %5lld %6lld "
+        "%6lld %3lld  %7lld %8lld %4lld %4lld %5lld %7.2f %5lld %6lld "
         "%5lld %5lld %3lld %7lld %7lld %3lld %4lld %8.2f %2s %7s %s%s\n",
         static_cast<long long>(w.window), static_cast<long long>(w.day),
         static_cast<long long>(w.offered),
         static_cast<long long>(w.admitted), static_cast<long long>(w.shed),
         static_cast<long long>(w.dropped_arrivals),
-        static_cast<long long>(w.matched), w.p99_ms,
+        static_cast<long long>(w.matched), w.p99_ms * 1e3,
         static_cast<long long>(w.latency_samples),
         static_cast<long long>(w.live_objects),
         static_cast<long long>(w.evicted),

@@ -48,6 +48,13 @@ Checks (see docs/static_analysis.md for the full catalog):
                            deadline predicate; the global bound is up to
                            3x wider and scans cells no feasible pair
                            reaches.
+  one-retrieval-backend    A `RetrievalMode` token in src/ or tools/
+                           outside its three declaring headers
+                           (retrieval/mode.h, core/algorithm_registry.h,
+                           serve/service_harness.h): every candidate
+                           search runs on the engine, and the two
+                           single-valued fields left for the e2e driver
+                           stay unread.
 
 Allowlist grammar (a reason is mandatory; the annotation covers its own
 line and the immediately following line):
@@ -77,6 +84,9 @@ SERIAL_SOLVER_PATHS = ("src/flow/", "src/core/guide_generator.")
 RNG_SCOPE = ("src/", "tools/")
 RNG_EXEMPT = ("src/util/", "tools/lint/")
 REACH_EXEMPT = ("src/model/",)
+BACKEND_SCOPE = ("src/", "tools/")
+BACKEND_DECLARERS = ("src/retrieval/mode.h", "src/core/algorithm_registry.h",
+                     "src/serve/service_harness.h")
 
 CHECKS = {
     "no-unordered-iteration":
@@ -107,6 +117,10 @@ CHECKS = {
         "MaxFeasibleDistance outside src/model: take a candidate query's "
         "radius from FeasibleReach (model/feasibility.h), which derives it "
         "from the deadline predicate and the query's start window",
+    "one-retrieval-backend":
+        "RetrievalMode outside its declaring headers (%s): there is one "
+        "candidate-retrieval backend, so no code may choose or read one"
+        % ", ".join(BACKEND_DECLARERS),
     "bad-annotation":
         "malformed ftoa-lint annotation (unknown check name or missing "
         "reason): the grammar is `// ftoa-lint: ok(<check>): <reason>`",
@@ -605,6 +619,15 @@ def check_feasible_reach(sf, ctx):
         sf.report(m.start(), "feasible-reach", CHECKS["feasible-reach"])
 
 
+def check_one_retrieval_backend(sf, ctx):
+    del ctx
+    if not sf.rel.startswith(BACKEND_SCOPE) or sf.rel in BACKEND_DECLARERS:
+        return
+    for m in re.finditer(r"\bRetrievalMode\b", sf.clean):
+        sf.report(m.start(), "one-retrieval-backend",
+                  CHECKS["one-retrieval-backend"])
+
+
 ALL_CHECKS = (
     check_no_unordered_iteration,
     check_seeded_rng_only,
@@ -613,6 +636,7 @@ ALL_CHECKS = (
     check_serial_solver,
     check_include_hygiene,
     check_feasible_reach,
+    check_one_retrieval_backend,
 )
 
 

@@ -60,7 +60,7 @@ echo "== bench_sharded (sharded dispatcher vs single session)"
     --benchmark_out="$ROOT/BENCH_sharded.json" \
     --benchmark_out_format=json
 
-echo "== bench_retrieval (engine vs linear candidate scan, approx guides)"
+echo "== bench_retrieval (engine candidate search, approx guides)"
 "$BUILD/bench_retrieval" \
     --benchmark_min_time=0.05 \
     --benchmark_context=nproc="$(nproc)",build_type=Release \
@@ -190,27 +190,23 @@ for router in ("Grid", "Hash", "Load"):
               f"{rec['real_time'] - plain['real_time']:.0f}ms)")
 EOF
 
-# Headline numbers: per-decision cost growth of the retrieval engine vs
-# the linear candidate scan across the density sweep (the sublinearity
-# claim), and the approx-guide time saving against its certified
-# matched-utility loss bound.
+# Headline numbers: per-decision cost growth of the retrieval engine across
+# the density sweep (the sublinearity claim), and the approx-guide time
+# saving against its certified matched-utility loss bound.
 python3 - "$ROOT/BENCH_retrieval.json" <<'EOF'
 import json, sys
 benches = json.load(open(sys.argv[1]))["benchmarks"]
 runs = {b["name"]: b for b in benches}
 sizes = (2000, 8000, 32000)
-for mode in ("Engine", "Linear"):
-    points = [runs.get(f"BM_Retrieval{mode}/simple_greedy/{n}")
-              for n in sizes]
-    if not all(points):
-        continue
+points = [runs.get(f"BM_RetrievalEngine/simple_greedy/{n}") for n in sizes]
+if all(points):
     # items_per_second counts decisions; invert for per-decision cost.
     us = [1e6 / p["items_per_second"] for p in points]
     growth = us[-1] / us[0]
     cells = (f", cells p50 {points[-1]['cells_p50']:.0f} "
              f"p99 {points[-1]['cells_p99']:.0f}"
              if "cells_p50" in points[-1] else "")
-    print(f"retrieval {mode.lower():6s} simple-greedy: per-decision "
+    print(f"retrieval engine simple-greedy: per-decision "
           f"{us[0]:.1f}us -> {us[-1]:.1f}us over {sizes[0]}->{sizes[-1]} "
           f"objects ({growth:.1f}x for {sizes[-1] // sizes[0]}x load)"
           f"{cells}")
