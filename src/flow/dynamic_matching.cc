@@ -1,8 +1,27 @@
 #include "flow/dynamic_matching.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace ftoa {
+
+void DynamicBipartiteMatcher::CheckEdgeRoom(size_t num_edges) {
+  if (num_edges >= kMaxEdges) {
+    std::fprintf(stderr,
+                 "DynamicBipartiteMatcher: %zu edges exceed int32 edge ids\n",
+                 num_edges + 1);
+    std::abort();
+  }
+}
+
+void DynamicBipartiteMatcher::BeginSearch(StampOwner side) {
+  ++augment_searches_;
+  if (stamp_owner_ != side) {
+    ++stamp_;
+    stamp_owner_ = side;
+  }
+}
 
 void DynamicBipartiteMatcher::Reset() {
   edge_left_.clear();
@@ -20,6 +39,7 @@ void DynamicBipartiteMatcher::Reset() {
   stamp_left_.clear();
   stamp_right_.clear();
   stamp_ = 0;
+  stamp_owner_ = StampOwner::kNone;
   matching_size_ = 0;
   augment_searches_ = 0;
 }
@@ -67,6 +87,9 @@ int32_t DynamicBipartiteMatcher::AddRight() {
 
 void DynamicBipartiteMatcher::AddEdge(int32_t l, int32_t r) {
   assert(LeftActive(l) && RightActive(r));
+  CheckEdgeRoom(edge_left_.size());
+  // A new edge can open a path from a node an earlier search proved dead.
+  stamp_owner_ = StampOwner::kNone;
   const int32_t e = static_cast<int32_t>(edge_left_.size());
   edge_left_.push_back(l);
   edge_right_.push_back(r);
@@ -93,8 +116,7 @@ void DynamicBipartiteMatcher::AddEdge(int32_t l, int32_t r) {
 bool DynamicBipartiteMatcher::TryAugmentLeft(int32_t l) {
   assert(LeftActive(l));
   if (match_left_[static_cast<size_t>(l)] >= 0) return false;
-  ++augment_searches_;
-  ++stamp_;
+  BeginSearch(StampOwner::kLeft);
   frames_.clear();
   frames_.push_back(Frame{l, head_left_[static_cast<size_t>(l)]});
   stamp_left_[static_cast<size_t>(l)] = stamp_;
@@ -122,6 +144,7 @@ bool DynamicBipartiteMatcher::TryAugmentLeft(int32_t l) {
           right = prev_right;
         }
         ++matching_size_;
+        stamp_owner_ = StampOwner::kNone;
         return true;
       }
       frames_.push_back(Frame{w, head_left_[static_cast<size_t>(w)]});
@@ -136,8 +159,7 @@ bool DynamicBipartiteMatcher::TryAugmentLeft(int32_t l) {
 bool DynamicBipartiteMatcher::TryAugmentRight(int32_t r) {
   assert(RightActive(r));
   if (match_right_[static_cast<size_t>(r)] >= 0) return false;
-  ++augment_searches_;
-  ++stamp_;
+  BeginSearch(StampOwner::kRight);
   frames_.clear();
   frames_.push_back(Frame{r, head_right_[static_cast<size_t>(r)]});
   stamp_right_[static_cast<size_t>(r)] = stamp_;
@@ -163,6 +185,7 @@ bool DynamicBipartiteMatcher::TryAugmentRight(int32_t r) {
           left = prev_left;
         }
         ++matching_size_;
+        stamp_owner_ = StampOwner::kNone;
         return true;
       }
       frames_.push_back(Frame{w, head_right_[static_cast<size_t>(w)]});
@@ -176,6 +199,7 @@ bool DynamicBipartiteMatcher::TryAugmentRight(int32_t r) {
 
 void DynamicBipartiteMatcher::RemoveLeft(int32_t l) {
   if (!LeftActive(l)) return;
+  stamp_owner_ = StampOwner::kNone;
   active_left_[static_cast<size_t>(l)] = 0;
   const int32_t r = match_left_[static_cast<size_t>(l)];
   if (r >= 0) {
@@ -189,6 +213,7 @@ void DynamicBipartiteMatcher::RemoveLeft(int32_t l) {
 
 void DynamicBipartiteMatcher::RemoveRight(int32_t r) {
   if (!RightActive(r)) return;
+  stamp_owner_ = StampOwner::kNone;
   active_right_[static_cast<size_t>(r)] = 0;
   const int32_t l = match_right_[static_cast<size_t>(r)];
   if (l >= 0) {
@@ -201,6 +226,7 @@ void DynamicBipartiteMatcher::RemoveRight(int32_t r) {
 
 void DynamicBipartiteMatcher::RemovePair(int32_t l, int32_t r) {
   assert(match_left_[static_cast<size_t>(l)] == r);
+  stamp_owner_ = StampOwner::kNone;
   match_left_[static_cast<size_t>(l)] = -1;
   match_right_[static_cast<size_t>(r)] = -1;
   active_left_[static_cast<size_t>(l)] = 0;

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace ftoa {
@@ -28,6 +29,15 @@ namespace ftoa {
 class DynamicBipartiteMatcher {
  public:
   DynamicBipartiteMatcher() = default;
+
+  /// Edge ids are int32: the arena holds at most this many edges.
+  static constexpr size_t kMaxEdges =
+      static_cast<size_t>(std::numeric_limits<int32_t>::max());
+
+  /// Aborts with a message when an arena already holding `num_edges`
+  /// edges has no int32 id left for one more — AddEdge's guard, so ids die
+  /// at the boundary instead of wrapping.
+  static void CheckEdgeRoom(size_t num_edges);
 
   /// Rewinds to an empty graph, keeping all arena capacity.
   void Reset();
@@ -42,11 +52,18 @@ class DynamicBipartiteMatcher {
 
   /// Adds an edge between active nodes `l` and `r`. Does not re-match; call
   /// TryAugmentLeft/Right (typically from the endpoint that just arrived).
+  /// Aborts past kMaxEdges edges (CheckEdgeRoom).
   void AddEdge(int32_t l, int32_t r);
 
   /// Searches one augmenting path starting at the (active, unmatched) left
   /// node `l`; returns true when the matching grew. A false return means
   /// the maintained matching is already maximum with respect to `l`.
+  ///
+  /// Consecutive failed searches from the same side share one visit
+  /// stamp: a node a failed search visited reaches no free node until the
+  /// matching or the graph changes, so later roots skip it and the DFS
+  /// still finds the same paths in the same order. A success, an AddEdge,
+  /// a removal or a search from the other side starts a new stamp.
   bool TryAugmentLeft(int32_t l);
   /// Mirror image, starting from a right node.
   bool TryAugmentRight(int32_t r);
@@ -106,10 +123,19 @@ class DynamicBipartiteMatcher {
   std::vector<uint8_t> active_left_;
   std::vector<uint8_t> active_right_;
 
-  // DFS scratch: visit stamps per node per search + explicit stack.
+  /// Which side's failed searches the current stamp's visit marks belong
+  /// to; kNone once the matching or the graph changed.
+  enum class StampOwner : uint8_t { kNone, kLeft, kRight };
+
+  /// Starts a new visit stamp unless the current one holds the marks of
+  /// failed searches from `side` on the unchanged matching and graph.
+  void BeginSearch(StampOwner side);
+
+  // DFS scratch: visit stamps per node + explicit stack.
   std::vector<int32_t> stamp_left_;
   std::vector<int32_t> stamp_right_;
   int32_t stamp_ = 0;
+  StampOwner stamp_owner_ = StampOwner::kNone;
   std::vector<Frame> frames_;
 
   int64_t matching_size_ = 0;

@@ -59,6 +59,13 @@ double LoopedTraceSource::day_horizon() const {
 
 Result<std::vector<StreamArrival>> LoopedTraceSource::ArrivalsForDay(
     int64_t day) const {
+  std::vector<StreamArrival> arrivals;
+  FTOA_RETURN_NOT_OK(FillArrivalsForDay(day, &arrivals));
+  return arrivals;
+}
+
+Status LoopedTraceSource::FillArrivalsForDay(
+    int64_t day, std::vector<StreamArrival>* out) const {
   if (day < 0) {
     return Status::OutOfRange("LoopedTraceSource: negative stream day");
   }
@@ -87,7 +94,8 @@ Result<std::vector<StreamArrival>> LoopedTraceSource::ArrivalsForDay(
   }
   for (size_t k = 1; k <= n; ++k) next[k] += next[k - 1];
 
-  std::vector<StreamArrival> arrivals(n);
+  std::vector<StreamArrival>& arrivals = *out;
+  arrivals.resize(n);
   for (const Worker& w : instance.workers()) {
     const double time = offset + w.start;
     arrivals[next[key_of(time)]++] = StreamArrival{
@@ -107,7 +115,7 @@ Result<std::vector<StreamArrival>> LoopedTraceSource::ArrivalsForDay(
     }
     arrivals[j] = moving;
   }
-  return arrivals;
+  return Status::OK();
 }
 
 Result<Instance> LoopedTraceSource::FiniteInstance(int num_days) const {

@@ -92,6 +92,13 @@ class LoopedTraceSource {
   /// time axis, sorted by ArrivesBefore.
   Result<std::vector<StreamArrival>> ArrivalsForDay(int64_t day) const;
 
+  /// ArrivalsForDay into a caller-owned buffer: `*out` is overwritten with
+  /// the day's arrivals and keeps its capacity, so a caller that refills
+  /// one buffer every day stops reallocating it. Const and free of shared
+  /// mutable state, so it may run on another thread while the caller reads
+  /// the source. On error `*out` is left unspecified.
+  Status FillArrivalsForDay(int64_t day, std::vector<StreamArrival>* out) const;
+
   /// The first `num_days` stream days concatenated into one Instance over
   /// an extended horizon (num_days * slots_per_day slots, same grid) —
   /// the finite ground truth for harness-equivalence tests. Object ids

@@ -54,10 +54,38 @@ Result<OfflineGuide> GuideRefresher::GenerateWithRetries(
   return last;
 }
 
+GuideRefresher::Prepared GuideRefresher::SolveInline(
+    PredictionMatrix prediction, int64_t window, bool injected_fail) {
+  const Stopwatch stopwatch;
+  int64_t attempts = 0;
+  Result<OfflineGuide> guide = GenerateWithRetries(
+      prediction, injected_fail, &inline_generator_, nullptr, &attempts);
+  const CycleReport report{
+      static_cast<double>(stopwatch.ElapsedNanos()) * 1e-6,
+      inline_generator_.last_refresh_stats(), /*unchanged=*/false};
+  return Prepared{window, std::move(prediction), std::move(guide), attempts,
+                  report};
+}
+
+void GuideRefresher::Prepare(PredictionMatrix prediction, int64_t window) {
+  prepared_.reset();
+  if (last_inline_solve_.guide != nullptr &&
+      last_inline_solve_.prediction == prediction) {
+    return;  // RefreshNow republishes the memo without solving.
+  }
+  prepared_ = SolveInline(std::move(prediction), window,
+                          /*injected_fail=*/false);
+  prepared_->report.prepared = true;
+}
+
 Result<GuideSlot::Snapshot> GuideRefresher::RefreshNow(
     const PredictionMatrix& prediction, int64_t window, GuideSlot* slot) {
   const bool injected_fail =
       faults_ != nullptr && faults_->GuideRefreshShouldFail(window);
+  // A prepared result serves only the cycle it was solved for; any other
+  // cycle (or a fired fault) drops it.
+  std::optional<Prepared> prepared = std::move(prepared_);
+  prepared_.reset();
   const Stopwatch stopwatch;
   if (!injected_fail && last_inline_solve_.guide != nullptr &&
       last_inline_solve_.prediction == prediction) {
@@ -70,20 +98,20 @@ Result<GuideSlot::Snapshot> GuideRefresher::RefreshNow(
         GuideRefreshStats{}, /*unchanged=*/true};
     return slot->Publish(last_inline_solve_.guide, window);
   }
-  int64_t attempts = 0;
-  Result<OfflineGuide> guide = GenerateWithRetries(
-      prediction, injected_fail, &inline_generator_, nullptr, &attempts);
-  stats_.attempts += attempts;
-  if (!guide.ok()) {
+  const bool adopt = !injected_fail && prepared.has_value() &&
+                     prepared->window == window &&
+                     prepared->prediction == prediction;
+  Prepared cycle = adopt ? std::move(*prepared)
+                         : SolveInline(prediction, window, injected_fail);
+  stats_.attempts += cycle.attempts;
+  if (!cycle.guide.ok()) {
     ++stats_.failed_cycles;
-    return guide.status();
+    return cycle.guide.status();
   }
-  last_cycle_ = CycleReport{
-      static_cast<double>(stopwatch.ElapsedNanos()) * 1e-6,
-      inline_generator_.last_refresh_stats(), /*unchanged=*/false};
+  last_cycle_ = cycle.report;
   last_inline_solve_ = LastSolve{
-      prediction,
-      std::make_shared<const OfflineGuide>(std::move(guide).value())};
+      std::move(cycle.prediction),
+      std::make_shared<const OfflineGuide>(std::move(cycle.guide).value())};
   ++stats_.publishes;
   return slot->Publish(last_inline_solve_.guide, window);
 }

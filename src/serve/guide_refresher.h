@@ -11,6 +11,10 @@
 //    successful solve: generation is a pure function of the prediction
 //    (the generator options are fixed per refresher), so a cycle whose
 //    prediction equals it republishes the same guide without solving.
+//    Its generate step can run ahead of the due window (Prepare, on any
+//    one thread at a time); RefreshNow adopts that result only for the
+//    same window and prediction, and still consults the fault injector
+//    itself, so what it publishes, and when, is unchanged.
 //  * StartBackground/Poll — the solve runs on the refresher's own
 //    single-thread pool under a SubmitWithDeadline deadline; the harness
 //    polls at window boundaries and publishes a completed result. A solve
@@ -117,6 +121,21 @@ class GuideRefresher {
   Result<GuideSlot::Snapshot> RefreshNow(const PredictionMatrix& prediction,
                                          int64_t window, GuideSlot* slot);
 
+  /// Runs RefreshNow's generate step for (`prediction`, `window`) ahead of
+  /// time and keeps the outcome for that RefreshNow: the next RefreshNow
+  /// adopts it when its window and prediction both match (its attempts,
+  /// publish, memo and CycleReport are then exactly those of an inline
+  /// solve) and drops it otherwise. Nothing is kept when the prediction
+  /// equals the memo's (RefreshNow republishes without a solve anyway).
+  /// The fault injector is not consulted here: RefreshNow consumes it at
+  /// the window, and a fired fault discards the prepared result.
+  ///
+  /// Touches only RefreshNow's state (the inline generator, the memo, the
+  /// prepared result), so it may run on another thread provided no
+  /// RefreshNow or Prepare on this refresher overlaps it and the caller
+  /// joins it before the next RefreshNow.
+  void Prepare(PredictionMatrix prediction, int64_t window);
+
   /// Starts a background refresh cycle for `window`, publishing into
   /// `slot` when Poll observes completion in time. Returns false (and does
   /// nothing) when a cycle is already in flight. The prediction is copied.
@@ -160,6 +179,9 @@ class GuideRefresher {
     /// RefreshNow republished its last guide for an unchanged prediction
     /// (no solve ran; `refresh` is all-zero).
     bool unchanged = false;
+    /// RefreshNow adopted a Prepare result: the solve ran ahead of the
+    /// window, and solve_ms is that solve's own time.
+    bool prepared = false;
   };
   const CycleReport& last_cycle() const { return last_cycle_; }
 
@@ -178,6 +200,19 @@ class GuideRefresher {
     /// timeout path never reads it.
     std::shared_ptr<CycleReport> report;
   };
+
+  /// A Prepare outcome awaiting its RefreshNow.
+  struct Prepared {
+    int64_t window = 0;
+    PredictionMatrix prediction;
+    Result<OfflineGuide> guide;
+    int64_t attempts = 0;
+    CycleReport report;
+  };
+
+  /// RefreshNow's generate step on the inline generator, timed.
+  Prepared SolveInline(PredictionMatrix prediction, int64_t window,
+                       bool injected_fail);
 
   Result<OfflineGuide> GenerateWithRetries(const PredictionMatrix& prediction,
                                            bool injected_fail,
@@ -203,6 +238,7 @@ class GuideRefresher {
     std::shared_ptr<const OfflineGuide> guide;
   };
   LastSolve last_inline_solve_;
+  std::optional<Prepared> prepared_;
 
   std::unique_ptr<ThreadPool> pool_;  ///< Lazily created, 1 thread (only
                                       ///< when no shared pool is lent).

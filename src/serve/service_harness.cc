@@ -49,7 +49,10 @@ ServiceHarness::ServiceHarness(LoopedTraceSource source,
   const int num_types = source_.DaySpacetime().num_types();
   day_workers_.assign(num_types, 0);
   day_tasks_.assign(num_types, 0);
+  helper_ = std::make_unique<ThreadPool>(1);
 }
+
+ServiceHarness::~ServiceHarness() { JoinDayAhead(); }
 
 Result<std::unique_ptr<ServiceHarness>> ServiceHarness::Create(
     const CityProfile& profile, const LoopedTraceSource::Options& trace,
@@ -136,8 +139,82 @@ Result<std::unique_ptr<ServiceHarness>> ServiceHarness::Create(
                          std::move(resolved), std::move(faults)));
 }
 
+void ServiceHarness::StartDayAhead(int64_t day) {
+  JoinDayAhead();
+  // Tomorrow's first due inline refresh predicts from today's realized
+  // counts, complete now that today's last window is admitted. A learned
+  // predictor is refitted only at the day boundary, a background refresh
+  // solves on its own thread, and a due window past tomorrow predicts from
+  // tomorrow's counts: none of those is prepared.
+  int64_t guide_window = -1;
+  std::optional<PredictionMatrix> prediction;
+  if (AlgorithmNeedsGuide(options_.algorithm) &&
+      !options_.background_refresh && options_.refresh_predictor.empty()) {
+    const int64_t period = options_.refresh_period_windows;
+    const int64_t due = (day * spd_ + period - 1) / period * period;
+    if (due < (day + 1) * spd_) {
+      guide_window = due;
+      prediction = CountsPrediction(day_workers_, day_tasks_);
+    }
+  }
+  auto arrivals = std::make_shared<std::promise<Status>>();
+  day_ahead_.guide_window = guide_window;
+  day_ahead_.waited_ms = 0.0;
+  day_ahead_.arrivals_claimed.store(false);
+  day_ahead_.arrivals = arrivals->get_future();
+  // The guide solve runs first: it cannot be split, and the serving
+  // thread, which needs the arrivals first, fills them itself when the
+  // helper has not started them (TakeArrivals), so it never waits on both
+  // steps. Until the job is joined the serving thread touches neither the
+  // refresher's inline state (no refresh is due before guide_window) nor,
+  // unless it claimed the fill, day_arrivals_ (the day's windows are all
+  // admitted).
+  day_ahead_.done = helper_->Submit(
+      [this, day, guide_window, arrivals,
+       prediction = std::move(prediction)]() mutable {
+        if (guide_window >= 0) {
+          refresher_->Prepare(std::move(*prediction), guide_window);
+        }
+        if (!day_ahead_.arrivals_claimed.exchange(true)) {
+          arrivals->set_value(source_.FillArrivalsForDay(day, &day_arrivals_));
+        }
+      });
+}
+
+void ServiceHarness::JoinDayAhead() {
+  if (day_ahead_.done.valid()) day_ahead_.done.wait();
+}
+
+Status ServiceHarness::TakeArrivals(int64_t day) {
+  if (buffered_day_ == day) return Status::OK();
+  // Every day but the first was handed to the helper when the day before
+  // it ended (windows run in order).
+  std::future<Status> helper = std::move(day_ahead_.arrivals);
+  const bool helper_fills =
+      helper.valid() && day_ahead_.arrivals_claimed.exchange(true);
+  FTOA_RETURN_NOT_OK(helper_fills
+                         ? helper.get()
+                         : source_.FillArrivalsForDay(day, &day_arrivals_));
+  buffered_day_ = day;
+  return Status::OK();
+}
+
+Status ServiceHarness::FinishDayAhead() {
+  // Arrivals are still pending only when the call ended on a day's last
+  // window, so next_window_ starts their day.
+  const Status taken = day_ahead_.arrivals.valid()
+                           ? TakeArrivals(next_window_ / spd_)
+                           : Status::OK();
+  const Stopwatch wait;
+  JoinDayAhead();
+  if (day_ahead_.guide_window >= 0) {
+    day_ahead_.waited_ms += static_cast<double>(wait.ElapsedNanos()) * 1e-6;
+  }
+  return taken;
+}
+
 Status ServiceHarness::StartDay(int64_t day) {
-  FTOA_ASSIGN_OR_RETURN(day_arrivals_, source_.ArrivalsForDay(day));
+  FTOA_RETURN_NOT_OK(TakeArrivals(day));
   day_cursor_ = 0;
   if (day > 0) {
     prev_workers_ = day_workers_;
@@ -273,11 +350,7 @@ PredictionMatrix ServiceHarness::PredictionFor(int64_t window) const {
   if (have_prev_day_) {
     // Yesterday's realized admissions — the live platform's freshest
     // history.
-    for (int type = 0; type < spacetime.num_types(); ++type) {
-      prediction.set_workers_at(type, prev_workers_[static_cast<size_t>(type)]);
-      prediction.set_tasks_at(type, prev_tasks_[static_cast<size_t>(type)]);
-    }
-    return prediction;
+    return CountsPrediction(prev_workers_, prev_tasks_);
   }
   // Bootstrap before any completed day: the generator's history for the
   // source day this stream day replays — the paper's offline prediction.
@@ -290,6 +363,17 @@ PredictionMatrix ServiceHarness::PredictionFor(int64_t window) const {
   for (int type = 0; type < spacetime.num_types(); ++type) {
     prediction.set_workers_at(type, workers[static_cast<size_t>(type)]);
     prediction.set_tasks_at(type, tasks[static_cast<size_t>(type)]);
+  }
+  return prediction;
+}
+
+PredictionMatrix ServiceHarness::CountsPrediction(
+    const std::vector<int32_t>& workers,
+    const std::vector<int32_t>& tasks) const {
+  PredictionMatrix prediction(source_.DaySpacetime());
+  for (size_t type = 0; type < workers.size(); ++type) {
+    prediction.set_workers_at(static_cast<TypeId>(type), workers[type]);
+    prediction.set_tasks_at(static_cast<TypeId>(type), tasks[type]);
   }
   return prediction;
 }
@@ -311,6 +395,17 @@ Status ServiceHarness::HandleRefresh(int64_t window) {
     return Status::OK();
   }
   if (!due) return Status::OK();
+  if (day_ahead_.guide_window == window) {
+    // The day-ahead job prepared this refresh. Only the part of the solve
+    // the replay did not hide is waited for here: the refresh's cost on
+    // the critical path.
+    day_ahead_.guide_window = -1;
+    const Stopwatch wait;
+    day_ahead_.done.get();
+    pending_refresh_wait_ms_ =
+        day_ahead_.waited_ms +
+        static_cast<double>(wait.ElapsedNanos()) * 1e-6;
+  }
   const Result<GuideSlot::Snapshot> refreshed =
       refresher_->RefreshNow(PredictionFor(window), window, &slot_);
   // A failed cycle is the degradation ladder's input, not the harness's
@@ -510,8 +605,12 @@ void ServiceHarness::AdmitWindow(int64_t window) {
     totals_.refresh_components_reused += report.refresh.components_reused;
     totals_.refresh_components_solved += report.refresh.components_solved;
     totals_.refresh_ms += report.solve_ms;
+    if (report.prepared) ++totals_.prepared_refreshes;
     pending_refresh_report_.reset();
   }
+  metrics.refresh_wait_ms = pending_refresh_wait_ms_;
+  totals_.refresh_wait_ms += pending_refresh_wait_ms_;
+  pending_refresh_wait_ms_ = 0.0;
 
   totals_.windows++;
   totals_.offered += metrics.offered;
@@ -558,6 +657,9 @@ Status ServiceHarness::ReplaySegment() {
   std::vector<SpineEntry> objects(spine_.size() + fresh.size());
   std::merge(spine_.begin(), spine_.end(), fresh.begin(), fresh.end(),
              objects.begin(), SpineBefore);
+  // Free the admissions copy now rather than at return: the replay below
+  // is the day's peak, and the day-ahead job allocates beside it.
+  std::vector<SpineEntry>().swap(fresh);
 
   const size_t num_workers = static_cast<size_t>(
       std::count_if(objects.begin(), objects.end(), [](const SpineEntry& o) {
@@ -741,6 +843,12 @@ Status ServiceHarness::RunWindows(int64_t count) {
     FTOA_RETURN_NOT_OK(HandleRefresh(window));
     if (!segment_.open) StartSegment(window);
     AdmitWindow(window);
+    // With one-window segments the day's last replay is one window long,
+    // too short to hide the job behind, and joining the job at the end of
+    // the call would only move its work there: such days end serially.
+    if ((window + 1) % spd_ == 0 && options_.windows_per_segment > 1) {
+      StartDayAhead(window / spd_ + 1);
+    }
     if (window + 1 == segment_.end) FTOA_RETURN_NOT_OK(ReplaySegment());
   }
   if (segment_.open) {
@@ -751,7 +859,9 @@ Status ServiceHarness::RunWindows(int64_t count) {
                                                  segment_.begin));
     FTOA_RETURN_NOT_OK(ReplaySegment());
   }
-  return Status::OK();
+  // The helper's job ends with the call that started it, so a call's time
+  // is the time of all the work it caused.
+  return FinishDayAhead();
 }
 
 }  // namespace ftoa

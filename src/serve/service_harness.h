@@ -33,6 +33,22 @@
 // fresh guide -> stale guide (refresh failed, slot kept) -> guide-free
 // greedy (no guide yet, or staleness beyond max_guide_age_windows).
 //
+// Day-ahead pipeline: once the last window of day d is admitted, tomorrow's
+// inputs are fixed — the trace is a pure function of the day, and the
+// realized-counts prediction is day d's admissions. Unless segments are one
+// window long (no replay to hide a job behind), the harness then hands
+// one job to its helper thread (a ThreadPool(1) it owns): run the
+// refresher's generate step for day d+1's first due inline refresh
+// (GuideRefresher::Prepare), then fill the arrival buffer with day d+1
+// unless the serving thread has already claimed that fill. The job
+// overlaps day d's last segment replay, and RunWindows joins it before
+// returning, so no call leaves work running. Whichever comes first of the
+// call's end and StartDay(d+1) takes the arrivals (waiting only for a fill
+// the helper claimed), the due window's HandleRefresh waits for the whole
+// job, and RefreshNow adopts the prepared guide only for that window and
+// prediction, so guides, epochs, publish windows and pairs are those of
+// the serial loop (docs/service_harness.md, "Day-ahead pipeline").
+//
 // Memory model: every admitted object gets a record in an ObjectTable
 // (serve/object_table.h) — one contiguous array indexed by stream id,
 // which admission hands out densely — and an entry in an ExpiryCalendar
@@ -58,7 +74,9 @@
 #ifndef FTOA_SERVE_SERVICE_HARNESS_H_
 #define FTOA_SERVE_SERVICE_HARNESS_H_
 
+#include <atomic>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -214,6 +232,12 @@ struct WindowMetrics {
   /// window (inline refresh, or the window whose poll harvested a
   /// background cycle). All-zero/false when no publish landed here.
   double refresh_ms = 0.0;          ///< Solve wall time of that cycle.
+  /// Time the serving thread blocked on the day-ahead job that prepared
+  /// this window's guide, at the end of the call that handed it off and at
+  /// this window (0 when nothing was prepared): the refresh's
+  /// critical-path cost, where refresh_ms is the solve's own time wherever
+  /// it ran.
+  double refresh_wait_ms = 0.0;
   bool refresh_unchanged = false;   ///< Republished for an equal prediction.
   bool refresh_warm = false;        ///< Any component reused warm.
   int64_t refresh_components_total = 0;
@@ -250,6 +274,10 @@ struct ServiceTotals {
   int64_t refresh_components_reused = 0;
   int64_t refresh_components_solved = 0;
   double refresh_ms = 0.0;  ///< Total solve wall time of published cycles.
+  /// Published cycles whose solve ran day-ahead on the helper thread, and
+  /// the total time due windows blocked on that job.
+  int64_t prepared_refreshes = 0;
+  double refresh_wait_ms = 0.0;
 };
 
 /// The long-running serving loop. Not thread-safe; drive from one thread.
@@ -269,9 +297,17 @@ class ServiceHarness {
       const CityProfile& profile, const LoopedTraceSource::Options& trace,
       const ServiceOptions& options);
 
+  /// Joins a day-ahead job still in flight (a RunWindows that failed may
+  /// leave one). The job holds `this`, so a harness is neither copied nor
+  /// moved.
+  ~ServiceHarness();
+  ServiceHarness(const ServiceHarness&) = delete;
+  ServiceHarness& operator=(const ServiceHarness&) = delete;
+
   /// Processes the next `count` windows (admission, eviction, refresh,
   /// replay). A segment still open when the count is reached is rotated
-  /// early, so every emitted window has complete metrics on return.
+  /// early, so every emitted window has complete metrics on return, and
+  /// the day-ahead job is joined, so no helper work is left running.
   Status RunWindows(int64_t count);
 
   const ServiceOptions& options() const { return options_; }
@@ -339,15 +375,46 @@ class ServiceHarness {
   /// workers before tasks at equal times.
   static bool SpineBefore(const SpineEntry& a, const SpineEntry& b);
 
+  /// The helper thread's job for one day (see the header comment).
+  struct DayAhead {
+    int64_t guide_window = -1;  ///< Window it prepares a guide for; -1 = none.
+    /// Taken by the thread that fills day_arrivals_ with the next day: the
+    /// helper after its guide solve, or the serving thread if it needs
+    /// them first (TakeArrivals).
+    std::atomic<bool> arrivals_claimed{false};
+    /// Ready once the helper filled day_arrivals_; never set when the
+    /// serving thread claimed the fill. Valid until TakeArrivals.
+    std::future<Status> arrivals;
+    std::future<void> done;  ///< Ready once the whole job returned.
+    /// Time FinishDayAhead blocked on a job that prepares a guide; added
+    /// to the due window's refresh_wait_ms.
+    double waited_ms = 0.0;
+  };
+
   ServiceHarness(LoopedTraceSource source, ServiceOptions options,
                  FaultInjector faults);
 
+  /// Hands day `day`'s job to the helper; called once the last window of
+  /// the day before is admitted.
+  void StartDayAhead(int64_t day);
+  /// Waits for the job in flight, if any.
+  void JoinDayAhead();
+  /// Makes day_arrivals_ hold day `day`: waits for the helper's fill if the
+  /// helper claimed it, fills on this thread otherwise.
+  Status TakeArrivals(int64_t day);
+  /// Ends RunWindows: a day that ended in the call takes its successor's
+  /// arrivals unless the helper has started them, then the job is joined,
+  /// so no work a call started outlives it.
+  Status FinishDayAhead();
   Status StartDay(int64_t day);
   /// Expires every object whose deadline is <= `window` (called at each
   /// window boundary, in window order).
   void ExpireUpTo(int64_t window, WindowMetrics* metrics);
   Status HandleRefresh(int64_t window);
   PredictionMatrix PredictionFor(int64_t window) const;
+  /// The realized-counts prediction: one day's admissions per type.
+  PredictionMatrix CountsPrediction(const std::vector<int32_t>& workers,
+                                    const std::vector<int32_t>& tasks) const;
   /// Rolling refit of the learned refresh predictor at a day boundary
   /// (refresh_predictor mode only): rebuilds the history-plus-realized
   /// dataset and fits fresh predictor instances on it.
@@ -374,8 +441,10 @@ class ServiceHarness {
   int64_t spd_ = 1;  ///< Slots (== windows) per day.
   int64_t next_window_ = 0;
 
-  /// Current day's arrival cache and consumption cursor.
+  /// Current day's arrival cache and consumption cursor. The day-ahead job
+  /// refills the buffer once the day's last window is admitted.
   std::vector<StreamArrival> day_arrivals_;
+  int64_t buffered_day_ = -1;  ///< Day day_arrivals_ holds; -1 = none yet.
   size_t day_cursor_ = 0;
 
   /// Realized per-type counts: the running day and the last completed one
@@ -416,10 +485,18 @@ class ServiceHarness {
   /// Refresh cost report awaiting attribution to the next emitted window
   /// (HandleRefresh runs before the window's metrics row exists).
   std::optional<GuideRefresher::CycleReport> pending_refresh_report_;
+  /// Likewise for the time HandleRefresh blocked on the day-ahead job.
+  double pending_refresh_wait_ms_ = 0.0;
 
   std::vector<WindowMetrics> windows_;
   ServiceTotals totals_;
   std::vector<std::pair<int64_t, int64_t>> matched_pairs_;
+
+  /// The day-ahead helper thread and its one job. Declared last, so the
+  /// pool joins before anything the job touches is destroyed (the
+  /// destructor joins explicitly anyway).
+  std::unique_ptr<ThreadPool> helper_;
+  DayAhead day_ahead_;
 };
 
 }  // namespace ftoa

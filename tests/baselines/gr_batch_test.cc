@@ -150,6 +150,31 @@ TEST(GrBatchTest, IncrementalMatchesRebuildOnRandomWorkloads) {
   }
 }
 
+TEST(GrBatchTest, PairsAreUnchangedAtPerObjectBenchSizes) {
+  // The matcher's failed searches share one visit stamp, which must only
+  // prune, never redirect: the pairs equal those recorded from the build
+  // that started a new stamp per search (same instances as
+  // BM_GrPerObject). The rebuild oracle is no pin here: on these instances
+  // it commits fewer pairs (607 at 1k) under either stamp rule, since its
+  // per-window Hopcroft-Karp breaks ties differently and the windows
+  // compound; IncrementalMatchesRebuildOnRandomWorkloads pins the count.
+  struct Pinned {
+    int objects;
+    size_t matched;
+    uint64_t hash;
+  };
+  for (const Pinned& pinned : {Pinned{1000, 617, 0x616d1d752ee77234ULL},
+                               Pinned{3000, 1982, 0xb4303f4c00ec38eaULL},
+                               Pinned{6000, 4051, 0xcf6aa8e3f3609d57ULL}}) {
+    const auto instance = GenerateSyntheticInstance(
+        testing::PerObjectBenchConfig(pinned.objects));
+    ASSERT_TRUE(instance.ok());
+    const Assignment assignment = GrBatch().Run(*instance);
+    EXPECT_EQ(assignment.size(), pinned.matched) << pinned.objects;
+    EXPECT_EQ(testing::PairHash(assignment), pinned.hash) << pinned.objects;
+  }
+}
+
 TEST(GrBatchTest, WorkerStartPolicyReachesPastTheTaskDurationRadius) {
   // Under kDispatchAtWorkerStart the worker is credited with moving since
   // Sw, so a task arriving 2 time units later is reachable from

@@ -86,6 +86,32 @@ TEST(TgoaTest, IncrementalMatchesRebuildOnExample1) {
                            "example 1");
 }
 
+TEST(TgoaTest, PairsAreUnchangedAtPerObjectBenchSizes) {
+  // TGOA's second phase runs the same matcher as GR: with failed searches
+  // sharing a visit stamp its pairs equal those recorded from the build
+  // that started a new stamp per search, and the rebuild oracle's.
+  struct Pinned {
+    int objects;
+    size_t matched;
+    uint64_t hash;
+  };
+  for (const Pinned& pinned : {Pinned{1000, 550, 0x3b29c20625edbf5dULL},
+                               Pinned{3000, 1738, 0xbc88aefdb5da8fabULL},
+                               Pinned{6000, 3511, 0x497c31b49094344dULL}}) {
+    const auto instance = GenerateSyntheticInstance(
+        testing::PerObjectBenchConfig(pinned.objects));
+    ASSERT_TRUE(instance.ok());
+    const Assignment assignment = Tgoa().Run(*instance);
+    EXPECT_EQ(assignment.size(), pinned.matched) << pinned.objects;
+    EXPECT_EQ(testing::PairHash(assignment), pinned.hash) << pinned.objects;
+    if (pinned.objects <= 1000) {
+      testing::ExpectSamePairs(assignment,
+                               testing::RebuildTgoa().Run(*instance),
+                               std::to_string(pinned.objects));
+    }
+  }
+}
+
 TEST(TgoaTest, IncrementalMatchesRebuildOnRandomWorkloads) {
   // The carry-across-arrivals matcher must commit exactly the pairs of the
   // rebuild-per-arrival oracle on deterministic instances. The second

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -177,8 +178,199 @@ TEST_P(DynamicMatchingPropertyTest, RemovalKeepsMaximality) {
   EXPECT_EQ(matched, dynamic.matching_size());
 }
 
+// Reference for the shared visit stamp: Kuhn's DFS with a fresh visited
+// set per search, over the same insertion-ordered edge lists, with the
+// matcher's removal semantics. Stamp sharing may only prune nodes a failed
+// search proved dead, so the matcher must reach this exact matching, not
+// just its cardinality.
+class FreshStampKuhn {
+ public:
+  int32_t AddLeft() {
+    left_edges_.emplace_back();
+    match_left_.push_back(-1);
+    active_left_.push_back(true);
+    return static_cast<int32_t>(match_left_.size()) - 1;
+  }
+  int32_t AddRight() {
+    right_edges_.emplace_back();
+    match_right_.push_back(-1);
+    active_right_.push_back(true);
+    return static_cast<int32_t>(match_right_.size()) - 1;
+  }
+  void AddEdge(int32_t l, int32_t r) {
+    left_edges_[static_cast<size_t>(l)].push_back(r);
+    right_edges_[static_cast<size_t>(r)].push_back(l);
+  }
+  bool TryAugmentLeft(int32_t l) {
+    if (match_left_[static_cast<size_t>(l)] >= 0) return false;
+    visited_.assign(match_right_.size(), false);
+    return FromLeft(l);
+  }
+  bool TryAugmentRight(int32_t r) {
+    if (match_right_[static_cast<size_t>(r)] >= 0) return false;
+    visited_.assign(match_left_.size(), false);
+    return FromRight(r);
+  }
+  void RemoveLeft(int32_t l) {
+    if (!active_left_[static_cast<size_t>(l)]) return;
+    active_left_[static_cast<size_t>(l)] = false;
+    const int32_t r = match_left_[static_cast<size_t>(l)];
+    if (r < 0) return;
+    match_left_[static_cast<size_t>(l)] = -1;
+    match_right_[static_cast<size_t>(r)] = -1;
+    TryAugmentRight(r);
+  }
+  void RemoveRight(int32_t r) {
+    if (!active_right_[static_cast<size_t>(r)]) return;
+    active_right_[static_cast<size_t>(r)] = false;
+    const int32_t l = match_right_[static_cast<size_t>(r)];
+    if (l < 0) return;
+    match_right_[static_cast<size_t>(r)] = -1;
+    match_left_[static_cast<size_t>(l)] = -1;
+    TryAugmentLeft(l);
+  }
+  void RemovePair(int32_t l, int32_t r) {
+    match_left_[static_cast<size_t>(l)] = -1;
+    match_right_[static_cast<size_t>(r)] = -1;
+    active_left_[static_cast<size_t>(l)] = false;
+    active_right_[static_cast<size_t>(r)] = false;
+  }
+  int32_t MatchOfLeft(int32_t l) const {
+    return match_left_[static_cast<size_t>(l)];
+  }
+  int32_t MatchOfRight(int32_t r) const {
+    return match_right_[static_cast<size_t>(r)];
+  }
+
+ private:
+  bool FromLeft(int32_t l) {
+    for (const int32_t r : left_edges_[static_cast<size_t>(l)]) {
+      if (!active_right_[static_cast<size_t>(r)] ||
+          visited_[static_cast<size_t>(r)]) {
+        continue;
+      }
+      visited_[static_cast<size_t>(r)] = true;
+      const int32_t w = match_right_[static_cast<size_t>(r)];
+      if (w < 0 || FromLeft(w)) {
+        match_left_[static_cast<size_t>(l)] = r;
+        match_right_[static_cast<size_t>(r)] = l;
+        return true;
+      }
+    }
+    return false;
+  }
+  bool FromRight(int32_t r) {
+    for (const int32_t l : right_edges_[static_cast<size_t>(r)]) {
+      if (!active_left_[static_cast<size_t>(l)] ||
+          visited_[static_cast<size_t>(l)]) {
+        continue;
+      }
+      visited_[static_cast<size_t>(l)] = true;
+      const int32_t w = match_left_[static_cast<size_t>(l)];
+      if (w < 0 || FromRight(w)) {
+        match_right_[static_cast<size_t>(r)] = l;
+        match_left_[static_cast<size_t>(l)] = r;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  std::vector<std::vector<int32_t>> left_edges_, right_edges_;
+  std::vector<int32_t> match_left_, match_right_;
+  std::vector<bool> active_left_, active_right_;
+  std::vector<bool> visited_;
+};
+
+TEST_P(DynamicMatchingPropertyTest, SharedStampFindsTheFreshStampMatching) {
+  // Batches shaped like GR's windows and TGOA's arrivals: edges first,
+  // then runs of augmentations from both sides (most of them failing),
+  // interleaved with removals and committed pairs.
+  Rng rng(GetParam() * 7919 + 11);
+  DynamicBipartiteMatcher matcher;
+  FreshStampKuhn reference;
+  for (int batch = 0; batch < 12; ++batch) {
+    std::vector<int32_t> new_left, new_right;
+    const int arrivals = 3 + static_cast<int>(rng.NextBounded(10));
+    for (int i = 0; i < arrivals; ++i) {
+      if (rng.NextBool()) {
+        new_left.push_back(matcher.AddLeft());
+        reference.AddLeft();
+      } else {
+        new_right.push_back(matcher.AddRight());
+        reference.AddRight();
+      }
+    }
+    const auto link = [&](int32_t l, int32_t r) {
+      if (matcher.LeftActive(l) && matcher.RightActive(r) &&
+          rng.NextBool(0.12)) {
+        matcher.AddEdge(l, r);
+        reference.AddEdge(l, r);
+      }
+    };
+    for (const int32_t l : new_left) {
+      for (int32_t r = 0; r < matcher.num_right(); ++r) link(l, r);
+    }
+    for (const int32_t r : new_right) {
+      for (int32_t l = 0; l < matcher.num_left(); ++l) {
+        if (std::find(new_left.begin(), new_left.end(), l) == new_left.end()) {
+          link(l, r);
+        }
+      }
+    }
+    for (int32_t l = 0; l < matcher.num_left(); ++l) {
+      if (matcher.LeftActive(l)) {
+        EXPECT_EQ(matcher.TryAugmentLeft(l), reference.TryAugmentLeft(l));
+      }
+    }
+    for (int32_t r = 0; r < matcher.num_right(); ++r) {
+      if (matcher.RightActive(r)) {
+        EXPECT_EQ(matcher.TryAugmentRight(r), reference.TryAugmentRight(r));
+      }
+    }
+    for (int32_t l = 0; l < matcher.num_left(); ++l) {
+      if (!matcher.LeftActive(l)) continue;
+      const int32_t r = matcher.MatchOfLeft(l);
+      if (r >= 0 && rng.NextBool(0.2)) {
+        matcher.RemovePair(l, r);
+        reference.RemovePair(l, r);
+      } else if (rng.NextBool(0.1)) {
+        matcher.RemoveLeft(l);
+        reference.RemoveLeft(l);
+      }
+    }
+    for (int32_t r = 0; r < matcher.num_right(); ++r) {
+      if (matcher.RightActive(r) && rng.NextBool(0.1)) {
+        matcher.RemoveRight(r);
+        reference.RemoveRight(r);
+      }
+    }
+    for (int32_t l = 0; l < matcher.num_left(); ++l) {
+      ASSERT_EQ(matcher.MatchOfLeft(l), reference.MatchOfLeft(l))
+          << "batch " << batch << " left " << l;
+    }
+    for (int32_t r = 0; r < matcher.num_right(); ++r) {
+      ASSERT_EQ(matcher.MatchOfRight(r), reference.MatchOfRight(r))
+          << "batch " << batch << " right " << r;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DynamicMatchingPropertyTest,
                          ::testing::Range<uint64_t>(1, 21));
+
+TEST(DynamicMatchingDeathTest, EdgeIdsAbortBeforeTheyWrap) {
+  // The guard itself, at the int32 boundary, without allocating 2^31
+  // edges: an arena one short of it still has an id left, a full one not.
+  DynamicBipartiteMatcher::CheckEdgeRoom(0);
+  DynamicBipartiteMatcher::CheckEdgeRoom(DynamicBipartiteMatcher::kMaxEdges -
+                                         1);
+  EXPECT_DEATH(DynamicBipartiteMatcher::CheckEdgeRoom(
+                   DynamicBipartiteMatcher::kMaxEdges),
+               "2147483648 edges exceed int32 edge ids");
+  EXPECT_EQ(DynamicBipartiteMatcher::kMaxEdges,
+            static_cast<size_t>(std::numeric_limits<int32_t>::max()));
+}
 
 // Shard-routed usage, as the sharded dispatcher's per-shard batched
 // baselines exercise it: each shard owns one long-lived incremental

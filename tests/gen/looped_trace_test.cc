@@ -78,6 +78,29 @@ TEST(LoopedTraceTest, LoopRepeatsSourceDaysShiftedInTime) {
   }
 }
 
+TEST(LoopedTraceTest, FillReusesOneBufferAcrossDays) {
+  // The serving harness refills one buffer every day: whatever the buffer
+  // held before (a longer or a shorter day), it ends holding exactly what
+  // ArrivalsForDay returns.
+  const LoopedTraceSource source(SmallProfile());
+  std::vector<StreamArrival> buffer;
+  for (const int64_t day : {0, 1, 2, 1, 3}) {
+    ASSERT_TRUE(source.FillArrivalsForDay(day, &buffer).ok()) << day;
+    const auto expected = source.ArrivalsForDay(day);
+    ASSERT_TRUE(expected.ok());
+    ASSERT_EQ(buffer.size(), expected->size()) << day;
+    for (size_t i = 0; i < buffer.size(); ++i) {
+      EXPECT_EQ(buffer[i].kind, (*expected)[i].kind) << day;
+      EXPECT_EQ(buffer[i].time, (*expected)[i].time) << day;
+      EXPECT_EQ(buffer[i].location, (*expected)[i].location) << day;
+      EXPECT_EQ(buffer[i].duration, (*expected)[i].duration) << day;
+      EXPECT_EQ(buffer[i].source_id, (*expected)[i].source_id) << day;
+      EXPECT_EQ(buffer[i].day, day);
+    }
+  }
+  EXPECT_TRUE(source.FillArrivalsForDay(-1, &buffer).IsOutOfRange());
+}
+
 TEST(LoopedTraceTest, DeterministicAcrossSources) {
   const LoopedTraceSource a(SmallProfile());
   const LoopedTraceSource b(SmallProfile());

@@ -277,5 +277,160 @@ TEST(GuideRefresherTest, ZeroTimeoutIsReportedAsTimeoutNotPublished) {
   EXPECT_FALSE(refresher.busy());
 }
 
+void ExpectSameGuide(const OfflineGuide& a, const OfflineGuide& b) {
+  EXPECT_EQ(a.matched_pairs(), b.matched_pairs());
+  ASSERT_EQ(a.worker_nodes().size(), b.worker_nodes().size());
+  ASSERT_EQ(a.task_nodes().size(), b.task_nodes().size());
+  for (size_t i = 0; i < a.worker_nodes().size(); ++i) {
+    EXPECT_EQ(a.worker_nodes()[i].type, b.worker_nodes()[i].type) << i;
+    EXPECT_EQ(a.worker_nodes()[i].partner, b.worker_nodes()[i].partner) << i;
+  }
+  for (size_t i = 0; i < a.task_nodes().size(); ++i) {
+    EXPECT_EQ(a.task_nodes()[i].type, b.task_nodes()[i].type) << i;
+    EXPECT_EQ(a.task_nodes()[i].partner, b.task_nodes()[i].partner) << i;
+  }
+}
+
+void ExpectSameStats(const GuideRefresher::Stats& a,
+                     const GuideRefresher::Stats& b) {
+  EXPECT_EQ(a.attempts, b.attempts);
+  EXPECT_EQ(a.failed_cycles, b.failed_cycles);
+  EXPECT_EQ(a.publishes, b.publishes);
+  EXPECT_EQ(a.timeouts, b.timeouts);
+}
+
+/// Two predictions over Example 1's spacetime: the instance's own counts,
+/// and the same with one more task at type 0.
+struct PreparePredictions {
+  PredictionMatrix base;
+  PredictionMatrix bumped;
+};
+
+PreparePredictions MakePreparePredictions(const Instance& instance) {
+  PreparePredictions predictions{PredictionMatrix::FromInstance(instance),
+                                 PredictionMatrix::FromInstance(instance)};
+  predictions.bumped.set_tasks_at(0, predictions.base.tasks_at(0) + 1);
+  return predictions;
+}
+
+TEST(GuideRefresherPrepareTest, MatchingPreparedResultPublishesAsInline) {
+  const Instance instance = MakeExample1Instance();
+  const PreparePredictions p = MakePreparePredictions(instance);
+  GuideRefresher inline_refresher(instance.velocity(), SmallGuideOptions(),
+                                  GuideRefresher::Options{});
+  GuideRefresher prepared_refresher(instance.velocity(), SmallGuideOptions(),
+                                    GuideRefresher::Options{});
+  GuideSlot inline_slot;
+  GuideSlot prepared_slot;
+  ASSERT_TRUE(inline_refresher.RefreshNow(p.base, 0, &inline_slot).ok());
+  ASSERT_TRUE(prepared_refresher.RefreshNow(p.base, 0, &prepared_slot).ok());
+
+  const auto inline_cycle = inline_refresher.RefreshNow(p.bumped, 6,
+                                                        &inline_slot);
+  // The serving harness prepares on its helper thread; do the same.
+  std::thread helper(
+      [&] { prepared_refresher.Prepare(p.bumped, /*window=*/6); });
+  helper.join();
+  const auto prepared_cycle =
+      prepared_refresher.RefreshNow(p.bumped, 6, &prepared_slot);
+  ASSERT_TRUE(inline_cycle.ok()) << inline_cycle.status();
+  ASSERT_TRUE(prepared_cycle.ok()) << prepared_cycle.status();
+
+  ExpectSameGuide(*prepared_cycle->guide, *inline_cycle->guide);
+  EXPECT_EQ(prepared_cycle->epoch, inline_cycle->epoch);
+  EXPECT_EQ(prepared_cycle->published_window, 6);
+  ExpectSameStats(prepared_refresher.stats(), inline_refresher.stats());
+  EXPECT_TRUE(prepared_refresher.last_cycle().prepared);
+  EXPECT_FALSE(inline_refresher.last_cycle().prepared);
+  EXPECT_FALSE(prepared_refresher.last_cycle().unchanged);
+  EXPECT_EQ(prepared_refresher.last_cycle().refresh.components_total,
+            inline_refresher.last_cycle().refresh.components_total);
+  EXPECT_EQ(prepared_refresher.last_cycle().refresh.components_solved,
+            inline_refresher.last_cycle().refresh.components_solved);
+
+  // The memo now holds the adopted guide: the next equal prediction
+  // republishes that very object without a solve.
+  const auto memo_hit = prepared_refresher.RefreshNow(p.bumped, 9,
+                                                      &prepared_slot);
+  ASSERT_TRUE(memo_hit.ok()) << memo_hit.status();
+  EXPECT_TRUE(prepared_refresher.last_cycle().unchanged);
+  EXPECT_EQ(memo_hit->guide.get(), prepared_cycle->guide.get());
+  ASSERT_TRUE(inline_refresher.RefreshNow(p.bumped, 9, &inline_slot).ok());
+  ExpectSameStats(prepared_refresher.stats(), inline_refresher.stats());
+}
+
+TEST(GuideRefresherPrepareTest, MismatchedPreparedResultIsDroppedAndSolved) {
+  const Instance instance = MakeExample1Instance();
+  const PreparePredictions p = MakePreparePredictions(instance);
+  GuideRefresher reference(instance.velocity(), SmallGuideOptions(),
+                           GuideRefresher::Options{});
+  GuideSlot reference_slot;
+  ASSERT_TRUE(reference.RefreshNow(p.base, 0, &reference_slot).ok());
+  const auto expected = reference.RefreshNow(p.bumped, 6, &reference_slot);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+
+  // Prepared for another window, then for another prediction: each is
+  // dropped, and the cycle solves inline exactly as without it.
+  for (const bool wrong_window : {true, false}) {
+    GuideRefresher refresher(instance.velocity(), SmallGuideOptions(),
+                             GuideRefresher::Options{});
+    GuideSlot slot;
+    ASSERT_TRUE(refresher.RefreshNow(p.base, 0, &slot).ok());
+    PredictionMatrix other = p.bumped;
+    other.set_workers_at(0, p.bumped.workers_at(0) + 2);
+    refresher.Prepare(wrong_window ? p.bumped : other,
+                      wrong_window ? 5 : 6);
+    const auto cycle = refresher.RefreshNow(p.bumped, 6, &slot);
+    ASSERT_TRUE(cycle.ok()) << cycle.status();
+    EXPECT_FALSE(refresher.last_cycle().prepared) << wrong_window;
+    ExpectSameGuide(*cycle->guide, *expected->guide);
+    ExpectSameStats(refresher.stats(), reference.stats());
+    // A dropped result is gone, not kept for a later cycle.
+    ASSERT_TRUE(refresher.RefreshNow(p.base, 7, &slot).ok());
+    ASSERT_TRUE(refresher.RefreshNow(p.bumped, 8, &slot).ok());
+    EXPECT_FALSE(refresher.last_cycle().prepared);
+  }
+}
+
+TEST(GuideRefresherPrepareTest, FiredFaultDiscardsThePreparedGuide) {
+  const Instance instance = MakeExample1Instance();
+  const PreparePredictions p = MakePreparePredictions(instance);
+  auto faults = FaultInjector::Parse("guide-fail@6-6:count=1").value();
+  GuideRefresher refresher(instance.velocity(), SmallGuideOptions(),
+                           GuideRefresher::Options{}, &faults);
+  GuideSlot slot;
+  ASSERT_TRUE(refresher.RefreshNow(p.base, 0, &slot).ok());
+  refresher.Prepare(p.bumped, 6);
+  const auto failed = refresher.RefreshNow(p.bumped, 6, &slot);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(faults.counters().guide_failures, 1);
+  EXPECT_EQ(slot.epoch(), 1);
+  EXPECT_EQ(refresher.stats().failed_cycles, 1);
+
+  // The outage ends; the next cycle solves inline.
+  const auto recovered = refresher.RefreshNow(p.bumped, 7, &slot);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_FALSE(refresher.last_cycle().prepared);
+  EXPECT_FALSE(refresher.last_cycle().unchanged);
+  EXPECT_EQ(slot.epoch(), 2);
+}
+
+TEST(GuideRefresherPrepareTest, MemoEqualPredictionPreparesNothing) {
+  const Instance instance = MakeExample1Instance();
+  const PreparePredictions p = MakePreparePredictions(instance);
+  GuideRefresher refresher(instance.velocity(), SmallGuideOptions(),
+                           GuideRefresher::Options{});
+  GuideSlot slot;
+  const auto solved = refresher.RefreshNow(p.base, 0, &slot);
+  ASSERT_TRUE(solved.ok()) << solved.status();
+  refresher.Prepare(p.base, 3);
+  const auto republished = refresher.RefreshNow(p.base, 3, &slot);
+  ASSERT_TRUE(republished.ok()) << republished.status();
+  EXPECT_TRUE(refresher.last_cycle().unchanged);
+  EXPECT_FALSE(refresher.last_cycle().prepared);
+  EXPECT_EQ(republished->guide.get(), solved->guide.get());
+  EXPECT_EQ(refresher.stats().attempts, 2);
+}
+
 }  // namespace
 }  // namespace ftoa

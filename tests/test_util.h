@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -19,6 +21,7 @@
 #include "core/guide_generator.h"
 #include "core/online_algorithm.h"
 #include "core/prediction_matrix.h"
+#include "gen/config.h"
 #include "model/instance.h"
 #include "retrieval/stats.h"
 #include "spatial/spacetime.h"
@@ -232,6 +235,37 @@ inline void ExpectSamePairs(const Assignment& a, const Assignment& b,
     EXPECT_EQ(pa.task, pb.task) << label << " pair " << i;
     EXPECT_EQ(pa.time, pb.time) << label << " pair " << i;
   }
+}
+
+/// FNV-1a over every pair's (worker, task, decision-time bits), in order:
+/// a fingerprint to pin an assignment recorded from an earlier build.
+inline uint64_t PairHash(const Assignment& assignment) {
+  uint64_t hash = 1469598103934665603ULL;
+  const auto mix = [&hash](uint64_t value) {
+    hash ^= value;
+    hash *= 1099511628211ULL;
+  };
+  for (const MatchedPair& pair : assignment.pairs()) {
+    uint64_t time_bits = 0;
+    std::memcpy(&time_bits, &pair.time, sizeof(time_bits));
+    mix(static_cast<uint64_t>(pair.worker));
+    mix(static_cast<uint64_t>(pair.task));
+    mix(time_bits);
+  }
+  return hash;
+}
+
+/// The synthetic instance BM_*PerObject (bench/bench_micro_perobject.cc)
+/// runs at `objects` workers and as many tasks.
+inline SyntheticConfig PerObjectBenchConfig(int objects) {
+  SyntheticConfig config;
+  config.num_workers = objects;
+  config.num_tasks = objects;
+  config.grid_x = 30;
+  config.grid_y = 30;
+  config.num_slots = 24;
+  config.seed = 1234;
+  return config;
 }
 
 /// Asserts that two RetrievalStats agree in every field, the cells-visited

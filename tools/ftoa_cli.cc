@@ -544,6 +544,10 @@ int CmdServe(int argc, char** argv) {
               static_cast<long long>(totals.refresh_components_reused +
                                      totals.refresh_components_solved),
               totals.refresh_ms);
+  std::printf("day-ahead      %lld refreshes solved ahead on the helper "
+              "thread, %.2f ms waited for them at their windows\n",
+              static_cast<long long>(totals.prepared_refreshes),
+              totals.refresh_wait_ms);
   return 0;
 }
 

@@ -24,10 +24,28 @@ cmake --build "$BUILD" \
                bench_service \
       -j "$(nproc)"
 
+# Stamps every JSON's context with what produced it: the core count, the
+# build type, the commit (suffixed "+dirty" when the tree has uncommitted
+# changes), the compiler's version line and the build's C++ flags.
+# google-benchmark splits the context on ',' and '=', so those two
+# characters become ';' and ':' inside values.
+cache_value() {
+  sed -n "s/^$1:[A-Z]*=//p" "$BUILD/CMakeCache.txt"
+}
+commit="$(git -C "$ROOT" rev-parse HEAD 2>/dev/null || echo unknown)"
+if [[ "$commit" != unknown && -n "$(git -C "$ROOT" status --porcelain)" ]]; then
+  commit="$commit+dirty"
+fi
+compiler="$("$(cache_value CMAKE_CXX_COMPILER)" --version | head -n 1)"
+cxx_flags="$(cache_value CMAKE_CXX_FLAGS) $(cache_value CMAKE_CXX_FLAGS_RELEASE)"
+CONTEXT="$(printf 'nproc=%s,build_type=Release,ftoa_commit=%s,compiler=%s,cxx_flags=%s' \
+  "$(nproc)" "$commit" "$(tr '=,' ':;' <<< "$compiler")" \
+  "$(tr '=,' ':;' <<< "${cxx_flags# }")")"
+
 echo "== bench_micro_flow (Dijkstra+potentials, engine sweep, arenas, matcher)"
 "$BUILD/bench_micro_flow" \
     --benchmark_min_time=0.05 \
-    --benchmark_context=nproc="$(nproc)",build_type=Release \
+    --benchmark_context="$CONTEXT" \
     --benchmark_out="$ROOT/BENCH_flow.json" \
     --benchmark_out_format=json
 
@@ -35,35 +53,35 @@ echo "== bench_micro_perobject (per-arrival cost of the online algorithms)"
 "$BUILD/bench_micro_perobject" \
     --benchmark_min_time=0.05 \
     --benchmark_filter='.*/1000$|.*/4000$|BM_PolarOpCityDay' \
-    --benchmark_context=nproc="$(nproc)",build_type=Release \
+    --benchmark_context="$CONTEXT" \
     --benchmark_out="$ROOT/BENCH_perobject.json" \
     --benchmark_out_format=json
 
 echo "== bench_parallel (serial guide solve + parallel MC trials)"
 "$BUILD/bench_parallel" \
     --benchmark_min_time=0.05 \
-    --benchmark_context=nproc="$(nproc)",build_type=Release \
+    --benchmark_context="$CONTEXT" \
     --benchmark_out="$ROOT/BENCH_parallel.json" \
     --benchmark_out_format=json
 
 echo "== bench_streaming (session vs batch throughput, decision latency)"
 "$BUILD/bench_streaming" \
     --benchmark_min_time=0.05 \
-    --benchmark_context=nproc="$(nproc)",build_type=Release \
+    --benchmark_context="$CONTEXT" \
     --benchmark_out="$ROOT/BENCH_streaming.json" \
     --benchmark_out_format=json
 
 echo "== bench_sharded (sharded dispatcher vs single session)"
 "$BUILD/bench_sharded" \
     --benchmark_min_time=0.05 \
-    --benchmark_context=nproc="$(nproc)",build_type=Release \
+    --benchmark_context="$CONTEXT" \
     --benchmark_out="$ROOT/BENCH_sharded.json" \
     --benchmark_out_format=json
 
 echo "== bench_retrieval (engine candidate search, approx guides)"
 "$BUILD/bench_retrieval" \
     --benchmark_min_time=0.05 \
-    --benchmark_context=nproc="$(nproc)",build_type=Release \
+    --benchmark_context="$CONTEXT" \
     --benchmark_out="$ROOT/BENCH_retrieval.json" \
     --benchmark_out_format=json
 
@@ -71,14 +89,14 @@ echo "== bench_refresh (warm guide refresh, incremental rotation, slice," \
      "unchanged vs changed inline refresh)"
 "$BUILD/bench_refresh" \
     --benchmark_min_time=0.05 \
-    --benchmark_context=nproc="$(nproc)",build_type=Release \
+    --benchmark_context="$CONTEXT" \
     --benchmark_out="$ROOT/BENCH_refresh.json" \
     --benchmark_out_format=json
 
 echo "== bench_service (serving loop: segments, shards, faults, city day)"
 "$BUILD/bench_service" \
     --benchmark_min_time=0.05 \
-    --benchmark_context=nproc="$(nproc)",build_type=Release \
+    --benchmark_context="$CONTEXT" \
     --benchmark_out="$ROOT/BENCH_service.json" \
     --benchmark_out_format=json
 

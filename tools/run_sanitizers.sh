@@ -6,9 +6,11 @@
 #     like the per-trial OnlineAlgorithm leak this guard was introduced
 #     for — and UB abort the run loudly.
 #  2. TSan (-DFTOA_TSAN=ON): ThreadSanitizer over the same suite — the
-#     threaded shard actors, the background guide refresher, and the
-#     serving soak are the races this phase exists for. The two
-#     instrumentations cannot share a binary, hence the separate tree.
+#     threaded shard actors, the background guide refresher, the serving
+#     harness's day-ahead helper (tests/serve/day_ahead_pipeline_test.cc,
+#     GuideRefresherPrepareTest) and the serving soak are the races this
+#     phase exists for. The two instrumentations cannot share a binary,
+#     hence the separate tree.
 #
 # Both phases run via the `sanitizer` ctest label the instrumented
 # configurations attach to every test.
