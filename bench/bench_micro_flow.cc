@@ -13,6 +13,10 @@
 //    small-integer travel costs, the guide generator's regime), and
 //    `heavy` (high-capacity compressed type-pair networks). The `auto`
 //    rows certify that kAuto lands on the measured winner per shape.
+//  * BM_MinCostFlowSmallSupply/<shape>_<engine>/<n>/<degree>/<supply> —
+//    the same networks with the source's capacity capped at `supply`
+//    units, the regime ChooseFlowEngine sends to ssp (supply <= 256)
+//    whatever the network size.
 //  * BM_MinCostFlowArenaReuse — same solve through a long-lived solver
 //    whose Reset() keeps the edge arena and scratch buffers, the usage
 //    pattern of guide generation in a live deployment.
@@ -34,6 +38,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/guide_generator.h"
@@ -104,8 +109,14 @@ BENCHMARK(BM_MinCostFlowDijkstra)
 //    network-size-bound refine is the point of this shape.
 enum class BenchShape { kDense, kTies, kHeavy };
 
+// `supply` > 0 caps the source's total capacity: unit shapes keep the
+// first `supply` source edges, heavy clips its capacities in order. The
+// random draws are the same either way, so the rest of the network is the
+// uncapped one.
 void BuildShaped(MinCostFlowGraph& g, BenchShape shape, int32_t n,
-                 int32_t degree, uint64_t seed) {
+                 int32_t degree, uint64_t seed, int64_t supply) {
+  int64_t remaining =
+      supply > 0 ? supply : std::numeric_limits<int64_t>::max();
   if (shape != BenchShape::kHeavy) {
     Rng rng(seed);
     const int32_t source = 0;
@@ -115,7 +126,9 @@ void BuildShaped(MinCostFlowGraph& g, BenchShape shape, int32_t n,
     g.Reset(sink + 1);
     g.ReserveEdges(static_cast<size_t>(n) *
                    (static_cast<size_t>(degree) + 2));
-    for (int32_t w = 0; w < n; ++w) g.AddEdge(source, 1 + w, 1, 0);
+    for (int32_t w = 0; w < n && remaining > 0; ++w, --remaining) {
+      g.AddEdge(source, 1 + w, 1, 0);
+    }
     for (int32_t r = 0; r < n; ++r) g.AddEdge(1 + n + r, sink, 1, 0);
     for (int32_t w = 0; w < n; ++w) {
       for (int32_t d = 0; d < degree; ++d) {
@@ -133,8 +146,11 @@ void BuildShaped(MinCostFlowGraph& g, BenchShape shape, int32_t n,
   g.Reset(sink + 1);
   g.ReserveEdges(static_cast<size_t>(n) * (static_cast<size_t>(degree) + 2));
   for (int32_t w = 0; w < n; ++w) {
-    g.AddEdge(source, 1 + w, 1 + static_cast<int64_t>(rng.NextBounded(256)),
-              0);
+    const int64_t cap = std::min(
+        remaining, 1 + static_cast<int64_t>(rng.NextBounded(256)));
+    if (cap == 0) continue;
+    g.AddEdge(source, 1 + w, cap, 0);
+    remaining -= cap;
   }
   for (int32_t r = 0; r < n; ++r) {
     g.AddEdge(1 + n + r, sink, 1 + static_cast<int64_t>(rng.NextBounded(256)),
@@ -151,15 +167,15 @@ void BuildShaped(MinCostFlowGraph& g, BenchShape shape, int32_t n,
   }
 }
 
-void BM_MinCostFlowEngine(benchmark::State& state, FlowEngine engine,
-                          BenchShape shape) {
+void RunEngine(benchmark::State& state, FlowEngine engine, BenchShape shape,
+               int64_t supply) {
   const int32_t n = static_cast<int32_t>(state.range(0));
   const int32_t degree = static_cast<int32_t>(state.range(1));
   MinCostFlowGraph g;
   MinCostFlowGraph::Outcome outcome;
   for (auto _ : state) {
     state.PauseTiming();
-    BuildShaped(g, shape, n, degree, 42);
+    BuildShaped(g, shape, n, degree, 42, supply);
     state.ResumeTiming();
     outcome = g.Solve(0, 1 + 2 * n, engine);
     benchmark::DoNotOptimize(outcome);
@@ -172,30 +188,45 @@ void BM_MinCostFlowEngine(benchmark::State& state, FlowEngine engine,
   state.counters["refine_rounds"] = static_cast<double>(g.refine_rounds());
 }
 
-#define FTOA_ENGINE_BENCH(shape_tag, shape, n, degree)                       \
-  BENCHMARK_CAPTURE(BM_MinCostFlowEngine, shape_tag##_ssp, FlowEngine::kSsp, \
+void BM_MinCostFlowEngine(benchmark::State& state, FlowEngine engine,
+                          BenchShape shape) {
+  RunEngine(state, engine, shape, /*supply=*/0);
+}
+
+void BM_MinCostFlowSmallSupply(benchmark::State& state, FlowEngine engine,
+                               BenchShape shape) {
+  RunEngine(state, engine, shape, state.range(2));
+}
+
+// One row per engine; the trailing arguments are the row's Args.
+#define FTOA_ENGINE_BENCH(bench, shape_tag, shape, ...)                      \
+  BENCHMARK_CAPTURE(bench, shape_tag##_ssp, FlowEngine::kSsp, shape)         \
+      ->Args({__VA_ARGS__})                                                  \
+      ->Unit(benchmark::kMillisecond);                                       \
+  BENCHMARK_CAPTURE(bench, shape_tag##_blocking, FlowEngine::kBlockingSsp,   \
                     shape)                                                   \
-      ->Args({n, degree})                                                    \
+      ->Args({__VA_ARGS__})                                                  \
       ->Unit(benchmark::kMillisecond);                                       \
-  BENCHMARK_CAPTURE(BM_MinCostFlowEngine, shape_tag##_blocking,              \
-                    FlowEngine::kBlockingSsp, shape)                         \
-      ->Args({n, degree})                                                    \
-      ->Unit(benchmark::kMillisecond);                                       \
-  BENCHMARK_CAPTURE(BM_MinCostFlowEngine, shape_tag##_cost_scaling,          \
+  BENCHMARK_CAPTURE(bench, shape_tag##_cost_scaling,                         \
                     FlowEngine::kCostScaling, shape)                         \
-      ->Args({n, degree})                                                    \
+      ->Args({__VA_ARGS__})                                                  \
       ->Unit(benchmark::kMillisecond);                                       \
-  BENCHMARK_CAPTURE(BM_MinCostFlowEngine, shape_tag##_auto,                  \
-                    FlowEngine::kAuto, shape)                                \
-      ->Args({n, degree})                                                    \
+  BENCHMARK_CAPTURE(bench, shape_tag##_auto, FlowEngine::kAuto, shape)       \
+      ->Args({__VA_ARGS__})                                                  \
       ->Unit(benchmark::kMillisecond)
 
-FTOA_ENGINE_BENCH(dense, BenchShape::kDense, 512, 16);
-FTOA_ENGINE_BENCH(dense, BenchShape::kDense, 2048, 48);
-FTOA_ENGINE_BENCH(ties, BenchShape::kTies, 512, 16);
-FTOA_ENGINE_BENCH(ties, BenchShape::kTies, 2048, 48);
-FTOA_ENGINE_BENCH(heavy, BenchShape::kHeavy, 128, 32);
-FTOA_ENGINE_BENCH(heavy, BenchShape::kHeavy, 256, 32);
+FTOA_ENGINE_BENCH(BM_MinCostFlowEngine, dense, BenchShape::kDense, 512, 16);
+FTOA_ENGINE_BENCH(BM_MinCostFlowEngine, dense, BenchShape::kDense, 2048, 48);
+FTOA_ENGINE_BENCH(BM_MinCostFlowEngine, ties, BenchShape::kTies, 512, 16);
+FTOA_ENGINE_BENCH(BM_MinCostFlowEngine, ties, BenchShape::kTies, 2048, 48);
+FTOA_ENGINE_BENCH(BM_MinCostFlowEngine, heavy, BenchShape::kHeavy, 128, 32);
+FTOA_ENGINE_BENCH(BM_MinCostFlowEngine, heavy, BenchShape::kHeavy, 256, 32);
+FTOA_ENGINE_BENCH(BM_MinCostFlowSmallSupply, ties, BenchShape::kTies, 2048,
+                  48, 256);
+FTOA_ENGINE_BENCH(BM_MinCostFlowSmallSupply, dense, BenchShape::kDense, 2048,
+                  48, 256);
+FTOA_ENGINE_BENCH(BM_MinCostFlowSmallSupply, heavy, BenchShape::kHeavy, 256,
+                  32, 256);
 
 #undef FTOA_ENGINE_BENCH
 

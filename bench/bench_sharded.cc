@@ -92,18 +92,19 @@ void RunSingleSession(benchmark::State& state,
 }
 
 /// The sharded serving path; state.range(0) is the shard count.
-/// `thread_per_shard` pins one actor thread per shard (the handoff-mode
-/// comparison needs the cross-thread path even on small hosts); false is
-/// the serving default, auto = min(shards, cores). handoff_batch <= 0
-/// keeps the dispatcher default (batched); 1 is the per-event reference.
+/// num_threads 0 is the serving default, min(shards, cores); 1 feeds every
+/// shard inline; the shard count pins one actor thread per shard (the
+/// handoff-mode comparison needs the cross-thread path even on small
+/// hosts). handoff_batch <= 0 keeps the dispatcher default (batched); 1 is
+/// the per-event reference.
 void RunSharded(benchmark::State& state, const std::string& algorithm_name,
                 ShardRouterKind router, int64_t objects, int handoff_batch,
-                bool reconcile, bool thread_per_shard = false) {
+                bool reconcile, int num_threads = 0) {
   const Workload workload = MakeWorkload(objects);
   ShardedOptions options;
   options.algorithm = algorithm_name;
   options.num_shards = static_cast<int>(state.range(0));
-  options.num_threads = thread_per_shard ? options.num_shards : 0;
+  options.num_threads = num_threads;
   options.router = router;
   if (handoff_batch > 0) options.handoff_batch = handoff_batch;
   options.reconcile = reconcile;
@@ -182,13 +183,18 @@ void BM_ShardedGridPerEvent(benchmark::State& state, const std::string& name,
                             int64_t objects) {
   RunSharded(state, name, ShardRouterKind::kGrid, objects,
              /*handoff_batch=*/1, /*reconcile=*/false,
-             /*thread_per_shard=*/true);
+             /*num_threads=*/static_cast<int>(state.range(0)));
 }
 void BM_ShardedGridThreaded(benchmark::State& state, const std::string& name,
                             int64_t objects) {
   RunSharded(state, name, ShardRouterKind::kGrid, objects,
              /*handoff_batch=*/0, /*reconcile=*/false,
-             /*thread_per_shard=*/true);
+             /*num_threads=*/static_cast<int>(state.range(0)));
+}
+void BM_ShardedGridInline(benchmark::State& state, const std::string& name,
+                          int64_t objects) {
+  RunSharded(state, name, ShardRouterKind::kGrid, objects,
+             /*handoff_batch=*/0, /*reconcile=*/false, /*num_threads=*/1);
 }
 void BM_ShardedHash(benchmark::State& state, const std::string& name,
                     int64_t objects) {
@@ -230,7 +236,10 @@ void BM_ReconcilePassLoad(benchmark::State& state, const std::string& name,
 }
 
 // Handoff-mode sweep: per-event vs batched on the latency-bound workload
-// (~100ns POLAR-OP decisions, where the per-event mutex dominated).
+// (~100ns POLAR-OP decisions, where the per-event mutex dominated), and
+// the same 4 shards fed inline. BM_ShardedGrid resolves its threads to
+// min(shards, cores), so on a 4-core host its /4 row is the threaded
+// configuration too; BM_ShardedGridInline is the inline one.
 BENCHMARK_CAPTURE(BM_SingleSession, polar_op_16k, "polar-op", 16000)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ShardedGrid, polar_op_16k, "polar-op", 16000)
@@ -243,6 +252,9 @@ BENCHMARK_CAPTURE(BM_ShardedGridPerEvent, polar_op_16k, "polar-op", 16000)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ShardedGridThreaded, polar_op_16k, "polar-op", 16000)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ShardedGridInline, polar_op_16k, "polar-op", 16000)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 

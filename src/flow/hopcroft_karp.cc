@@ -1,7 +1,6 @@
 #include "flow/hopcroft_karp.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -66,19 +65,6 @@ void HopcroftKarp::AddEdge(int32_t u, int32_t v) {
 void HopcroftKarp::ReserveEdges(size_t num_edges) {
   edge_from_.reserve(num_edges);
   edge_to_.reserve(num_edges);
-}
-
-void HopcroftKarp::SetMatch(int32_t u, int32_t v) {
-  if (u < 0 || u >= num_left_ || v < 0 || v >= num_right_) {
-    std::fprintf(stderr,
-                 "HopcroftKarp: match (%d, %d) out of range [0, %d) x [0, %d)\n",
-                 u, v, num_left_, num_right_);
-    std::abort();
-  }
-  assert(match_left_[static_cast<size_t>(u)] < 0);
-  assert(match_right_[static_cast<size_t>(v)] < 0);
-  match_left_[static_cast<size_t>(u)] = v;
-  match_right_[static_cast<size_t>(v)] = u;
 }
 
 bool HopcroftKarp::Bfs() {

@@ -1,11 +1,13 @@
 // Hopcroft-Karp maximum-cardinality bipartite matching, O(E * sqrt(V)).
-// Used by offline OPT (the paper's OPT curve) and by the rebuild-per-batch
-// reference mode of the GR baseline's window matching.
+// Used by offline OPT (src/baselines/offline_opt, the paper's OPT curve)
+// and by two test oracles, the per-window rebuilds of GR and TGOA
+// (tests/oracles/rebuild_gr_batch, tests/oracles/rebuild_tgoa). The online
+// algorithms themselves match through DynamicBipartiteMatcher.
 //
 // Reusable: `Reset()` rewinds the instance while keeping every buffer
-// allocation, and Solve() warm-starts from whatever matching is already
-// installed (either left over from a previous Solve on the same graph or
-// seeded via `SetMatch`), augmenting only for the remaining exposed nodes.
+// allocation. Solve() is idempotent: it keeps the matching it found and
+// augments only from nodes still exposed, so a repeated call returns the
+// same cardinality, and edges added after a Solve extend that matching.
 
 #ifndef FTOA_FLOW_HOPCROFT_KARP_H_
 #define FTOA_FLOW_HOPCROFT_KARP_H_
@@ -32,14 +34,9 @@ class HopcroftKarp {
   /// Reserve space for `num_edges` edges.
   void ReserveEdges(size_t num_edges);
 
-  /// Warm start: installs the pair (u, v) into the current matching. Both
-  /// endpoints must be unmatched; the pair should be an actual edge of the
-  /// graph for the resulting matching to be meaningful.
-  void SetMatch(int32_t u, int32_t v);
-
-  /// Computes a maximum matching; returns its cardinality. Idempotent, and
-  /// incremental: an existing matching (prior Solve or SetMatch) is kept
-  /// and only exposed nodes are augmented from.
+  /// Computes a maximum matching; returns its cardinality. Idempotent: the
+  /// matching of a prior Solve is kept and only exposed nodes are augmented
+  /// from.
   int64_t Solve();
 
   /// Right partner of left node `u` after Solve(), or -1.

@@ -37,7 +37,7 @@ void MinCostFlowGraph::Reset(int32_t num_nodes) {
   potential_.assign(static_cast<size_t>(num_nodes), 0);
   stamp_.assign(static_cast<size_t>(num_nodes), 0);
   round_ = 0;
-  needs_repair_ = false;
+  solved_ = false;
   // dist_/in_edge_ are stamped, heap_/touched_/queue_ cleared per use; they
   // only ever need to be at least num_nodes long. level_/cur_ are sized
   // lazily at engine entry and guarded by stamps/fills per use.
@@ -54,18 +54,6 @@ void MinCostFlowGraph::ReserveEdges(size_t num_edges) {
   next_.reserve(num_edges * 2);
 }
 
-int32_t MinCostFlowGraph::AddNode() {
-  const int32_t id = num_nodes();
-  head_.push_back(-1);
-  potential_.push_back(0);
-  stamp_.push_back(0);
-  if (dist_.size() < head_.size()) {
-    dist_.push_back(0);
-    in_edge_.push_back(-1);
-  }
-  return id;
-}
-
 int64_t MinCostFlowGraph::ReducedCost(int32_t e) const {
   const int32_t u = to_[static_cast<size_t>(e ^ 1)];
   const int32_t v = to_[static_cast<size_t>(e)];
@@ -77,8 +65,19 @@ int64_t MinCostFlowGraph::ReducedCost(int32_t e) const {
                 -potential_[static_cast<size_t>(v)]);
 }
 
+void MinCostFlowGraph::CheckUnsolved(const char* operation) const {
+  if (solved_) {
+    std::fprintf(stderr,
+                 "MinCostFlowGraph: %s after Solve without Reset (a graph "
+                 "is solved once)\n",
+                 operation);
+    std::abort();
+  }
+}
+
 int32_t MinCostFlowGraph::AddEdge(int32_t u, int32_t v, int64_t cap,
                                   int64_t cost) {
+  CheckUnsolved("AddEdge");
   assert(u >= 0 && u < num_nodes());
   assert(v >= 0 && v < num_nodes());
   assert(cap >= 0);
@@ -105,29 +104,7 @@ int32_t MinCostFlowGraph::AddEdge(int32_t u, int32_t v, int64_t cap,
   cost_.push_back(-cost);
   next_.push_back(head_[static_cast<size_t>(v)]);
   head_[static_cast<size_t>(v)] = forward + 1;
-
-  // An edge appended after earlier Solve rounds can undercut the current
-  // potential gap; flag for repair instead of re-running Bellman-Ford now.
-  if (cap > 0 && ReducedCost(forward) < 0) needs_repair_ = true;
   return forward;
-}
-
-void MinCostFlowGraph::PushFlow(int32_t e, int64_t amount) {
-  assert(e >= 0 && static_cast<size_t>(e) < to_.size());
-  assert(amount >= 0 && amount <= cap_[static_cast<size_t>(e)]);
-  cap_[static_cast<size_t>(e)] -= amount;
-  cap_[static_cast<size_t>(e ^ 1)] += amount;
-  if (cap_[static_cast<size_t>(e ^ 1)] > 0 && ReducedCost(e ^ 1) < 0) {
-    needs_repair_ = true;
-  }
-}
-
-int64_t MinCostFlowGraph::TotalRoutedCost() const {
-  int64_t total = 0;
-  for (size_t e = 0; e < to_.size(); e += 2) {
-    total += Flow(static_cast<int32_t>(e)) * cost_[e];
-  }
-  return total;
 }
 
 FlowInstanceShape MinCostFlowGraph::ComputeShape(int32_t s) const {
@@ -137,8 +114,8 @@ FlowInstanceShape MinCostFlowGraph::ComputeShape(int32_t s) const {
   std::vector<int64_t> costs;
   costs.reserve(num_edges());
   for (size_t e = 0; e < to_.size(); e += 2) {
-    // cap(e) + cap(e^1) is the original capacity, invariant under any flow
-    // already routed, so the shape is stable across warm starts.
+    // cap(e) + cap(e^1) is the original capacity, so the profile reads the
+    // same before and after the solve.
     const int64_t original = cap_[e] + cap_[e ^ 1];
     shape.max_capacity = std::max(shape.max_capacity, original);
     if (original == 1) ++shape.unit_capacity_edges;
@@ -159,101 +136,6 @@ FlowInstanceShape MinCostFlowGraph::ComputeShape(int32_t s) const {
     }
   }
   return shape;
-}
-
-void MinCostFlowGraph::CancelNegativeCycles() {
-  const int32_t n = num_nodes();
-  if (n == 0) return;
-  while (true) {
-    // Bellman-Ford from a virtual source attached to every node with a
-    // zero-cost arc: dist starts at zero everywhere, so any node that still
-    // relaxes after n full passes sits on (or hangs off) a negative cycle.
-    std::fill(dist_.begin(), dist_.begin() + n, 0);
-    std::fill(in_edge_.begin(), in_edge_.begin() + n, -1);
-    int32_t relaxed = -1;
-    for (int32_t round = 0; round < n; ++round) {
-      relaxed = -1;
-      for (size_t e = 0; e < to_.size(); ++e) {
-        if (cap_[e] <= 0) continue;
-        const int32_t u = to_[e ^ 1];
-        const int32_t v = to_[e];
-        const int64_t candidate =
-            SatAdd(dist_[static_cast<size_t>(u)], cost_[e]);
-        if (candidate < dist_[static_cast<size_t>(v)]) {
-          dist_[static_cast<size_t>(v)] = candidate;
-          in_edge_[static_cast<size_t>(v)] = static_cast<int32_t>(e);
-          relaxed = v;
-        }
-      }
-      if (relaxed < 0) return;  // Converged: no negative cycle remains.
-    }
-    // Walk n parent steps from the last relaxed node to land on the cycle,
-    // then cancel it with its bottleneck capacity.
-    int32_t x = relaxed;
-    for (int32_t i = 0; i < n; ++i) {
-      x = to_[static_cast<size_t>(in_edge_[static_cast<size_t>(x)] ^ 1)];
-    }
-    int64_t bottleneck = kInf;
-    int32_t v = x;
-    do {
-      const int32_t e = in_edge_[static_cast<size_t>(v)];
-      bottleneck = std::min(bottleneck, cap_[static_cast<size_t>(e)]);
-      v = to_[static_cast<size_t>(e ^ 1)];
-    } while (v != x);
-    v = x;
-    do {
-      const int32_t e = in_edge_[static_cast<size_t>(v)];
-      cap_[static_cast<size_t>(e)] -= bottleneck;
-      cap_[static_cast<size_t>(e ^ 1)] += bottleneck;
-      v = to_[static_cast<size_t>(e ^ 1)];
-    } while (v != x);
-  }
-}
-
-void MinCostFlowGraph::RepairPotentials(int32_t /*s*/) {
-  // Label-correcting fixpoint: lower potentials until every residual arc has
-  // a non-negative reduced cost again. Starting from the current (almost
-  // feasible) potentials this touches few nodes; it terminates because the
-  // residual graph of a feasible flow built from non-negative-cost edges by
-  // shortest-path augmentation or a cost-feasible warm start has no negative
-  // cycle.
-  queue_.clear();
-  in_queue_.assign(head_.size(), 0);
-  for (int32_t u = 0; u < num_nodes(); ++u) {
-    queue_.push_back(u);
-    in_queue_[static_cast<size_t>(u)] = 1;
-  }
-  const int64_t pop_limit = (static_cast<int64_t>(head_.size()) + 1) *
-                            (static_cast<int64_t>(to_.size()) + 1);
-  int64_t pops = 0;
-  for (size_t qi = 0; qi < queue_.size(); ++qi) {
-    const int32_t u = queue_[qi];
-    in_queue_[static_cast<size_t>(u)] = 0;
-    ++pops;
-    assert(pops <= pop_limit && "negative cycle in residual network");
-    if (pops > pop_limit) return;  // Defense in depth for NDEBUG builds.
-    for (int32_t e = head_[static_cast<size_t>(u)]; e != -1;
-         e = next_[static_cast<size_t>(e)]) {
-      if (cap_[static_cast<size_t>(e)] <= 0) continue;
-      const int32_t v = to_[static_cast<size_t>(e)];
-      const int64_t candidate = SatAdd(potential_[static_cast<size_t>(u)],
-                                       cost_[static_cast<size_t>(e)]);
-      if (candidate < potential_[static_cast<size_t>(v)]) {
-        potential_[static_cast<size_t>(v)] = candidate;
-        if (!in_queue_[static_cast<size_t>(v)]) {
-          in_queue_[static_cast<size_t>(v)] = 1;
-          queue_.push_back(v);
-        }
-      }
-    }
-  }
-}
-
-void MinCostFlowGraph::RepairIfNeeded(int32_t s) {
-  if (!needs_repair_) return;
-  CancelNegativeCycles();
-  RepairPotentials(s);
-  needs_repair_ = false;
 }
 
 bool MinCostFlowGraph::DijkstraOnce(int32_t s, int32_t t) {
@@ -301,10 +183,33 @@ bool MinCostFlowGraph::DijkstraOnce(int32_t s, int32_t t) {
 }
 
 MinCostFlowGraph::Outcome MinCostFlowGraph::Solve(int32_t s, int32_t t) {
+  return Solve(s, t, FlowEngine::kSsp);
+}
+
+MinCostFlowGraph::Outcome MinCostFlowGraph::Solve(int32_t s, int32_t t,
+                                                  FlowEngine engine) {
   assert(s >= 0 && s < num_nodes());
   assert(t >= 0 && t < num_nodes());
   assert(s != t);
-  RepairIfNeeded(s);
+  CheckUnsolved("Solve");
+  solved_ = true;
+  if (engine == FlowEngine::kAuto) {
+    engine = ChooseFlowEngine(ComputeShape(s));
+  }
+  switch (engine) {
+    case FlowEngine::kSsp:
+      return SolveSsp(s, t);
+    case FlowEngine::kBlockingSsp:
+      return SolveBlocking(s, t);
+    case FlowEngine::kCostScaling:
+      return SolveCostScaling(s, t);
+    case FlowEngine::kAuto:
+      break;  // Resolved above; unreachable.
+  }
+  return SolveSsp(s, t);
+}
+
+MinCostFlowGraph::Outcome MinCostFlowGraph::SolveSsp(int32_t s, int32_t t) {
   Outcome outcome;
   while (DijkstraOnce(s, t)) {
     const int64_t dist_t = dist_[static_cast<size_t>(t)];
@@ -341,24 +246,6 @@ MinCostFlowGraph::Outcome MinCostFlowGraph::Solve(int32_t s, int32_t t) {
     outcome.cost += bottleneck * path_cost;
   }
   return outcome;
-}
-
-MinCostFlowGraph::Outcome MinCostFlowGraph::Solve(int32_t s, int32_t t,
-                                                  FlowEngine engine) {
-  if (engine == FlowEngine::kAuto) {
-    engine = ChooseFlowEngine(ComputeShape(s));
-  }
-  switch (engine) {
-    case FlowEngine::kSsp:
-      return Solve(s, t);
-    case FlowEngine::kBlockingSsp:
-      return SolveBlocking(s, t);
-    case FlowEngine::kCostScaling:
-      return SolveCostScaling(s, t);
-    case FlowEngine::kAuto:
-      break;  // Resolved above; unreachable.
-  }
-  return Solve(s, t);
 }
 
 // ---------------------------------------------------------------------------
@@ -523,10 +410,6 @@ int64_t MinCostFlowGraph::BlockingAugment(int32_t s, int32_t t,
 
 MinCostFlowGraph::Outcome MinCostFlowGraph::SolveBlocking(int32_t s,
                                                           int32_t t) {
-  assert(s >= 0 && s < num_nodes());
-  assert(t >= 0 && t < num_nodes());
-  assert(s != t);
-  RepairIfNeeded(s);
   if (level_.size() < head_.size()) {
     level_.resize(head_.size(), -1);
     cur_.resize(head_.size(), -1);
@@ -539,7 +422,7 @@ MinCostFlowGraph::Outcome MinCostFlowGraph::SolveBlocking(int32_t s,
     // (equal to pi'(t) - pi'(s) afterwards).
     const int64_t path_cost = dist_t + potential_[static_cast<size_t>(t)] -
                               potential_[static_cast<size_t>(s)];
-    // Same capped-shifted update (and case analysis) as Solve(); after it
+    // Same capped-shifted update (and case analysis) as SolveSsp(); after it
     // every shortest-path arc has reduced cost exactly zero, so the
     // admissible subgraph carries *all* shortest s-t paths at once.
     for (const int32_t v : touched_) {
@@ -708,9 +591,6 @@ void MinCostFlowGraph::Refine(int64_t eps, int64_t scale) {
 
 MinCostFlowGraph::Outcome MinCostFlowGraph::SolveCostScaling(int32_t s,
                                                              int32_t t) {
-  assert(s >= 0 && s < num_nodes());
-  assert(t >= 0 && t < num_nodes());
-  assert(s != t);
   const int64_t scale = static_cast<int64_t>(num_nodes()) + 1;
   int64_t max_cost = 0;
   for (size_t e = 0; e < to_.size(); e += 2) {
@@ -730,11 +610,8 @@ MinCostFlowGraph::Outcome MinCostFlowGraph::SolveCostScaling(int32_t s,
     level_.resize(head_.size(), -1);
     cur_.resize(head_.size(), -1);
   }
-  // Warm-started flow (even one that broke the SSP potentials) is simply
-  // part of the pseudoflow refine re-optimizes, so no entry repair is
-  // needed and no negative-cycle cancellation either.
-  const int64_t cost_before = TotalRoutedCost();
-  const int64_t added_flow = MaxFlowDinic(s, t);
+  Outcome outcome;
+  outcome.flow = MaxFlowDinic(s, t);
   price_.assign(head_.size(), 0);
   excess_.assign(head_.size(), 0);
   // Scaled costs are multiples of scale = n + 1, so a 1-optimal flow has no
@@ -746,15 +623,11 @@ MinCostFlowGraph::Outcome MinCostFlowGraph::SolveCostScaling(int32_t s,
     eps = std::max<int64_t>(1, eps / 8);
     Refine(eps, scale);
   }
-  // Prices are not Johnson potentials; a later potential-based Solve must
-  // rebuild its invariant first.
-  needs_repair_ = true;
-  Outcome outcome;
-  outcome.flow = added_flow;
-  // Refine may also re-route flow carried into this call, so the call's
-  // cost contribution is the network-wide delta (equal to the full routed
-  // cost on a fresh instance).
-  outcome.cost = TotalRoutedCost() - cost_before;
+  // Refine re-routes flow without tracking path costs, so the cost is read
+  // off the final routing.
+  for (size_t e = 0; e < to_.size(); e += 2) {
+    outcome.cost += cap_[e ^ 1] * cost_[e];
+  }
   return outcome;
 }
 

@@ -59,23 +59,11 @@
 // allocation, and `ReserveEdges()` pre-sizes the edge arena, so
 // steady-state use performs zero heap allocations per Solve.
 //
-// Warm-start contract: residual state persists across calls, so `Solve` is
-// resumable — callers may inject a known feasible flow with `PushFlow`
-// (e.g. a matching carried over from a previous batch) or append edges with
-// `AddEdge` and call `Solve` again; only the *additional* flow is computed.
-// Any operation that can break the potentials invariant (injected flow
-// whose reverse arc goes reduced-cost-negative, an appended edge that is
-// cheaper than the current potential gap, or a kCostScaling solve, which
-// does not maintain potentials) flags the instance; the next
-// potential-based Solve then first cancels any negative residual cycles —
-// re-routing the already-carried flow so it is again min-cost for its
-// value, which is what successive shortest paths require — and rebuilds
-// the potentials with one label-correcting pass before resuming Dijkstra.
-// The final state is therefore a true min-cost maximum flow no matter how
-// the warm start was produced. Because cancellation (and
-// a kCostScaling refine) can silently cheapen flow routed by *earlier*
-// calls, a resumed call's Outcome counts only its own contribution; use
-// `TotalRoutedCost()` for whole-network cost claims.
+// Solve-once contract: a graph is built, solved once and read. A second
+// `Solve`, or an `AddEdge` after a `Solve`, without a `Reset` in between
+// aborts with a message: every engine assumes it starts from the zero flow
+// with zero potentials, so resuming would return a silently non-optimal
+// flow.
 //
 // Every engine solves on the calling thread; there is no intra-solve
 // parallelism (tools/ftoa_lint.py's serial-solver check keeps it so).
@@ -108,23 +96,20 @@ class MinCostFlowGraph {
   /// Pre-sizes the edge arena for `num_edges` forward edges.
   void ReserveEdges(size_t num_edges);
 
-  /// Appends one node (for incremental graph growth); returns its id.
-  int32_t AddNode();
-
   /// Adds edge u -> v with capacity `cap` >= 0 and per-unit cost
   /// `cost` >= 0. Returns the forward edge id (residual partner at id ^ 1).
+  /// Aborts after a Solve without a Reset (solve-once contract).
   int32_t AddEdge(int32_t u, int32_t v, int64_t cap, int64_t cost);
 
-  /// Result of a min-cost max-flow computation.
+  /// The flow and cost of this solve.
   struct Outcome {
     int64_t flow = 0;
     int64_t cost = 0;
   };
 
   /// Sends as much flow as possible from s to t, minimizing total cost
-  /// among maximum flows; Dijkstra with potentials (engine kSsp).
-  /// Resumable: retains residual state and potentials, and returns only the
-  /// flow/cost *added by this call*.
+  /// among maximum flows; Dijkstra with potentials (engine kSsp). Once per
+  /// Reset: a second call aborts (solve-once contract).
   Outcome Solve(int32_t s, int32_t t);
 
   /// Same contract, with an explicit solver core. kAuto resolves through
@@ -136,19 +121,8 @@ class MinCostFlowGraph {
   /// original-capacity profile (unit-capacity edge share).
   FlowInstanceShape ComputeShape(int32_t s) const;
 
-  /// Warm start: moves `amount` units of capacity from forward edge `e` to
-  /// its reverse, declaring that flow as already routed. The caller asserts
-  /// the combined pushes form a feasible s-t flow (conservation at interior
-  /// nodes); costs of injected flow are not accumulated into any Outcome.
-  void PushFlow(int32_t e, int64_t amount);
-
   /// Flow carried by forward edge `e`.
   int64_t Flow(int32_t e) const { return cap_[static_cast<size_t>(e ^ 1)]; }
-
-  /// Total cost of the flow currently routed in the network,
-  /// sum over forward edges of Flow(e) * EdgeCost(e). This is the
-  /// authoritative cost after warm starts (see the warm-start contract).
-  int64_t TotalRoutedCost() const;
 
   /// Per-unit cost of forward edge `e`.
   int64_t EdgeCost(int32_t e) const { return cost_[static_cast<size_t>(e)]; }
@@ -174,16 +148,11 @@ class MinCostFlowGraph {
 
  private:
   int64_t ReducedCost(int32_t e) const;
-  /// Bellman-Ford negative-cycle detection + cancellation: re-routes the
-  /// carried flow until the residual network has no negative cycle, i.e.
-  /// the flow is min-cost for its value. O(V * E) per cancelled cycle;
-  /// only runs on warm starts that actually broke optimality.
-  void CancelNegativeCycles();
-  /// Label-correcting fixpoint that lowers potentials until every residual
-  /// arc has non-negative reduced cost; requires no negative cycles.
-  void RepairPotentials(int32_t s);
-  /// Re-establishes the potentials invariant if a warm start broke it.
-  void RepairIfNeeded(int32_t s);
+  /// Aborts when this graph was already solved since its last Reset.
+  void CheckUnsolved(const char* operation) const;
+
+  // --- kSsp internals.
+  Outcome SolveSsp(int32_t s, int32_t t);
   /// Dijkstra over reduced costs; returns true when t was reached and
   /// leaves dist_/in_edge_ describing the shortest-path tree.
   bool DijkstraOnce(int32_t s, int32_t t);
@@ -232,21 +201,21 @@ class MinCostFlowGraph {
     }
   };
   std::vector<HeapEntry> heap_;
-  // Label-correcting scratch (potential repair).
-  std::vector<uint8_t> in_queue_;
-  std::vector<int32_t> queue_;
   // Blocking/Dinic scratch: BFS levels, per-node arc cursors, DFS path.
   std::vector<int32_t> level_;
   std::vector<int32_t> cur_;
   std::vector<int32_t> path_;
   std::vector<int32_t> frontier_;
   std::vector<int32_t> next_frontier_;
-  // Cost-scaling scratch: prices and node excesses.
+  // Cost-scaling scratch: prices, node excesses and the FIFO of active
+  // nodes.
   std::vector<int64_t> price_;
   std::vector<int64_t> excess_;
   std::vector<int32_t> saturate_;  // Arc ids detected by the refine scan.
+  std::vector<uint8_t> in_queue_;
+  std::vector<int32_t> queue_;
 
-  bool needs_repair_ = false;
+  bool solved_ = false;  // A Solve ran since the last Reset.
   int64_t path_searches_ = 0;
   int64_t blocking_phases_ = 0;
   int64_t refine_rounds_ = 0;

@@ -115,10 +115,11 @@ TEST(GrBatchTest, IncrementalMatchesRebuildOnExample1) {
 
 TEST(GrBatchTest, IncrementalMatchesRebuildOnRandomWorkloads) {
   // Carrying the matcher across windows (inserting only the new arrivals'
-  // nodes/edges and re-augmenting for them) must deliver the same total
+  // nodes/edges and re-augmenting for them) delivers the same total
   // utility as the oracle that rebuilds a Hopcroft-Karp instance per
-  // window. Default (wait-in-place) policy only: the oracle's v * maxDr
-  // radius is exact there and nowhere else.
+  // window on these instances; tests/oracles/rebuild_gr_batch.h says why
+  // that is not so on every instance. Default (wait-in-place) policy only:
+  // the oracle's v * maxDr radius is exact there and nowhere else.
   SyntheticConfig config;
   config.num_workers = 300;
   config.num_tasks = 300;

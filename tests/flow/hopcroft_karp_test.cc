@@ -128,22 +128,6 @@ TEST(HopcroftKarpTest, ResetReusesInstance) {
   EXPECT_EQ(hk.MatchOfLeft(0), -1);
 }
 
-TEST(HopcroftKarpTest, WarmStartFromSeededMatching) {
-  // Seeding a partial matching with SetMatch leaves Solve with only the
-  // remaining augmentations; the result is still maximum.
-  HopcroftKarp hk(3, 3);
-  hk.AddEdge(0, 0);
-  hk.AddEdge(0, 1);
-  hk.AddEdge(1, 0);
-  hk.AddEdge(2, 2);
-  hk.SetMatch(0, 0);
-  EXPECT_EQ(hk.Solve(), 3);
-  // l1 only likes r0: the warm-started pair must have been re-routed.
-  EXPECT_EQ(hk.MatchOfRight(0), 1);
-  EXPECT_EQ(hk.MatchOfLeft(0), 1);
-  EXPECT_EQ(hk.MatchOfLeft(2), 2);
-}
-
 TEST(HopcroftKarpTest, SolveIsIncrementalAcrossEdgeInsertions) {
   HopcroftKarp hk(2, 2);
   hk.AddEdge(0, 0);
@@ -175,14 +159,6 @@ TEST(HopcroftKarpDeathTest, AddEdgeOutOfRangeAborts) {
                "out of range");
 }
 
-TEST(HopcroftKarpDeathTest, SetMatchOutOfRangeAborts) {
-  HopcroftKarp hk(3, 4);
-  hk.AddEdge(0, 0);
-  EXPECT_DEATH(hk.SetMatch(3, 0), "out of range");
-  EXPECT_DEATH(hk.SetMatch(0, 4), "out of range");
-  EXPECT_DEATH(hk.SetMatch(-1, -1), "out of range");
-}
-
 TEST(HopcroftKarpDeathTest, NegativeSideSizeAborts) {
   EXPECT_DEATH(HopcroftKarp(-1, 2), "negative side size");
   EXPECT_DEATH(HopcroftKarp(2, -1), "negative side size");
@@ -200,8 +176,8 @@ TEST(HopcroftKarpTest, BoundaryIdsAtSideLimitsStayValid) {
   EXPECT_EQ(hk.MatchOfLeft(2), 3);
   hk.Reset(1, 1);
   hk.AddEdge(0, 0);
-  hk.SetMatch(0, 0);
   EXPECT_EQ(hk.Solve(), 1);
+  EXPECT_EQ(hk.MatchOfLeft(0), 0);
 }
 
 }  // namespace

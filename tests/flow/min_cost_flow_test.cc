@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "flow/dinic.h"
+#include "flow/flow_engine.h"
 #include "flow/graph.h"
 #include "oracles/spfa_min_cost_flow.h"
 #include "util/rng.h"
@@ -91,90 +92,25 @@ TEST(MinCostFlowTest, ResetReusesInstance) {
   EXPECT_EQ(g.Flow(e), 2);
 }
 
-TEST(MinCostFlowTest, SolveIsResumableAfterAddingEdges) {
-  // Solve, then append a strictly cheaper parallel route and re-solve: the
-  // carried flow is no longer min-cost for its value (the residual network
-  // gains a negative cycle), so the resumed Solve must cancel it — the
-  // final routed flow has to match a cold solve of the full graph exactly.
-  MinCostFlowGraph incremental(4);
-  incremental.AddEdge(0, 1, 1, 2);
-  incremental.AddEdge(1, 3, 1, 2);
-  const auto first = incremental.Solve(0, 3);
-  EXPECT_EQ(first.flow, 1);
-  EXPECT_EQ(first.cost, 4);
-  incremental.AddEdge(0, 2, 1, 1);
-  incremental.AddEdge(2, 3, 1, 1);
-  const auto second = incremental.Solve(0, 3);
-  EXPECT_EQ(second.flow, 1);
-
-  MinCostFlowGraph cold(4);
-  cold.AddEdge(0, 1, 1, 2);
-  cold.AddEdge(1, 3, 1, 2);
-  cold.AddEdge(0, 2, 1, 1);
-  cold.AddEdge(2, 3, 1, 1);
-  const auto reference = cold.Solve(0, 3);
-  EXPECT_EQ(first.flow + second.flow, reference.flow);
-  EXPECT_EQ(incremental.TotalRoutedCost(), reference.cost);
-  EXPECT_EQ(incremental.TotalRoutedCost(), cold.TotalRoutedCost());
-}
-
-TEST(MinCostFlowTest, WarmStartFromInjectedFlow) {
-  // Inject the min-cost unit of flow along s -> a -> t, then Solve: the
-  // remaining max flow and the final per-edge flows match a cold solve.
-  auto build = [](MinCostFlowGraph& g, std::vector<int32_t>& edges) {
-    g.Reset(4);
-    edges.clear();
-    edges.push_back(g.AddEdge(0, 1, 1, 1));  // s -> a
-    edges.push_back(g.AddEdge(1, 3, 1, 1));  // a -> t
-    edges.push_back(g.AddEdge(0, 2, 1, 5));  // s -> b
-    edges.push_back(g.AddEdge(2, 3, 1, 5));  // b -> t
-  };
-  MinCostFlowGraph warm;
-  std::vector<int32_t> warm_edges;
-  build(warm, warm_edges);
-  warm.PushFlow(warm_edges[0], 1);
-  warm.PushFlow(warm_edges[1], 1);
-  const auto warm_outcome = warm.Solve(0, 3);
-  EXPECT_EQ(warm_outcome.flow, 1);   // Only the remaining unit.
-  EXPECT_EQ(warm_outcome.cost, 10);  // The expensive path.
-
-  MinCostFlowGraph cold;
-  std::vector<int32_t> cold_edges;
-  build(cold, cold_edges);
-  const auto cold_outcome = cold.Solve(0, 3);
-  EXPECT_EQ(cold_outcome.flow, 2);
-  for (size_t i = 0; i < warm_edges.size(); ++i) {
-    EXPECT_EQ(warm.Flow(warm_edges[i]), cold.Flow(cold_edges[i]));
+// Solve-once contract: each engine starts from the zero flow, so a second
+// Solve, or an edge added after a Solve, must die instead of returning a
+// flow that is not min-cost for the grown network.
+TEST(MinCostFlowDeathTest, SolveOrAddEdgeAfterSolveWithoutResetAborts) {
+  for (const FlowEngine engine :
+       {FlowEngine::kSsp, FlowEngine::kBlockingSsp, FlowEngine::kCostScaling,
+        FlowEngine::kAuto}) {
+    MinCostFlowGraph g(3);
+    g.AddEdge(0, 1, 1, 2);
+    g.AddEdge(1, 2, 1, 2);
+    EXPECT_EQ(g.Solve(0, 2, engine).flow, 1) << FlowEngineName(engine);
+    EXPECT_DEATH(g.Solve(0, 2, engine), "Solve after Solve without Reset");
+    EXPECT_DEATH(g.Solve(0, 2), "Solve after Solve without Reset");
+    EXPECT_DEATH(g.AddEdge(0, 2, 1, 1), "AddEdge after Solve without Reset");
+    // Reset re-arms the graph.
+    g.Reset(3);
+    g.AddEdge(0, 2, 1, 1);
+    EXPECT_EQ(g.Solve(0, 2, engine).cost, 1) << FlowEngineName(engine);
   }
-}
-
-TEST(MinCostFlowTest, SolveAfterCostScalingRepairsPotentials) {
-  // A kCostScaling solve leaves prices, not potentials, behind; a
-  // subsequent Dijkstra Solve on the grown graph must still deliver the
-  // exact min-cost max flow (here via cycle cancellation: the appended
-  // route undercuts the one the first solve used).
-  MinCostFlowGraph g(5);
-  g.AddEdge(0, 1, 2, 3);
-  g.AddEdge(1, 4, 1, 3);
-  const auto scaled = g.Solve(0, 4, FlowEngine::kCostScaling);
-  EXPECT_EQ(scaled.flow, 1);
-  g.AddEdge(1, 2, 1, 0);
-  g.AddEdge(2, 4, 1, 1);
-  const auto rest = g.Solve(0, 4);
-  EXPECT_EQ(rest.flow, 1);
-  // Optimal routing of both units: 2x(0->1), then 1->2->4 and 1->4.
-  EXPECT_EQ(g.TotalRoutedCost(), 3 + 3 + 0 + 1 + 3);
-}
-
-TEST(MinCostFlowTest, AddNodeGrowsGraph) {
-  MinCostFlowGraph g(2);
-  g.AddEdge(0, 1, 1, 1);
-  const int32_t mid = g.AddNode();
-  EXPECT_EQ(mid, 2);
-  g.AddEdge(1, mid, 1, 1);
-  const auto outcome = g.Solve(0, mid);
-  EXPECT_EQ(outcome.flow, 1);
-  EXPECT_EQ(outcome.cost, 2);
 }
 
 // Property: the flow value of min-cost max-flow equals plain max flow on

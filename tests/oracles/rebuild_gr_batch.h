@@ -1,8 +1,18 @@
 // Reference GR: the rebuild-per-window batch matcher the baseline shipped
 // before baselines/gr_batch learned to carry one incremental matcher
 // across windows. At every window boundary it re-enumerates every pooled
-// worker's candidates and solves a fresh Hopcroft-Karp instance. The
-// production session must commit as many pairs on every instance.
+// worker's candidates and solves a fresh Hopcroft-Karp instance.
+//
+// What the tests pin: production commits as many pairs as this oracle on
+// Example 1 and on GrBatchTest.IncrementalMatchesRebuildOnRandomWorkloads'
+// instances (300 workers and 300 tasks, 10x10 grid, 8 slots, four seeds).
+// That equality is not a property of every instance. A window's maximum
+// matching is not unique: production augments one arrival at a time
+// (Kuhn-style) and this oracle runs Hopcroft-Karp, so they can leave
+// different workers and tasks unmatched. Those wait into later windows,
+// where they meet different partners, and the difference compounds. On
+// BM_GrPerObject's instances (30x30 grid, 24 slots, seed 1234) production
+// commits 617 pairs against this oracle's 607 at 1k objects per side.
 //
 // Its candidate radius is v * maxDr, which covers every feasible pair only
 // under kDispatchAtAssignmentTime, so it is pinned under that policy only.

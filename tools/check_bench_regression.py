@@ -2,8 +2,8 @@
 """Bench regression gate: diff a fresh google-benchmark JSON against a
 committed baseline and fail on steady-state regressions.
 
-Four checks; the first two over benchmarks present in *both* files, the
-other two on the fresh run alone:
+Five checks; the first two over benchmarks present in *both* files, the
+other three on the fresh run alone:
 
   1. Per-benchmark regression: fresh real_time > --max-regression x the
      baseline's (default 2.0 -- lenient on purpose: baselines are recorded
@@ -27,6 +27,9 @@ other two on the fresh run alone:
      remembered guide) must cost at most MAX_UNCHANGED_RATIO (1%) of
      BM_RefreshNow/changed (a refresh that solves). Both rows use one time
      unit.
+  5. Stamps: the fresh file's context must carry every key in
+     REQUIRED_STAMPS (tools/run_bench_smoke.sh writes them), so each
+     recorded number names the build and host that produced it.
 
 Usage:
   tools/check_bench_regression.py BASELINE.json FRESH.json \
@@ -50,6 +53,12 @@ MAX_UNCHANGED_RATIO = 0.01
 EQUAL_COUNTERS = ("matched", "reconciled", "recovered", "boundary_workers",
                   "evicted", "store", "pairs", "components")
 
+# Context keys a fresh file must carry: the build type, the core count,
+# the commit ("+dirty" for an uncommitted tree), the compiler's version line
+# and the C++ flags.
+REQUIRED_STAMPS = ("build_type", "nproc", "ftoa_commit", "compiler",
+                   "cxx_flags")
+
 # Counters a row may lower but never raise: work per query.
 NONINCREASING_COUNTERS = ("examined_per_query",)
 
@@ -72,10 +81,13 @@ COUNTER_EXEMPT_ROWS = {
 }
 
 
-def load_benchmarks(path):
-    """name -> benchmark entry for every non-aggregate entry."""
+def load_json(path):
     with open(path) as handle:
-        data = json.load(handle)
+        return json.load(handle)
+
+
+def load_benchmarks(data):
+    """name -> benchmark entry for every non-aggregate entry."""
     runs = {}
     for bench in data.get("benchmarks", []):
         if bench.get("run_type", "iteration") != "iteration":
@@ -173,6 +185,17 @@ def check_unchanged_refresh(fresh):
     return []
 
 
+def check_stamps(context):
+    """Every REQUIRED_STAMPS key present and non-empty in the fresh file."""
+    missing = [key for key in REQUIRED_STAMPS if not context.get(key)]
+    if missing:
+        print(f"  FAIL context lacks {', '.join(missing)}")
+        return [f"fresh context lacks {', '.join(missing)} "
+                f"(record it with tools/run_bench_smoke.sh)"]
+    print(f"  ok   context carries {', '.join(REQUIRED_STAMPS)}")
+    return []
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
@@ -181,8 +204,9 @@ def main():
     parser.add_argument("--min-warm-speedup", type=float, default=2.0)
     args = parser.parse_args()
 
-    baseline = load_benchmarks(args.baseline)
-    fresh = load_benchmarks(args.fresh)
+    baseline = load_benchmarks(load_json(args.baseline))
+    fresh_data = load_json(args.fresh)
+    fresh = load_benchmarks(fresh_data)
 
     print(f"bench-regression: {args.fresh} vs baseline {args.baseline}")
     failures = check_regressions(real_times(baseline), real_times(fresh),
@@ -193,6 +217,8 @@ def main():
     failures += check_warm_speedup(real_times(fresh), args.min_warm_speedup)
     print("bench-regression: unchanged-refresh bar")
     failures += check_unchanged_refresh(real_times(fresh))
+    print("bench-regression: stamps")
+    failures += check_stamps(fresh_data.get("context", {}))
 
     if failures:
         print("bench-regression: FAILED")

@@ -20,8 +20,8 @@
 # regression, an outcome counter (matched, reconciled, recovered,
 # boundary_workers, evicted, store, pairs, components) that differs from
 # the baseline or an examined_per_query above it, a warm-refresh speedup
-# below the 2x bar, or an unchanged-prediction refresh above 1% of a
-# solving one. Off by default: it rebuilds the Release tree and takes
+# below the 2x bar, an unchanged-prediction refresh above 1% of a
+# solving one, or a fresh file without its stamps. Off by default: it rebuilds the Release tree and takes
 # minutes.
 #
 # Usage: tools/run_gates.sh [gate-build-dir]
